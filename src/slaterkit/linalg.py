@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +54,14 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return a
 
 
 def max_abs(m) -> float:
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def require_antisymmetric(w: np.ndarray, tol: float = TOL_SYM) -> None:
@@ -98,6 +99,19 @@ def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def perm_sign(seq) -> int:
+    """Sign of the permutation that sorts ``seq`` (entries distinct)."""
+    seq = tuple(seq)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached, shared array immutable and return it."""
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -440,113 +454,109 @@ class EpsilonContractionSpec:
     free_count: int = 0
 
 
-def _perm_sign(seq) -> int:
-    sign = 1
-    seq = tuple(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _minor_index(d: int, size: int):
+    """Free tuples (lexicographic), the row-major flat positions of each
+    complementary principal minor ``[rest, rest]``, and ``sign(rest + free)``."""
+    free_tuples = tuple(itertools.combinations(range(d), d - size))
+    rests = [[i for i in range(d) if i not in alpha] for alpha in free_tuples]
+    rest = np.array(rests, dtype=np.intp).reshape(len(rests), size)
+    positions = (rest[:, :, None] * d + rest[:, None, :]).reshape(len(rests), size * size)
+    signs = np.array([perm_sign(r + list(alpha)) for r, alpha in zip(rests, free_tuples)], float)
+    return free_tuples, read_only(positions), read_only(signs)
 
 
-def _matchings(items: tuple[int, ...]):
-    """All partitions of ``items`` into increasing pairs."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for i, other in enumerate(rest):
-        for tail in _matchings(rest[:i] + rest[i + 1:]):
-            yield ((first, other),) + tail
+@lru_cache(maxsize=None)
+def _matching_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Perfect matchings of ``range(n)``: flat positions ``a * n + b`` of
+    their pairs ``a < b``, shape ``(n // 2, (n-1)!!)``, and their signs.
+
+    Expansion along the first element: pairing 0 with ``j`` contributes
+    ``(-1)**(j - 1)`` times the sign of a matching of the other elements.
+    """
+    if n == 0:
+        return read_only(np.zeros((0, 1), dtype=np.intp)), read_only(np.ones(1, dtype=complex))
+    sub, sub_signs = _matching_table(n - 2)
+    rows, cols = divmod(sub, max(n - 2, 1))
+    blocks, signs = [], []
+    for j in range(1, n):
+        others = np.array([x for x in range(1, n) if x != j], dtype=np.intp)
+        blocks.append(np.vstack([np.full((1, sub.shape[1]), j), others[rows] * n + others[cols]]))
+        signs.append(sub_signs if j % 2 else -sub_signs)
+    return read_only(np.hstack(blocks)), read_only(np.concatenate(signs))
 
 
-_single_cache: dict = {}
-_paired_cache: dict = {}
+#: complex products held at once by the Pfaffian kernel
+_PFAFFIAN_CHUNK = 1 << 20
 
 
-def _single_table(d: int, n_ops: int, free_count: int):
-    key = (d, n_ops, free_count)
-    if key in _single_cache:
-        return _single_cache[key]
-    contracted = 2 * n_ops
-    canonical = []
-    for matching in _matchings(tuple(range(contracted))):
-        for assignment in itertools.permutations(matching):
-            flat = tuple(itertools.chain.from_iterable(assignment))
-            canonical.append((assignment, _perm_sign(flat)))
-    free_tuples = list(itertools.combinations(range(d), free_count))
-    n_terms = len(free_tuples) * len(canonical)
-    if n_terms > _MAX_CONTRACTION_TERMS:
-        raise ValidationError(f"contraction would expand to {n_terms} terms")
-    idx = np.empty((n_ops, n_terms), dtype=np.intp)
-    sgn = np.empty(n_terms, dtype=np.int64)
-    factor = 2 ** n_ops
-    t = 0
-    for alpha in free_tuples:
-        rest = [i for i in range(d) if i not in alpha]
-        base = _perm_sign(tuple(rest) + alpha) * factor
-        for assignment, csign in canonical:
-            for k, (a, b) in enumerate(assignment):
-                idx[k, t] = rest[a] * d + rest[b]
-            sgn[t] = base * csign
-            t += 1
-    table = (tuple(free_tuples), idx, sgn, len(canonical))
-    _single_cache[key] = table
-    return table
+def _pfaffians(minors: np.ndarray, n: int) -> np.ndarray:
+    """Pfaffians of row-major flattened ``n x n`` antisymmetric matrices,
+    one per row, by the perfect-matching expansion."""
+    flat, signs = _matching_table(n)
+    step = max(1, _PFAFFIAN_CHUNK // len(signs))
+    parts = []
+    for start in range(0, len(minors), step):
+        block = minors[start:start + step]
+        prod = block.take(flat[0], axis=1)
+        for column in flat[1:]:
+            prod *= block.take(column, axis=1)
+        parts.append(prod.dot(signs))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _paired_table(d: int, n_ops: int, free_count: int):
-    key = (d, n_ops, free_count)
-    if key in _paired_cache:
-        return _paired_cache[key]
-    canonical = []
-    for rho in itertools.permutations(range(n_ops)):
-        s_rho = _perm_sign(rho)
-        for tau in itertools.permutations(range(n_ops)):
-            canonical.append((rho, tau, s_rho * _perm_sign(tau)))
-    free_tuples = list(itertools.combinations(range(d), free_count))
-    n_terms = len(free_tuples) * len(canonical)
-    if n_terms > _MAX_CONTRACTION_TERMS:
-        raise ValidationError(f"contraction would expand to {n_terms} terms")
-    idx = np.empty((n_ops, n_terms), dtype=np.intp)
-    sgn = np.empty(n_terms, dtype=np.int64)
-    t = 0
-    for alpha in free_tuples:
-        rest = [i for i in range(d) if i not in alpha]
-        for rho, tau, csign in canonical:
-            for k in range(n_ops):
-                idx[k, t] = rest[rho[k]] * d + rest[tau[k]]
-            sgn[t] = csign
-            t += 1
-    table = (tuple(free_tuples), idx, sgn, len(canonical))
-    _paired_cache[key] = table
-    return table
+@lru_cache(maxsize=None)
+def _fourier_nodes(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Polarization of a degree-k form ``P`` at operands of multiplicities ``m_i``.
+
+    The symmetric multilinear form is ``prod(m_i!) / k!`` times the
+    coefficient of ``prod t_i**m_i`` in ``P(sum t_i x_i)``; a discrete
+    Fourier sum over each ``t_i`` at the ``(m_i + 1)``-th roots of unity
+    extracts it exactly, as no other monomial of degree ``k`` aliases onto it.
+    """
+    m = np.array(counts)
+    nodes = np.exp(2j * np.pi * np.indices(m + 1).reshape(len(m), -1).T / (m + 1))
+    scale = math.prod(math.factorial(c) / (c + 1) for c in counts) / math.factorial(sum(counts))
+    return read_only(nodes), read_only(scale * np.prod(nodes.conj() ** m, axis=1))
 
 
 def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], complex]:
     """Evaluate a Levi-Civita contraction.
 
-    Returns one complex value per strictly increasing assignment of the
-    free indices (the empty tuple keys a fully contracted value).  Only
-    index tuples supported by the epsilon tensor are visited, i.e. the
-    contracted indices run over permutations of the complement of each
-    free tuple.
+    Returns one complex value per strictly increasing assignment ``alpha``
+    of the free indices (the empty tuple keys a fully contracted value),
+    in lexicographic order.  For ``k`` equal operands each value is a
+    principal minor on ``rest``, the complement of ``alpha``:
+    ``sign(rest + alpha) * 2**k * k! * Pf(W[rest, rest])`` (single) or
+    ``k! * det(V[rest, rest])`` (paired), all gathered in one stack.
+    Distinct operands enter through the polarization identity, as a
+    weighted sum over ``prod(m_i + 1)`` combinations of the operands
+    (multiplicities ``m_i``) evaluated in the same stack.
+
+    The cost per combination is ``C(d, 2k) * (2k-1)!!`` matching products
+    (single) or ``C(d, k)`` LU factorizations of ``k x k`` minors, about
+    ``C(d, k) * k**3`` operations (paired).
 
     Raises
     ------
     ArityMismatchError
         If operand count, free indices and dimension are inconsistent
         with the epsilon order.
+    ValidationError
+        If that cost exceeds ``_MAX_CONTRACTION_TERMS``.
     """
     if not spec.operands:
         raise ArityMismatchError("need at least one operand")
-    ops = [as_complex_matrix(m) for m in spec.operands]
+    # an operand passed several times is validated and gathered once
+    groups: dict[int, list] = {}
+    for m in spec.operands:
+        groups.setdefault(id(m), [m, 0])[1] += 1
+    ops = [as_complex_matrix(m) for m, _ in groups.values()]
     d = ops[0].shape[0]
     for m in ops:
         if m.shape[0] != d:
             raise ArityMismatchError("operands must share a common dimension")
-    n_ops = len(ops)
+    n_ops = len(spec.operands)
     if spec.free_count < 0:
         raise ArityMismatchError("free_count must be non-negative")
 
@@ -557,7 +567,8 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
             )
         for m in ops:
             require_antisymmetric(m)
-        free_tuples, idx, sgn, t0 = _single_table(d, n_ops, spec.free_count)
+        size = 2 * n_ops
+        n_terms = math.comb(d, size) * math.prod(range(size - 1, 0, -2))
     elif spec.pattern == "paired":
         if n_ops + spec.free_count != d:
             raise ArityMismatchError(
@@ -565,12 +576,25 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
             )
         for m in ops:
             require_symmetric(m)
-        free_tuples, idx, sgn, t0 = _paired_table(d, n_ops, spec.free_count)
+        size = n_ops
+        n_terms = math.comb(d, size) * size ** 3
     else:
         raise ValidationError(f"unknown pattern {spec.pattern!r}")
+    if n_terms > _MAX_CONTRACTION_TERMS:
+        raise ValidationError(f"contraction would expand to {n_terms} terms")
 
-    prod = sgn.astype(complex)
-    for k, m in enumerate(ops):
-        prod = prod * m.ravel()[idx[k]]
-    values = prod.reshape(len(free_tuples), t0).sum(axis=1)
+    free_tuples, positions, signs = _minor_index(d, size)
+    if len(ops) == 1:
+        flat = ops[0].reshape(1, d * d)
+    else:
+        nodes, weights = _fourier_nodes(tuple(count for _, count in groups.values()))
+        flat = nodes.dot(np.array(ops).reshape(len(ops), d * d))
+    minors = flat.take(positions, axis=1).reshape(-1, size * size)
+    if spec.pattern == "single":
+        minor_values = _pfaffians(minors, size).reshape(len(flat), -1)
+        factor = 2 ** n_ops * math.factorial(n_ops) * signs
+    else:
+        minor_values = np.linalg.det(minors.reshape(-1, size, size)).reshape(len(flat), -1)
+        factor = math.factorial(n_ops)
+    values = (minor_values[0] if len(ops) == 1 else weights.dot(minor_values)) * factor
     return dict(zip(free_tuples, values.tolist()))

@@ -21,10 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import perm_sign, read_only
 
 ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
@@ -40,8 +42,8 @@ def sector_tuples(kind: str, d: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def tuple_index(kind: str, d: int, n: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(sector_tuples(kind, d, n))}
+def tuple_index(kind: str, d: int, n: int) -> MappingProxyType:
+    return MappingProxyType({t: i for i, t in enumerate(sector_tuples(kind, d, n))})
 
 
 def sector_dim(kind: str, d: int, n: int) -> int:
@@ -72,23 +74,11 @@ def embedding_isometry(kind: str, d: int, n: int) -> np.ndarray:
             for i in perm:
                 flat = flat * d + i
             if kind == ANTISYMMETRIC:
-                e[flat, col] = _perm_sign_of(perm, t)
+                e[flat, col] = perm_sign(perm)
             else:
                 e[flat, col] = 1.0
         e[:, col] /= np.linalg.norm(e[:, col])
-    return e
-
-
-def _perm_sign_of(perm: tuple[int, ...], sorted_t: tuple[int, ...]) -> int:
-    # sign of the permutation taking sorted_t to perm; entries are distinct
-    pos = {v: i for i, v in enumerate(sorted_t)}
-    seq = [pos[v] for v in perm]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return read_only(e)
 
 
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
@@ -135,10 +125,10 @@ def _expansion_table(kind: str, d: int, n: int):
                 flat = flat * d + v
             positions.append(flat)
             sources.append(i)
-            coeffs.append(weight * (_perm_sign_of(perm, t) if kind == ANTISYMMETRIC else 1.0))
-    return (np.asarray(positions, dtype=np.intp),
-            np.asarray(sources, dtype=np.intp),
-            np.asarray(coeffs))
+            coeffs.append(weight * (perm_sign(perm) if kind == ANTISYMMETRIC else 1.0))
+    return (read_only(np.asarray(positions, dtype=np.intp)),
+            read_only(np.asarray(sources, dtype=np.intp)),
+            read_only(np.asarray(coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +143,7 @@ def _gather_table(kind: str, d: int, n: int):
             flat = flat * d + v
         flats[i] = flat
         factors[i] = fact if kind == ANTISYMMETRIC else fact / multiplicity_factor(t)
-    return flats, factors
+    return read_only(flats), read_only(factors)
 
 
 def tensor_from_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:

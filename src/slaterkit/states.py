@@ -40,6 +40,7 @@ from .linalg import (
     epsilon_contract,
     haar_unitary,
     haar_vector,
+    read_only,
     singular_values,
     takagi_canonical,
     youla_canonical,
@@ -237,7 +238,7 @@ def magic_basis(system: str) -> np.ndarray:
         ]
     else:
         raise UnsupportedSystemError(f"unknown system {system!r}")
-    return np.array(cols, dtype=complex).T
+    return read_only(np.array(cols, dtype=complex).T)
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +260,7 @@ def spin_multiplet_basis() -> np.ndarray:
         [0, 0, 0, 0, 0, 1],
         [0, 0, 1j * s, -1j * s, 0, 0],
     ]
-    return np.array(cols, dtype=complex).T
+    return read_only(np.array(cols, dtype=complex).T)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +290,7 @@ def dual_unitary(system: str) -> np.ndarray:
         ])
     else:
         raise UnsupportedSystemError(f"unknown system {system!r}")
-    return m.astype(complex)
+    return read_only(m.astype(complex))
 
 
 def dual_state(state: PureState) -> PureState:
@@ -389,12 +390,34 @@ class RankVerdict:
     certificate: dict
 
 
-def _contraction_scale(w: np.ndarray, n_ops: int, pattern: str) -> float:
-    s = singular_values(w)
-    smax = float(s[0]) if s.size else 0.0
-    if pattern == "single":
-        return (2.0 ** n_ops) * math.factorial(n_ops) * smax ** n_ops
-    return math.factorial(n_ops) * smax ** n_ops
+def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> RankVerdict:
+    """Contraction rank test shared by the fermionic and bosonic criteria."""
+    if state.kind != kind or state.particles != 2:
+        raise WrongKindError(f"expected a two-{kind} state")
+    d = state.dim
+    if kind == FERMION:
+        if d % 2:
+            raise DimensionNotEvenError(f"single-particle dimension {d} is odd")
+        big_k, pattern, free, weight = d // 2, "single", d - 2 * threshold, 2.0 ** threshold
+    else:
+        big_k, pattern, free, weight = d, "paired", d - threshold, 1.0
+    if not 1 <= threshold <= big_k:
+        raise ThresholdOutOfRangeError(f"threshold {threshold} outside 1..{big_k}")
+    m = state.matrix()
+    values = epsilon_contract(EpsilonContractionSpec((m,) * threshold, pattern, free))
+    # no contraction value exceeds weight * k! * s_max**k in modulus
+    scale = weight * math.factorial(threshold) * float(singular_values(m)[0]) ** threshold
+    tol = rtol * max(scale, np.finfo(float).tiny)
+    argmax = max(values, key=lambda t: abs(values[t]))
+    peak = abs(values[argmax])
+    claim = f"rank_lt_{threshold}" if peak <= tol else f"rank_ge_{threshold}"
+    return RankVerdict(claim, {
+        "kind": "contraction",
+        "threshold": threshold,
+        "max_abs_contraction": peak,
+        "argmax_free_indices": argmax,
+        "tolerance": tol,
+    })
 
 
 def two_fermion_rank_below(state: PureState, threshold: int,
@@ -405,28 +428,7 @@ def two_fermion_rank_below(state: PureState, threshold: int,
     Levi-Civita tensor, one value per increasing choice of the free
     indices; the rank is below ``threshold`` iff all values vanish.
     """
-    if state.kind != FERMION or state.particles != 2:
-        raise WrongKindError("expected a two-fermion state")
-    d = state.dim
-    if d % 2:
-        raise DimensionNotEvenError(f"single-particle dimension {d} is odd")
-    big_k = d // 2
-    if not 1 <= threshold <= big_k:
-        raise ThresholdOutOfRangeError(f"threshold {threshold} outside 1..{big_k}")
-    w = state.matrix()
-    values = epsilon_contract(EpsilonContractionSpec(
-        operands=(w,) * threshold, pattern="single", free_count=d - 2 * threshold))
-    tol = rtol * max(_contraction_scale(w, threshold, "single"), np.finfo(float).tiny)
-    argmax = max(values, key=lambda t: abs(values[t]))
-    peak = abs(values[argmax])
-    claim = f"rank_lt_{threshold}" if peak <= tol else f"rank_ge_{threshold}"
-    return RankVerdict(claim, {
-        "kind": "contraction",
-        "threshold": threshold,
-        "max_abs_contraction": peak,
-        "argmax_free_indices": argmax,
-        "tolerance": tol,
-    })
+    return _rank_below(state, FERMION, threshold, rtol)
 
 
 def two_boson_rank_below(state: PureState, threshold: int,
@@ -436,25 +438,7 @@ def two_boson_rank_below(state: PureState, threshold: int,
     Uses the paired-epsilon contraction with a common free tuple in both
     epsilon factors.
     """
-    if state.kind != BOSON or state.particles != 2:
-        raise WrongKindError("expected a two-boson state")
-    big_k = state.dim
-    if not 1 <= threshold <= big_k:
-        raise ThresholdOutOfRangeError(f"threshold {threshold} outside 1..{big_k}")
-    v = state.matrix()
-    values = epsilon_contract(EpsilonContractionSpec(
-        operands=(v,) * threshold, pattern="paired", free_count=big_k - threshold))
-    tol = rtol * max(_contraction_scale(v, threshold, "paired"), np.finfo(float).tiny)
-    argmax = max(values, key=lambda t: abs(values[t]))
-    peak = abs(values[argmax])
-    claim = f"rank_lt_{threshold}" if peak <= tol else f"rank_ge_{threshold}"
-    return RankVerdict(claim, {
-        "kind": "contraction",
-        "threshold": threshold,
-        "max_abs_contraction": peak,
-        "argmax_free_indices": argmax,
-        "tolerance": tol,
-    })
+    return _rank_below(state, BOSON, threshold, rtol)
 
 
 def slater_rank_by_contractions(state: PureState, rtol: float = CONTRACT_RTOL) -> int:

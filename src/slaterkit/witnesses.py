@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import mixed, sectors, states
 from .errors import (
     NotAnEdgeStateError,
     NotInRangeError,
+    NumericalFailureError,
     OutOfRangeError,
+    SlaterKitError,
     SpaceMismatchError,
     UnsupportedSystemError,
     ValidationError,
@@ -240,6 +241,8 @@ def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
                           ) -> list[tuple[float, np.ndarray]]:
     """Multi-restart minimization of ``<psi|M|psi>`` over the rank-(k-1)
     manifold.  Returns per-restart minima with their states."""
+    import scipy.optimize  # deferred: most of the package import time, needed only here
+
     rng = as_rng(rng)
     chart = _SectorChart(space, k)
     fun = _quadratic_objective(chart, m_matrix)
@@ -327,33 +330,18 @@ class EdgeDecomposition:
     subtraction_log: list = field(default_factory=list)
 
 
-def _vec_to_pair_matrix(space: mixed.StateSpace, vec: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of a (possibly unnormalized) sector vector."""
-    d = space.dims[0]
-    w = np.zeros((d, d), dtype=complex)
-    for col, (i, j) in enumerate(sectors.sector_tuples(space.kind, d, 2)):
-        if space.kind == mixed.ANTISYMMETRIC:
-            w[i, j] = vec[col] / 2.0
-            w[j, i] = -vec[col] / 2.0
-        elif i == j:
-            w[i, i] = vec[col] / math.sqrt(2.0)
-        else:
-            w[i, j] = w[j, i] = vec[col] / 2.0
-    return w
-
-
 def _truncate_to_rank(space, k, psi):
     """Project a sector vector onto the Slater rank <= k-1 manifold."""
     from .linalg import takagi_canonical, youla_canonical
 
-    w = _vec_to_pair_matrix(space, psi)
     d = space.dims[0]
+    w = sectors.tensor_from_amps(space.kind, d, 2, psi)
     try:
         if space.kind == mixed.ANTISYMMETRIC:
             form = youla_canonical(w)
         else:
             form = takagi_canonical(w)
-    except Exception:
+    except SlaterKitError:
         return None
     vals = form.values[: k - 1]
     target = np.zeros((d, d), dtype=complex)
@@ -384,7 +372,7 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
     rng = as_rng(rng)
     d = space.dims[0]
     r = range_basis.shape[1]
-    mats = [_vec_to_pair_matrix(space, range_basis[:, j]) for j in range(r)]
+    mats = [sectors.tensor_from_amps(space.kind, d, 2, range_basis[:, j]) for j in range(r)]
     if space.kind == mixed.ANTISYMMETRIC:
         pattern, free = "single", d - 2 * k
     else:
@@ -547,7 +535,8 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     c_sup = float(np.linalg.eigvalsh(c_matrix)[-1])
     w = p - (eps / c_sup) * c_matrix
     out = witness_operator(space, w, k)
-    assert witness_value(out, delta).detected, "constructed witness must detect its edge state"
+    if not witness_value(out, delta).detected:
+        raise NumericalFailureError("constructed witness does not detect its edge state")
     return out
 
 

@@ -1,0 +1,164 @@
+"""Differential test: principal-minor contractions against the term tables.
+
+The term-table builders below are the former implementation of
+``linalg.epsilon_contract``: every term of the Levi-Civita sum is listed
+explicitly, so the table grows factorially.  They are kept here only as an
+independent oracle for small dimensions.
+"""
+
+import itertools
+import math
+import time
+
+import numpy as np
+import pytest
+
+from slaterkit import linalg as la
+from slaterkit import states as st
+from slaterkit.errors import ValidationError
+
+
+def _perm_sign(seq):
+    sign = 1
+    seq = tuple(seq)
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def _matchings(items):
+    """All partitions of ``items`` into increasing pairs."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield ((first, other),) + tail
+
+
+def _single_table(d, n_ops, free_count):
+    canonical = []
+    for matching in _matchings(tuple(range(2 * n_ops))):
+        for assignment in itertools.permutations(matching):
+            flat = tuple(itertools.chain.from_iterable(assignment))
+            canonical.append((assignment, _perm_sign(flat)))
+    free_tuples = list(itertools.combinations(range(d), free_count))
+    n_terms = len(free_tuples) * len(canonical)
+    idx = np.empty((n_ops, n_terms), dtype=np.intp)
+    sgn = np.empty(n_terms, dtype=np.int64)
+    t = 0
+    for alpha in free_tuples:
+        rest = [i for i in range(d) if i not in alpha]
+        base = _perm_sign(tuple(rest) + alpha) * 2 ** n_ops
+        for assignment, csign in canonical:
+            for k, (a, b) in enumerate(assignment):
+                idx[k, t] = rest[a] * d + rest[b]
+            sgn[t] = base * csign
+            t += 1
+    return free_tuples, idx, sgn, len(canonical)
+
+
+def _paired_table(d, n_ops, free_count):
+    canonical = []
+    for rho in itertools.permutations(range(n_ops)):
+        for tau in itertools.permutations(range(n_ops)):
+            canonical.append((rho, tau, _perm_sign(rho) * _perm_sign(tau)))
+    free_tuples = list(itertools.combinations(range(d), free_count))
+    n_terms = len(free_tuples) * len(canonical)
+    idx = np.empty((n_ops, n_terms), dtype=np.intp)
+    sgn = np.empty(n_terms, dtype=np.int64)
+    t = 0
+    for alpha in free_tuples:
+        rest = [i for i in range(d) if i not in alpha]
+        for rho, tau, csign in canonical:
+            for k in range(n_ops):
+                idx[k, t] = rest[rho[k]] * d + rest[tau[k]]
+            sgn[t] = csign
+            t += 1
+    return free_tuples, idx, sgn, len(canonical)
+
+
+def table_contract(operands, pattern, free_count):
+    """The literal term-table evaluation of an epsilon contraction."""
+    d, n_ops = operands[0].shape[0], len(operands)
+    build = _single_table if pattern == "single" else _paired_table
+    free_tuples, idx, sgn, per_tuple = build(d, n_ops, free_count)
+    prod = sgn.astype(complex)
+    for k, m in enumerate(operands):
+        prod = prod * m.ravel()[idx[k]]
+    values = prod.reshape(len(free_tuples), per_tuple).sum(axis=1)
+    return dict(zip(free_tuples, values.tolist()))
+
+
+def _random(n, gen, sign):
+    a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return a + sign * a.T
+
+
+def _cases():
+    for d in range(2, 9, 2):
+        for k in range(1, d // 2 + 1):
+            yield "single", d, k
+    for d in range(1, 6):
+        for k in range(1, d + 1):
+            yield "paired", d, k
+
+
+@pytest.mark.parametrize("pattern,d,k", list(_cases()))
+def test_minor_contraction_matches_term_table(pattern, d, k):
+    gen = np.random.default_rng(1000 * d + 10 * k + (pattern == "paired"))
+    sign = -1 if pattern == "single" else 1
+    free = d - 2 * k if pattern == "single" else d - k
+    w = _random(d, gen, sign)
+    operand_sets = [
+        (w,) * k,                                          # equal operands
+        tuple(_random(d, gen, sign) for _ in range(k)),    # all distinct
+        (w,) * (k - 1) + (_random(d, gen, sign),),         # the Jacobian's shape
+    ]
+    for ops in operand_sets:
+        got = la.epsilon_contract(la.EpsilonContractionSpec(ops, pattern, free))
+        want = table_contract(ops, pattern, free)
+        assert list(got) == list(want)
+        scale = max(abs(v) for v in want.values())
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * scale
+
+
+def test_full_contractions_at_large_dimension_match_pfaffian_and_determinant():
+    gen = np.random.default_rng(77)
+    fermion = st.random_pure_state("fermion", 12, 2, gen)
+    boson = st.random_pure_state("boson", 8, 2, gen)
+    for state, upper in ((fermion, 6), (boson, 8)):
+        start = time.perf_counter()
+        assert st.slater_rank_by_contractions(state) == upper
+        assert time.perf_counter() - start < 1.0
+    w, v = fermion.matrix(), boson.matrix()
+    full_w = la.epsilon_contract(la.EpsilonContractionSpec((w,) * 6, "single", 0))[()]
+    expect_w = 2 ** 6 * math.factorial(6) * la.pfaffian(w)
+    assert abs(full_w - expect_w) <= 1e-10 * abs(expect_w)
+    full_v = la.epsilon_contract(la.EpsilonContractionSpec((v,) * 8, "paired", 0))[()]
+    expect_v = math.factorial(8) * np.linalg.det(v)
+    assert abs(full_v - expect_v) <= 1e-10 * abs(expect_v)
+
+
+def test_term_guard_counts_the_work_on_the_minors():
+    gen = np.random.default_rng(5)
+    # C(18, 14) * 13!! = 413,513,100 matching products: refused before any work
+    w = _random(18, gen, -1)
+    with pytest.raises(ValidationError):
+        la.epsilon_contract(la.EpsilonContractionSpec((w,) * 7, "single", 4))
+    # C(18, 9) * 9**3 = 35,441,980 LU operations
+    v = _random(18, gen, 1)
+    with pytest.raises(ValidationError):
+        la.epsilon_contract(la.EpsilonContractionSpec((v,) * 9, "paired", 9))
+
+
+def test_minor_index_tables_are_read_only():
+    free_tuples, positions, signs = la._minor_index(6, 4)
+    assert len(free_tuples) == 15
+    for table in (positions, signs) + la._matching_table(4):
+        with pytest.raises(ValueError):
+            table[0] = 0

@@ -367,6 +367,21 @@ def test_spin_multiplet_basis_time_reversal():
     assert np.max(np.abs(d_mult - expected)) < 1e-12
 
 
+def test_cached_bases_are_read_only():
+    state = st.magic_state("fermions", 2)
+    before = st.magic_basis_coeffs(state)
+    cached = [st.magic_basis("fermions"), st.magic_basis("qubits"), st.spin_multiplet_basis(),
+              st.dual_unitary("fermions"), sectors.embedding_isometry(sectors.ANTISYMMETRIC, 4, 2),
+              *sectors._expansion_table(sectors.ANTISYMMETRIC, 4, 2),
+              *sectors._gather_table(sectors.SYMMETRIC, 3, 2)]
+    for array in cached:
+        with pytest.raises(ValueError):
+            array *= 0
+    with pytest.raises(TypeError):
+        sectors.tuple_index(sectors.ANTISYMMETRIC, 4, 2)[(0, 1)] = 5
+    assert np.array_equal(st.magic_basis_coeffs(state), before)
+
+
 def test_magic_coeffs_examples():
     chi1 = st.magic_state("qubits", 0)
     alpha = st.magic_basis_coeffs(chi1)

@@ -11,6 +11,7 @@ from slaterkit import witnesses as wi
 from slaterkit.errors import (
     NotAnEdgeStateError,
     NotInRangeError,
+    NumericalFailureError,
     OutOfRangeError,
     SpaceMismatchError,
     ValidationError,
@@ -222,6 +223,15 @@ def test_witness_from_edge_rejects_non_edge():
         (0.4, st.fermion_state(4, 2, {(1, 3): 1.0}))])
     with pytest.raises(NotAnEdgeStateError):
         wi.witness_from_edge(rho, 2, budget=16, seed=7)
+
+
+def test_witness_from_edge_raises_when_the_witness_does_not_detect(monkeypatch):
+    # a positive operator in place of the constructed witness detects nothing;
+    # the gate must hold under ``python -O`` as well, so it is no assert
+    monkeypatch.setattr(wi, "witness_operator",
+                        lambda space, matrix, k: wi.WitnessOperator(space, np.eye(space.dim), k))
+    with pytest.raises(NumericalFailureError):
+        wi.witness_from_edge(maxcorr_projector(), 2, budget=8, seed=6)
 
 
 def test_infimum_examples():
