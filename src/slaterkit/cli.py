@@ -122,10 +122,7 @@ def _report_kak(path: str, args) -> dict:
     if obj["type"] != "operator":
         raise ValidationError("kak expects an operator file")
     u, space = io.unitary_from_dict(obj)
-    try:
-        system = mixed.canonical_system_of_space(space)
-    except UnsupportedSystemError:
-        raise
+    system = mixed.canonical_system_of_space(space)
     factors = magic.kak_decompose(u, system)
     return {
         "system": system,

@@ -179,6 +179,13 @@ def subnormalized_spectrum(rho: DensityMatrix, rtol: float = RANK_RTOL) -> Subno
     return SubnormalizedSpectrum(vecs, lam)
 
 
+def _dual_overlap(rho: DensityMatrix, system: str, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Symmetrized bilinear overlaps ``V^T U_D^dag V`` of the subnormalized spectrum ``V``."""
+    v = subnormalized_spectrum(rho, rtol).vectors
+    c = v.T @ states.dual_unitary(system).conj().T @ v
+    return 0.5 * (c + c.T)
+
+
 # ---------------------------------------------------------------------------
 # closed-form mixed-state concurrence
 # ---------------------------------------------------------------------------
@@ -211,13 +218,8 @@ def concurrence_lambdas(rho: DensityMatrix, atol: float = 1e-9) -> np.ndarray:
     # the nonzero values are exactly the singular values of the bilinear
     # overlap matrix over the subnormalized spectrum; unlike the product
     # spectrum this carries no sqrt-of-noise on the zero modes
-    spec = subnormalized_spectrum(rho)
-    ud = states.dual_unitary(system)
-    tau = spec.vectors.T @ ud.conj().T @ spec.vectors
-    lam = np.zeros(rho.space.dim)
-    sv = np.linalg.svd(tau, compute_uv=False)
-    lam[: len(sv)] = sv
-    return lam
+    sv = np.linalg.svd(_dual_overlap(rho, system), compute_uv=False)
+    return np.pad(sv, (0, rho.space.dim - len(sv)))
 
 
 @dataclass(frozen=True)
@@ -237,16 +239,11 @@ def slater_number_one_test(rho: DensityMatrix, rtol: float = RANK_RTOL) -> Slate
     system = canonical_system_of_space(rho.space)
     if system == "qubits":
         raise UnsupportedSystemError("class-1 spectral test covers the two exchange sectors")
-    spec = subnormalized_spectrum(rho, rtol)
-    r = spec.rank
-    ud = states.dual_unitary(system)
-    # <dual(x)|y> = x^T U_D^dag y, a symmetric bilinear form
-    c = spec.vectors.T @ ud.conj().T @ spec.vectors
-    c = 0.5 * (c + c.T)
-    if r == 0:
+    c = _dual_overlap(rho, system, rtol)
+    if len(c) == 0:
         return SlaterNumberOneResult(True, np.array([]))
     form = takagi_canonical(c)
-    values = np.concatenate([form.values, np.zeros(r - len(form.values))])
+    values = np.pad(form.values, (0, len(c) - len(form.values)))
     is_one = bool(values[0] <= values[1:].sum() + 1e-10)
     return SlaterNumberOneResult(is_one, values)
 
@@ -565,55 +562,61 @@ def convex_roof_oracle(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 30
     Minimizes ``sum_k p_k C(phi_k)`` over decompositions of ``rho``
     obtained by mixing the subnormalized eigenvectors with an isometry;
     the result is an upper bound on the true infimum.  Projected
-    subgradient descent with annealed smoothing, restarted ``n_starts``
-    times from seeded random isometries.
+    subgradient descent with annealed smoothing from the identity and
+    ``n_starts - 1`` seeded random isometries, all run as one stacked
+    search that stops once any start's value drops below 1e-8.
     """
-    system = canonical_system_of_space(rho.space)
-    spec = subnormalized_spectrum(rho)
-    r = spec.rank
+    if n_starts < 1 or n_iters < 0:
+        raise ValidationError(f"need n_starts >= 1 and n_iters >= 0, got {n_starts}, {n_iters}")
+    tau = _dual_overlap(rho, canonical_system_of_space(rho.space))
+    r = len(tau)
     if r > 6:
         raise ValidationError(f"oracle restricted to rank <= 6, got {r}")
-    ud = states.dual_unitary(system)
-    tau = spec.vectors.T @ ud.conj().T @ spec.vectors
-    tau = 0.5 * (tau + tau.T)
     if r == 1:
         return float(abs(tau[0, 0]))
     m = min(r * r, 16)
     rng = as_rng(seed)
 
-    def objective(x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        z = np.einsum("ki,ij,kj->k", x, tau, x)
+    def objective(x: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        xt = x @ tau
+        z = (xt * x).sum(-1)
         mags = np.sqrt(np.abs(z) ** 2 + mu * mu)
-        f = float(mags.sum())
         # Wirtinger gradient wrt conj(x); descent follows its negative
-        grad = (z / mags)[:, None] * np.conj(x @ tau)
-        return f, grad
+        return mags.sum(-1), (z / mags)[..., None] * xt.conj()
 
-    def retract(x: np.ndarray) -> np.ndarray:
-        u, _, vh = np.linalg.svd(x, full_matrices=False)
-        return u @ vh
-
-    best = math.inf
-    starts = [np.eye(m, r, dtype=complex)]
-    while len(starts) < n_starts:
-        g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        starts.append(retract(g))
-    for x in starts:
-        for mu in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7):
-            step = 0.1
-            f_prev, grad = objective(x, mu)
-            for _ in range(n_iters):
-                x_new = retract(x - step * grad)
-                f_new, grad_new = objective(x_new, mu)
-                if f_new <= f_prev:
-                    x, f_prev, grad = x_new, f_new, grad_new
-                    step = min(step * 1.3, 1.0)
-                else:
-                    step *= 0.5
-                    if step < 1e-12:
-                        break
-        z = np.einsum("ki,ij,kj->k", x, tau, x)
-        best = min(best, float(np.abs(z).sum()))
+    draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+             for _ in range(n_starts - 1)]
+    x, _ = _polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
+    for mu in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7):
+        x = _descend(x, lambda y: objective(y, mu), n_iters)
+        best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
         if best < 1e-8:
             break
     return best
+
+
+def _polar_retract(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked polar factors ``Y (Y^H Y)^(-1/2)``; ``ok`` marks Gram eigenvalue ratios >= 1e-12."""
+    w, v = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ y)
+    ok = w[..., 0] > 1e-12 * w[..., -1]
+    scale = 1.0 / np.sqrt(np.where(ok[..., None], w, 1.0))
+    return y @ ((v * scale[..., None, :]) @ v.conj().swapaxes(-1, -2)), ok
+
+
+def _descend(x: np.ndarray, objective, n_iters: int) -> np.ndarray:
+    """Backtracking descent of each isometry in a stack: a start's trial is accepted
+    if its value does not rise and its polar factor exists, else its step halves."""
+    step, active = np.full(len(x), 0.1), np.ones(len(x), dtype=bool)
+    f_prev, grad = objective(x)
+    for _ in range(n_iters):
+        x_new, ok = _polar_retract(x - step[:, None, None] * grad)
+        f_new, grad_new = objective(x_new)
+        accept = active & ok & (f_new <= f_prev)
+        keep = accept[:, None, None]
+        x, grad = np.where(keep, x_new, x), np.where(keep, grad_new, grad)
+        f_prev = np.where(accept, f_new, f_prev)
+        step = np.where(accept, np.minimum(step * 1.3, 1.0), np.where(active, step * 0.5, step))
+        active &= step >= 1e-12
+        if not active.any():
+            break
+    return x

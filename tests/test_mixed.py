@@ -290,6 +290,13 @@ def test_oracle_pure_state_exact():
     assert abs(oracle - st.concurrence_pure(psi)) < 1e-9
 
 
+@pytest.mark.parametrize("n_starts,n_iters", ((0, 10), (-1, 10), (2, -1)))
+def test_oracle_rejects_bad_budgets(n_starts, n_iters):
+    rho = random_mixture("fermion", 4, 2, np.random.default_rng(0))
+    with pytest.raises(ValidationError):
+        mx.convex_roof_oracle(rho, n_starts=n_starts, n_iters=n_iters)
+
+
 def test_oracle_werner_family():
     for p in (0.2, 0.5, 0.8):
         rho = werner(p)
