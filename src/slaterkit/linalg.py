@@ -469,19 +469,22 @@ def _minor_index(d: int, size: int):
 @lru_cache(maxsize=None)
 def _matching_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of ``range(n)``: flat positions ``a * n + b`` of
-    their pairs ``a < b``, shape ``(n // 2, (n-1)!!)``, and their signs.
+    their pairs ``a < b``, shape ``(n // 2, (n-1)!!)``, and their real signs.
 
     Expansion along the first element: pairing 0 with ``j`` contributes
     ``(-1)**(j - 1)`` times the sign of a matching of the other elements.
+    The contraction guard admits ``n <= 16``, so the cached positions are
+    int16 and the signs real, a quarter and a half of intp and complex.
     """
     if n == 0:
-        return read_only(np.zeros((0, 1), dtype=np.intp)), read_only(np.ones(1, dtype=complex))
+        return read_only(np.zeros((0, 1), dtype=np.int16)), read_only(np.ones(1))
     sub, sub_signs = _matching_table(n - 2)
     rows, cols = divmod(sub, max(n - 2, 1))
     blocks, signs = [], []
     for j in range(1, n):
-        others = np.array([x for x in range(1, n) if x != j], dtype=np.intp)
-        blocks.append(np.vstack([np.full((1, sub.shape[1]), j), others[rows] * n + others[cols]]))
+        others = np.array([x for x in range(1, n) if x != j], dtype=np.int16)
+        blocks.append(np.vstack([np.full((1, sub.shape[1]), j, dtype=np.int16),
+                                 others[rows] * n + others[cols]]))
         signs.append(sub_signs if j % 2 else -sub_signs)
     return read_only(np.hstack(blocks)), read_only(np.concatenate(signs))
 

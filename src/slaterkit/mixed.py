@@ -30,9 +30,9 @@ from .linalg import (
     takagi_canonical,
 )
 
-BIPARTITE = "bipartite"
-ANTISYMMETRIC = "antisymmetric"
-SYMMETRIC = "symmetric"
+BIPARTITE = states.BIPARTITE
+ANTISYMMETRIC = sectors.ANTISYMMETRIC
+SYMMETRIC = sectors.SYMMETRIC
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,11 @@ def state_from_sector_vector(space: StateSpace, vec) -> states.PureState:
 
 
 def canonical_system_of_space(space: StateSpace) -> str:
-    if space.kind == BIPARTITE and space.dims == (2, 2):
-        return "qubits"
-    if space.kind == ANTISYMMETRIC and space.dims == (4,) and space.particles == 2:
-        return "fermions"
-    if space.kind == SYMMETRIC and space.dims == (2,) and space.particles == 2:
-        return "bosons"
-    raise UnsupportedSystemError(f"{space} is not one of the three canonical systems")
+    """The canonical system of the states in ``space`` (see ``states.canonical_system_of``)."""
+    if space.kind == BIPARTITE:
+        return states.canonical_system_of(BIPARTITE, 2, space.dims)
+    kind = states.FERMION if space.kind == ANTISYMMETRIC else states.BOSON
+    return states.canonical_system_of(kind, space.particles, space.dims[0])
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,23 @@ def raw_state(kind: str, particles: int, dim, amps) -> PureState:
 # canonical systems: magic bases and dualisation
 # ---------------------------------------------------------------------------
 
+#: the three canonical systems by the (kind, particles, dim) of their states
+_CANONICAL_SYSTEMS = {(BIPARTITE, 2, (2, 2)): "qubits", (FERMION, 2, 4): "fermions",
+                      (BOSON, 2, 2): "bosons"}
+
+
 def canonical_system(state: PureState) -> str:
     """Map a state to one of the three canonical systems or raise."""
-    if state.kind == BIPARTITE and state.dim == (2, 2):
-        return "qubits"
-    if state.kind == FERMION and state.particles == 2 and state.dim == 4:
-        return "fermions"
-    if state.kind == BOSON and state.particles == 2 and state.dim == 2:
-        return "bosons"
-    raise UnsupportedSystemError(
-        f"no dualisation for kind={state.kind}, N={state.particles}, dim={state.dim}"
-    )
+    return canonical_system_of(state.kind, state.particles, state.dim)
+
+
+def canonical_system_of(kind: str, particles: int, dim) -> str:
+    """The canonical system of states with this kind, particle number and
+    single-particle dimension (``(d_A, d_B)`` when bipartite), or raise."""
+    system = _CANONICAL_SYSTEMS.get((kind, particles, dim))
+    if system is None:
+        raise UnsupportedSystemError(f"no dualisation for kind={kind}, N={particles}, dim={dim}")
+    return system
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,14 @@ def _max_rank(space: mixed.StateSpace) -> int:
     return d // 2 if space.kind == mixed.ANTISYMMETRIC else d
 
 
+def _pair_amps(kind: str, w: np.ndarray) -> np.ndarray:
+    """Sector amplitudes of a stack of (anti)symmetric pair matrices, the
+    map ``sectors.amps_from_tensor`` applies to one of them."""
+    d = w.shape[-1]
+    flats, factors = sectors._gather_table(kind, d, 2)
+    return w.reshape(-1, d * d)[:, flats] * factors
+
+
 def sample_rank_bounded(space: mixed.StateSpace, rank: int, n: int, rng) -> np.ndarray:
     """``n`` random normalized sector vectors of Slater rank <= ``rank``.
 
@@ -71,10 +80,7 @@ def sample_rank_bounded(space: mixed.StateSpace, rank: int, n: int, rng) -> np.n
     else:
         c = rng.standard_normal((n, rank, d)) + 1j * rng.standard_normal((n, rank, d))
         w = np.einsum("nri,nrj->nij", c, c)
-    tuples = sectors.sector_tuples(space.kind, d, 2)
-    vecs = np.empty((n, len(tuples)), dtype=complex)
-    for col, (i, j) in enumerate(tuples):
-        vecs[:, col] = (math.sqrt(2.0) if i == j else 2.0) * w[:, i, j]
+    vecs = _pair_amps(space.kind, w)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs
 
@@ -143,120 +149,202 @@ def witness_value(w: WitnessOperator, rho: mixed.DensityMatrix) -> WitnessValue:
 # bounded-rank manifold searches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: L-BFGS settings of the manifold search: stored curvature pairs, trials
+#: per backtracking line search, the Armijo constant and the stop tolerances
+#: on the relative decrease and on the largest gradient component
+_LBFGS_MEMORY = 10
+_LINE_SEARCH_TRIALS = 20
+_ARMIJO = 1e-4
+_FTOL = 1e-15
+_GTOL = 1e-10
+
+
+class Restart(NamedTuple):
+    """One restart of the manifold search: its minimum and how it ended.
+
+    ``converged`` means the relative-decrease or gradient tolerance was met;
+    an exhausted iteration budget or a failed line search leaves it False.
+    """
+
+    value: float
+    state: np.ndarray
+    converged: bool
+    iterations: int
+
+
 class _SectorChart:
     """Outer-product chart of the Slater rank <= k-1 manifold.
 
     Fermionic states come from k-1 vector pairs (``w = sum a b^T - b a^T``),
     bosonic ones from k-1 single vectors (``v = sum c c^T``); both maps are
     surjective by the canonical decomposition and polynomial in the
-    parameters, so quadratic objectives get exact gradients.
+    parameters, so quadratic objectives get exact gradients.  Every method
+    acts on a stack of parameter rows.
     """
 
-    space: mixed.StateSpace
-    k: int
-
-    @property
-    def d(self) -> int:
-        return self.space.dims[0]
-
-    @property
-    def n_vectors(self) -> int:
-        per_block = 2 if self.space.kind == mixed.ANTISYMMETRIC else 1
-        return per_block * (self.k - 1)
-
-    @property
-    def n_params(self) -> int:
-        return 2 * self.d * self.n_vectors
+    def __init__(self, space: mixed.StateSpace, k: int):
+        self.kind = space.kind
+        self.d = space.dims[0]
+        self.n_vectors = (2 if self.kind == mixed.ANTISYMMETRIC else 1) * (k - 1)
+        self.n_params = 2 * self.d * self.n_vectors
 
     def vectors(self, x: np.ndarray) -> np.ndarray:
-        half = x.size // 2
-        return (x[:half] + 1j * x[half:]).reshape(self.n_vectors, self.d)
+        half = x.shape[1] // 2
+        return (x[:, :half] + 1j * x[:, half:]).reshape(len(x), self.n_vectors, self.d)
 
-    def pair_matrix(self, vecs: np.ndarray) -> np.ndarray:
-        if self.space.kind == mixed.ANTISYMMETRIC:
-            a, b = vecs[0::2], vecs[1::2]
-            return np.einsum("ri,rj->ij", a, b) - np.einsum("ri,rj->ij", b, a)
-        return np.einsum("ri,rj->ij", vecs, vecs)
+    def pair_matrices(self, vecs: np.ndarray) -> np.ndarray:
+        if self.kind == mixed.ANTISYMMETRIC:
+            ab = vecs[:, 0::2].swapaxes(1, 2) @ vecs[:, 1::2]
+            return ab - ab.swapaxes(1, 2)
+        return vecs.swapaxes(1, 2) @ vecs
 
-    def sector_vector(self, w: np.ndarray) -> np.ndarray:
-        tuples = sectors.sector_tuples(self.space.kind, self.d, 2)
-        vec = np.empty(len(tuples), dtype=complex)
-        for col, (i, j) in enumerate(tuples):
-            if self.space.kind == mixed.ANTISYMMETRIC:
-                vec[col] = w[i, j] - w[j, i]
-            elif i == j:
-                vec[col] = math.sqrt(2.0) * w[i, i]
-            else:
-                vec[col] = w[i, j] + w[j, i]
-        return vec
-
-    def grad_matrix(self, grad_vec: np.ndarray) -> np.ndarray:
-        """Adjoint of ``sector_vector`` on an unconstrained w matrix."""
-        g = np.zeros((self.d, self.d), dtype=complex)
-        for col, (i, j) in enumerate(sectors.sector_tuples(self.space.kind, self.d, 2)):
-            if self.space.kind == mixed.ANTISYMMETRIC:
-                g[i, j] += grad_vec[col]
-                g[j, i] -= grad_vec[col]
-            elif i == j:
-                g[i, i] += math.sqrt(2.0) * grad_vec[col]
-            else:
-                g[i, j] += grad_vec[col]
-                g[j, i] += grad_vec[col]
-        return g
+    def sector_vectors(self, x: np.ndarray) -> np.ndarray:
+        return _pair_amps(self.kind, self.pair_matrices(self.vectors(x)))
 
 
 def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray):
-    """``f(x) = <psi|M|psi>`` on normalized chart states, with gradient."""
+    """``f(x) = <psi|M|psi>`` on normalized chart states, with gradient, for
+    every row of a parameter stack ``x``."""
+    flats, factors = sectors._gather_table(chart.kind, chart.d, 2)
+    m_t = np.ascontiguousarray(m_matrix.T)
 
     def fun(x: np.ndarray):
+        n = len(x)
         vecs = chart.vectors(x)
-        w = chart.pair_matrix(vecs)
-        psi = chart.sector_vector(w)
-        den = float(np.real(np.vdot(psi, psi)))
-        if den < 1e-18:
-            return 1e6, np.zeros_like(x)
-        mpsi = m_matrix @ psi
-        num = float(np.real(np.vdot(psi, mpsi)))
-        f = num / den
-        grad_vec = (mpsi - f * psi) / den  # d f / d conj(psi)
-        g = chart.grad_matrix(grad_vec)
-        if chart.space.kind == mixed.ANTISYMMETRIC:
-            gm = g - g.T
-            a, b = vecs[0::2], vecs[1::2]
-            ga = np.conj(b) @ gm.T  # rows: d f / d conj(a_r)
-            gb = -np.conj(a) @ gm.T
+        psi = _pair_amps(chart.kind, chart.pair_matrices(vecs))
+        den = np.einsum("ni,ni->n", psi.conj(), psi).real
+        degenerate = den < 1e-18
+        den[degenerate] = 1.0
+        mpsi = psi @ m_t
+        f = np.einsum("ni,ni->n", psi.conj(), mpsi).real / den
+        grad_vec = (mpsi - f[:, None] * psi) / den[:, None]  # d f / d conj(psi)
+        # adjoint of the gather: d f / d conj(w) on an unconstrained w
+        g = np.zeros((n, chart.d * chart.d), dtype=complex)
+        g[:, flats] = grad_vec * factors
+        g = g.reshape(n, chart.d, chart.d)
+        if chart.kind == mixed.ANTISYMMETRIC:
+            gm = g.swapaxes(1, 2) - g  # (g - g^T)^T
             gv = np.empty_like(vecs)
-            gv[0::2], gv[1::2] = ga, gb
+            gv[:, 0::2] = vecs[:, 1::2].conj() @ gm  # rows: d f / d conj(a_r)
+            gv[:, 1::2] = -(vecs[:, 0::2].conj() @ gm)
         else:
-            gv = np.conj(vecs) @ (g + g.T).T
-        flat = gv.ravel()
-        return f, np.concatenate([2.0 * flat.real, 2.0 * flat.imag])
+            gv = vecs.conj() @ (g + g.swapaxes(1, 2))
+        flat = gv.reshape(n, -1)
+        grad = np.concatenate([2.0 * flat.real, 2.0 * flat.imag], axis=1)
+        f[degenerate] = 1e6
+        grad[degenerate] = 0.0
+        return f, grad
 
     return fun
 
 
-def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
-                          budget: int, iters: int, rng
-                          ) -> list[tuple[float, np.ndarray]]:
-    """Multi-restart minimization of ``<psi|M|psi>`` over the rank-(k-1)
-    manifold.  Returns per-restart minima with their states."""
-    import scipy.optimize  # deferred: most of the package import time, needed only here
+def _lbfgs_direction(g, s_mem, y_mem, rho):
+    """``-H g`` by the L-BFGS two-loop recursion, one row per start.
 
+    Slot 0 of the memory holds each start's newest pair; a slot the start
+    has not filled has ``rho == 0`` and drops out.
+    """
+    q = g.copy()
+    depth = int(np.count_nonzero(rho.any(axis=0)))
+    alphas = []
+    for back in range(depth):
+        alpha = rho[:, back] * np.einsum("ni,ni->n", s_mem[:, back], q)
+        q -= alpha[:, None] * y_mem[:, back]
+        alphas.append(alpha)
+    if depth:
+        yy = np.einsum("ni,ni->n", y_mem[:, 0], y_mem[:, 0])
+        held = rho[:, 0] > 0.0
+        q[held] /= (rho[held, 0] * yy[held])[:, None]  # H0 = s.y / y.y of the newest pair
+    for back in reversed(range(depth)):
+        beta = rho[:, back] * np.einsum("ni,ni->n", y_mem[:, back], q)
+        q += (alphas[back] - beta)[:, None] * s_mem[:, back]
+    return -q
+
+
+def _lbfgs(fun, x: np.ndarray, iters: int):
+    """Minimize ``fun`` from every row of ``x`` at once by L-BFGS.
+
+    ``fun`` maps a stack of rows to their values and gradients.  Each start
+    keeps its own memory of the last ``_LBFGS_MEMORY`` curvature pairs and
+    takes backtracking Armijo steps from a unit L-BFGS step, or from a
+    unit-length step along ``-g`` while its memory is empty: at the start and
+    after a step with ``s.y <= 0``, which stores no pair and clears the
+    memory.  A start stops after ``iters`` steps, at a relative decrease
+    ``<= _FTOL``, at ``max|g| <= _GTOL``, or when its line search fails
+    within ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their
+    values, the converged flags (a tolerance met) and the iteration counts.
+    """
+    x = np.array(x, dtype=float)
+    n, p = x.shape
+    f, g = fun(x)
+    converged = np.abs(g).max(axis=1, initial=0.0) <= _GTOL
+    iterations = np.zeros(n, dtype=int)
+    run = np.flatnonzero(~converged)  # the start behind each working row
+    xw, fw, gw = x[run], f[run], g[run]
+    s_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
+    y_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
+    rho = np.zeros((run.size, _LBFGS_MEMORY))
+    for _ in range(iters):
+        if run.size == 0:
+            break
+        direction = _lbfgs_direction(gw, s_mem, y_mem, rho)
+        slope = np.einsum("ni,ni->n", gw, direction)
+        step = np.where(rho[:, 0] > 0.0, 1.0,
+                        1.0 / np.maximum(np.linalg.norm(gw, axis=1), 1e-300))
+        x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
+        accepted = np.zeros(run.size, dtype=bool)
+        pending = np.flatnonzero(slope < 0.0)  # an uphill direction fails its search
+        for _ in range(_LINE_SEARCH_TRIALS):
+            if pending.size == 0:
+                break
+            trial = xw[pending] + step[pending, None] * direction[pending]
+            f_t, g_t = fun(trial)
+            ok = f_t <= fw[pending] + _ARMIJO * step[pending] * slope[pending]
+            done = pending[ok]
+            x_new[done], f_new[done], g_new[done] = trial[ok], f_t[ok], g_t[ok]
+            accepted[done] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        s, y = x_new - xw, g_new - gw
+        sy = np.einsum("ni,ni->n", s, y)
+        store = accepted & (sy > 0.0)
+        # without positive curvature along the step the stored pairs no longer
+        # describe the region; skipping the pair alone can stall a start on
+        # ever shorter steps near a saddle
+        rho[accepted & ~store] = 0.0
+        for mem, newest in ((s_mem, s), (y_mem, y), (rho, 1.0 / np.where(store, sy, 1.0))):
+            mem[store, 1:] = mem[store, :-1]
+            mem[store, 0] = newest[store]
+        scale = np.maximum(np.maximum(np.abs(fw), np.abs(f_new)), 1.0)
+        met = accepted & ((fw - f_new <= _FTOL * scale)
+                          | (np.abs(g_new).max(axis=1) <= _GTOL))
+        iterations[run[accepted]] += 1
+        converged[run] = met
+        xw, fw, gw = x_new, f_new, g_new
+        # a met tolerance or a failed line search ends a start
+        stop = met | ~accepted
+        if stop.any():
+            x[run[stop]], f[run[stop]] = xw[stop], fw[stop]
+            keep = ~stop
+            run, xw, fw, gw = run[keep], xw[keep], fw[keep], gw[keep]
+            s_mem, y_mem, rho = s_mem[keep], y_mem[keep], rho[keep]
+    x[run], f[run] = xw, fw
+    return x, f, converged, iterations
+
+
+def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
+                          budget: int, iters: int, rng) -> list[Restart]:
+    """Multi-restart minimization of ``<psi|M|psi>`` over the rank-(k-1)
+    manifold.  All restarts run as one stacked L-BFGS search; returns their
+    minima with states and convergence, sorted by value."""
     rng = as_rng(rng)
     chart = _SectorChart(space, k)
-    fun = _quadratic_objective(chart, m_matrix)
-    results = []
-    for _ in range(budget):
-        x0 = rng.standard_normal(chart.n_params)
-        res = scipy.optimize.minimize(
-            fun, x0, jac=True, method="L-BFGS-B",
-            options={"maxiter": iters, "ftol": 1e-15, "gtol": 1e-10})
-        psi = chart.sector_vector(chart.pair_matrix(chart.vectors(res.x)))
-        n = np.linalg.norm(psi)
-        if n < 1e-9:
-            continue
-        results.append((float(res.fun), psi / n))
+    x0 = rng.standard_normal((max(budget, 0), chart.n_params))
+    x, f, converged, iterations = _lbfgs(_quadratic_objective(chart, m_matrix), x0, iters)
+    psi = chart.sector_vectors(x)
+    norms = np.linalg.norm(psi, axis=1)
+    results = [Restart(float(f[i]), psi[i] / norms[i], bool(converged[i]), int(iterations[i]))
+               for i in np.flatnonzero(norms >= 1e-9)]
     return sorted(results, key=lambda t: t[0])
 
 
@@ -272,14 +360,17 @@ def infimum_over_rank(operator, k: int, space: mixed.StateSpace, budget: int = 6
 
 def infimum_details(operator, k: int, space: mixed.StateSpace, budget: int = 64,
                     iters: int = 400, seed=0):
-    """Infimum search returning ``(best, dispersion, minima)``."""
+    """Infimum search returning ``(best, dispersion, minima)``.
+
+    ``minima`` holds one ``Restart`` per kept start, sorted by value.
+    """
     p = np.asarray(operator, dtype=complex)
     require_hermitian(p, 1e-8)
     minima = _search_rank_manifold(space, k, p, budget, iters, seed)
     if not minima:
         raise ValidationError("manifold search produced no valid states")
-    best = minima[0][0]
-    dispersion = float(np.std([v for v, _ in minima]))
+    best = minima[0].value
+    dispersion = float(np.std([m.value for m in minima]))
     return best, dispersion, minima
 
 
@@ -628,17 +719,21 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     bisection subject to re-checked witness validity.  For class-2
     witnesses the single-particle reduction criterion (the minimal
     eigenvalue of ``P_e^{-1/2} W_e P_e^{-1/2}`` over probe vectors
-    ``e``) is evaluated as an additional diagnostic gate.
+    ``e``) is evaluated as an additional diagnostic gate.  The
+    diagnostics report how many restarts of the first search converged
+    and the most iterations any of them took.
     """
     space = w.space
     dim = space.dim
     k = w.slater_class
     rng = as_rng(seed)
     best, dispersion, minima = infimum_details(w.matrix, k, space, budget, iters, rng)
-    tangent = [psi for val, psi in minima if val <= 1e-7]
+    tangent = [m.state for m in minima if m.value <= 1e-7]
     diagnostics = {
         "infimum": best,
         "restart_dispersion": dispersion,
+        "restarts_converged": sum(m.converged for m in minima),
+        "max_iterations": max(m.iterations for m in minima),
         "tangent_samples": len(tangent),
     }
     if tangent:

@@ -1,6 +1,9 @@
 """File formats and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,9 @@ def test_witness_pipeline(tmp_path, capsys):
     code, report = run(capsys, "witness", "optimize", str(tmp_path / "w.json"),
                        "--budget", "32")
     assert code == 0 and report["optimal"] is True
+    diag = report["diagnostics"]
+    assert 0 < diag["restarts_converged"] <= 32
+    assert 0 < diag["max_iterations"] <= 400
 
 
 def test_kak_command(tmp_path, capsys):
@@ -163,3 +169,19 @@ def test_batch_mode(tmp_path, capsys):
         st.fermion_state(6, 2, {(0, 1): 1.0})))
     code, report = run(capsys, "concurrence", str(tmp_path), "--batch")
     assert code == 4 and "error" in report["c.json"]
+
+
+def test_cli_and_a_manifold_search_load_no_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import slaterkit.cli\n"
+            "from slaterkit import mixed, witnesses\n"
+            "value = witnesses.infimum_over_rank(np.eye(6), 2, mixed.antisymmetric_space(4),"
+            " budget=4, seed=0)\n"
+            "assert abs(value - 1.0) < 1e-9, value\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

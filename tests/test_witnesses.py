@@ -274,6 +274,34 @@ def test_optimize_flags_optimal_witness():
     assert np.max(np.abs(outcome.witness.matrix - w.matrix)) == 0.0
 
 
+def test_optimize_reports_restart_convergence():
+    w = wi.optimal_witness_example(3, 2, "boson")
+    diag = wi.witness_optimize(w, budget=24, seed=10).diagnostics
+    assert 0 < diag["restarts_converged"] <= 24
+    assert 0 < diag["max_iterations"] <= 400
+    # one step converges no start: the report must say so, not drop it
+    short = wi.witness_optimize(w, budget=24, iters=1, seed=10).diagnostics
+    assert short["restarts_converged"] == 0 and short["max_iterations"] == 1
+
+
+def test_stacked_lbfgs_runs_each_start_as_if_alone():
+    # a double well per coordinate: starts end in different minima after
+    # different numbers of steps, and one start begins at a minimum
+    def double_well(x):
+        return ((x ** 2 - 1.0) ** 2).sum(1), 4.0 * x * (x ** 2 - 1.0)
+
+    starts = np.array([[1.0, -1.0, 1.0], [0.5, -2.0, 1.5], [3.0, 0.2, -0.7],
+                       [-1.3, 1.1, 0.9], [0.05, -0.4, 2.5]])
+    x, f, converged, iterations = wi._lbfgs(double_well, starts, 200)
+    assert converged.all() and np.max(f) < 1e-12
+    assert np.max(np.abs(np.abs(x) - 1.0)) < 1e-6
+    assert iterations[0] == 0 and np.all(iterations[1:] > 0)
+    for i, start in enumerate(starts):
+        xi, fi, ci, ni = wi._lbfgs(double_well, start[None, :], 200)
+        assert np.array_equal(xi[0], x[i]) and fi[0] == f[i]
+        assert ci[0] == converged[i] and ni[0] == iterations[i]
+
+
 def test_optimize_recovers_shifted_witness():
     w = wi.optimal_witness_example(2, 2, "fermion")
     shifted = wi.witness_operator(w.space, w.matrix + 0.1 * np.eye(6), 2)
