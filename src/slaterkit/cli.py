@@ -52,9 +52,11 @@ def _report_rank(path: str, args) -> dict:
                 "decomposition_rank": decomposition.rank,
                 "tolerances": {"rank_rtol": tol, "residual": decomposition.residual}}
     verdict = states.multiparticle_rank_one(state, rng=args.seed, rtol=tol)
-    cert = {"n_probes": verdict.certificate["n_probes"]}
-    if verdict.certificate["probes"]:
-        cert["probes"] = [_complex_list(p) for p in verdict.certificate["probes"]]
+    found = verdict.certificate
+    cert = {"kind": found["kind"], "n_probes": found["n_probes"],
+            "one_body_ratio": found["ratio"], "tolerance": found["tolerance"]}
+    if found["probes"]:
+        cert["probes"] = [_complex_list(p) for p in found["probes"]]
     return {"rank_claim": verdict.claim, "certificate": cert,
             "tolerances": {"contract_rtol": tol}}
 

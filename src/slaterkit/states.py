@@ -494,23 +494,65 @@ def _probe_vectors(d: int, n_random: int, rng) -> list[np.ndarray]:
     return probes
 
 
+def _one_body_test(state: PureState, rtol: float) -> tuple[bool, dict]:
+    """Coleman's rank-one test on the one-body density matrix.
+
+    The singular values ``s`` of the unfolding ``w.reshape(d, -1)`` are the
+    square roots of that matrix's eigenvalues (up to one common factor).
+    With ``m = N`` for fermions and ``m = 1`` for bosons the state is
+    elementary iff ``s[m]`` vanishes: the state lies in the N-th exterior
+    (symmetric) power of the matrix's range, which is one-dimensional
+    exactly then.  Returns the verdict and its certificate fields.
+    """
+    s = singular_values(state.tensor().reshape(state.dim, -1))
+    m = state.particles if state.kind == FERMION else 1
+    tail = float(s[m]) if m < s.size else 0.0
+    top = float(s[0])
+    return tail <= rtol * top, {
+        "kind": "one_body",
+        "probes": (),
+        "n_probes": 0,
+        "singular_values": s,
+        "m": m,
+        "ratio": tail / top if top > 0.0 else 0.0,
+        "tolerance": rtol,
+    }
+
+
 def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
                            rtol: float = CONTRACT_RTOL) -> RankVerdict:
     """Decide whether an N-particle state (N >= 3) has Slater rank one.
 
-    Recursively projects out particles along a probe set (all basis
-    vectors, all normalized pairwise sums, plus ``n_random`` seeded Haar
-    vectors) until the two-particle criteria apply.  A state is reported
-    ``rank_one`` only if every probe chain yields a rank-one-or-zero
-    reduction; any violating chain is returned as the certificate.
+    The claim is exact up to ``rtol``.  By Coleman's theorem an N-fermion
+    state is one Slater determinant iff its one-body density matrix has
+    rank N, and an N-boson state is ``(b^dag)^N|0>`` iff that matrix has
+    rank one.  With ``s`` the singular values of the unfolding
+    ``w.reshape(d, -1)`` and ``m = N`` (fermions) or ``m = 1`` (bosons),
+    the state is ``rank_one`` iff ``s[m] <= rtol * s[0]`` or there is no
+    ``s[m]``; ``s[m] / s[0]`` grows linearly with an admixed state.
 
-    The probe set is finite, so ``rank_ge_2`` is exact while
-    ``rank_one`` is a high-confidence numerical claim.
+    The probe set only supplies certificates.  For a ``rank_ge_2`` state,
+    particles are projected out recursively along the probes (all basis
+    vectors, all normalized pairwise sums, plus ``n_random`` seeded Haar
+    vectors) until the two-particle criteria apply, and the first chain
+    whose reduction has Slater rank two is returned.  The ``rank_one``
+    path draws nothing from ``rng``.
+
+    Every certificate carries ``"kind"``, ``"probes"`` (the chain, empty
+    unless one certifies), ``"n_probes"`` (the probe set the chains ran
+    over, 0 if they did not run) and the spectral evidence:
+    ``"singular_values"``, ``"m"``, ``"ratio"`` (``s[m] / s[0]``) and
+    ``"tolerance"`` (``rtol``).  Its kind is ``"probe_chain"`` when a chain
+    certifies, and ``"one_body"`` otherwise: a ``rank_one`` state, or one
+    correlated below the chain test's resolution.
     """
     if state.kind == BIPARTITE:
         raise WrongKindError("multiparticle_rank_one acts on fermionic or bosonic states")
     if state.particles < 3:
         raise ValidationError("use the two-particle criteria for N < 3")
+    rank_one, certificate = _one_body_test(state, rtol)
+    if rank_one:
+        return RankVerdict("rank_one", certificate)
     probes = _probe_vectors(state.dim, n_random, as_rng(rng))
     rank_below = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
 
@@ -531,17 +573,10 @@ def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
         return None
 
     chain = violating_chain(state, ())
-    if chain is None:
-        return RankVerdict("rank_one", {
-            "kind": "probe_chain",
-            "probes": (),
-            "n_probes": len(probes),
-        })
-    return RankVerdict("rank_ge_2", {
-        "kind": "probe_chain",
-        "probes": chain,
-        "n_probes": len(probes),
-    })
+    certificate["n_probes"] = len(probes)
+    if chain is not None:
+        certificate.update(kind="probe_chain", probes=chain)
+    return RankVerdict("rank_ge_2", certificate)
 
 
 def verify_rank_certificate(state: PureState, verdict: RankVerdict,
@@ -558,9 +593,12 @@ def verify_rank_certificate(state: PureState, verdict: RankVerdict,
             st = PureState(st.kind, st.particles, st.dim, st.amps / n)
         if st.particles > 2:
             # a partial chain certifies iff the reduction is itself correlated
-            return multiparticle_rank_one(st, rtol=rtol).claim == "rank_ge_2"
+            return not _one_body_test(st, rtol)[0]
         test = two_fermion_rank_below if st.kind == FERMION else two_boson_rank_below
         return test(st, 2, rtol=rtol).claim.startswith("rank_ge")
+    if cert.get("kind") == "one_body":
+        rank_one = _one_body_test(state, rtol)[0]
+        return verdict.claim == ("rank_one" if rank_one else "rank_ge_2")
     if cert.get("kind") == "contraction":
         test = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
         fresh = test(state, cert["threshold"], rtol=rtol)

@@ -157,13 +157,18 @@ _LINE_SEARCH_TRIALS = 20
 _ARMIJO = 1e-4
 _FTOL = 1e-15
 _GTOL = 1e-10
+#: a failed line search whose trials all moved f by at most this many
+#: machine epsilons (times max(1, |f|)) ends its start as converged
+_F_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 class Restart(NamedTuple):
     """One restart of the manifold search: its minimum and how it ended.
 
-    ``converged`` means the relative-decrease or gradient tolerance was met;
-    an exhausted iteration budget or a failed line search leaves it False.
+    ``converged`` means the relative-decrease or gradient tolerance was met,
+    or that the line search failed at the rounding level of ``f``; an
+    exhausted iteration budget or any other failed line search leaves it
+    False.
     """
 
     value: float
@@ -272,7 +277,10 @@ def _lbfgs(fun, x: np.ndarray, iters: int):
     memory.  A start stops after ``iters`` steps, at a relative decrease
     ``<= _FTOL``, at ``max|g| <= _GTOL``, or when its line search fails
     within ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their
-    values, the converged flags (a tolerance met) and the iteration counts.
+    values, the converged flags and the iteration counts.  A start counts as
+    converged when a tolerance was met, or when its line search failed
+    without any trial changing ``f`` by more than its rounding,
+    ``_F_ROUNDING * max(1, |f|)``.
     """
     x = np.array(x, dtype=float)
     n, p = x.shape
@@ -294,11 +302,14 @@ def _lbfgs(fun, x: np.ndarray, iters: int):
         x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
         accepted = np.zeros(run.size, dtype=bool)
         pending = np.flatnonzero(slope < 0.0)  # an uphill direction fails its search
+        moved = np.full(run.size, np.inf)  # largest |f_trial - f|; none tried: inf
+        moved[pending] = 0.0
         for _ in range(_LINE_SEARCH_TRIALS):
             if pending.size == 0:
                 break
             trial = xw[pending] + step[pending, None] * direction[pending]
             f_t, g_t = fun(trial)
+            moved[pending] = np.maximum(moved[pending], np.abs(f_t - fw[pending]))
             ok = f_t <= fw[pending] + _ARMIJO * step[pending] * slope[pending]
             done = pending[ok]
             x_new[done], f_new[done], g_new[done] = trial[ok], f_t[ok], g_t[ok]
@@ -318,8 +329,11 @@ def _lbfgs(fun, x: np.ndarray, iters: int):
         scale = np.maximum(np.maximum(np.abs(fw), np.abs(f_new)), 1.0)
         met = accepted & ((fw - f_new <= _FTOL * scale)
                           | (np.abs(g_new).max(axis=1) <= _GTOL))
+        # a search that failed because no trial moved f beyond its rounding
+        # stands at the minimum as far as f can tell
+        flat = ~accepted & (moved <= _F_ROUNDING * np.maximum(np.abs(fw), 1.0))
         iterations[run[accepted]] += 1
-        converged[run] = met
+        converged[run] = met | flat
         xw, fw, gw = x_new, f_new, g_new
         # a met tolerance or a failed line search ends a start
         stop = met | ~accepted
@@ -411,14 +425,34 @@ def subtract_pure_projector(rho: mixed.DensityMatrix, psi: states.PureState,
     return SubtractionResult(lam, mixed.density_matrix(rho.space, rem))
 
 
+class RangeSearch(NamedTuple):
+    """How the restarts of one search for a rank < k vector in a range ended.
+
+    ``tried`` restarts ran (the search stops at the first vector it keeps);
+    ``solved`` of them met the Gauss-Newton residual test, so ``tried -
+    solved`` failed it.  Of the solved ones, ``truncation_rejected`` could not
+    be snapped to the rank < k manifold and ``range_rejected`` left the range
+    once snapped.
+    """
+
+    tried: int
+    solved: int
+    truncation_rejected: int
+    range_rejected: int
+
+
 @dataclass(frozen=True)
 class EdgeDecomposition:
-    """Split ``rho = (1-p) rho_lower + p delta`` with ``delta`` edge-like."""
+    """Split ``rho = (1-p) rho_lower + p delta`` with ``delta`` edge-like.
+
+    ``searches`` holds one ``RangeSearch`` per range search, in order.
+    """
 
     lower_class_part: mixed.DensityMatrix | None
     edge_state: mixed.DensityMatrix | None
     weight: float
     subtraction_log: list = field(default_factory=list)
+    searches: list = field(default_factory=list)
 
 
 def _truncate_to_rank(space, k, psi):
@@ -456,7 +490,8 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
     homogeneous degree-k polynomials in the range coordinates (the
     Levi-Civita contraction values); it is solved by damped Gauss-Newton
     from random starts, exploiting the multilinearity of the contraction
-    for the exact Jacobian.
+    for the exact Jacobian.  Returns the vector found (or None) and the
+    ``RangeSearch`` tally of its restarts.
     """
     from .linalg import EpsilonContractionSpec, epsilon_contract, singular_values
 
@@ -469,7 +504,7 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
     else:
         pattern, free = "paired", d - k
     if free < 0:
-        return None
+        return None, RangeSearch(0, 0, 0, 0)
 
     def residuals(w):
         spec = EpsilonContractionSpec((w,) * k, pattern, free)
@@ -483,7 +518,9 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
         return np.column_stack(cols)
 
     gn_iters = max(iters // 8, 40)
+    tried = solved = truncated = outside = 0
     for _ in range(budget):
+        tried += 1
         c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         c /= np.linalg.norm(c)
         ok = False
@@ -515,15 +552,18 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
                 break
         if not ok:
             continue
+        solved += 1
         psi = range_basis @ c
         psi = psi / np.linalg.norm(psi)
         snapped = _truncate_to_rank(space, k, psi)
         if snapped is None:
+            truncated += 1
             continue
         proj_resid = np.linalg.norm(snapped - range_basis @ (range_basis.conj().T @ snapped))
         if proj_resid <= 1e-8:
-            return snapped
-    return None
+            return snapped, RangeSearch(tried, solved, truncated, outside)
+        outside += 1
+    return None, RangeSearch(tried, solved, truncated, outside)
 
 
 def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
@@ -535,6 +575,7 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
     when no candidate is found within the restart budget, the remainder
     is reported as the edge part.  An exhausted remainder (weight below
     1e-10) means the state itself is class k-1 at this search budget.
+    ``searches`` tallies how each search's restarts ended (``RangeSearch``).
     """
     space = rho.space
     if not 2 <= k <= _max_rank(space):
@@ -542,6 +583,7 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
     rng = as_rng(seed)
     sigma = rho.matrix.copy()
     log: list = []
+    searches: list = []
     # rank drops by one per generic subtraction; the bound guards against
     # stalling on near-kernel candidates
     for _ in range(2 * space.dim + 4):
@@ -555,7 +597,8 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
             sigma = None
             break
         basis = evecs[:, keep]
-        psi = _find_in_range(space, k, basis, budget, iters, rng)
+        psi, search = _find_in_range(space, k, basis, budget, iters, rng)
+        searches.append(search)
         if psi is None:
             break
         pinv = np.linalg.pinv(sigma, rcond=RANK_RTOL, hermitian=True)
@@ -575,7 +618,7 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
     if log:
         acc = sum(lam * np.outer(s.flat(), s.flat().conj()) for s, lam in log)
         lower = mixed.density_matrix(space, _clip_psd(acc / acc.trace()))
-    return EdgeDecomposition(lower, edge, weight, log)
+    return EdgeDecomposition(lower, edge, weight, log, searches)
 
 
 def _clip_psd(m: np.ndarray) -> np.ndarray:

@@ -67,6 +67,37 @@ def test_rank_command_three_fermion(tmp_path, capsys):
     assert np.argmax(np.abs(probe)) == 2
 
 
+def test_rank_command_multiparticle_certificates(tmp_path, capsys):
+    gen = np.random.default_rng(21)
+    det = st.fermion_state(8, 4, {(0, 1, 2, 3): 1.0})
+    rotated = st.apply_single_particle(det, la.haar_unitary(8, gen))
+    code, report = run(capsys, "rank", write(tmp_path, "det.json", skio.pure_state_to_dict(rotated)))
+    cert = report["certificate"]
+    assert code == 0 and report["rank_claim"] == "rank_one"
+    assert cert["kind"] == "one_body" and cert["n_probes"] == 0 and "probes" not in cert
+    assert cert["one_body_ratio"] < 1e-3 * cert["tolerance"]
+    assert cert["tolerance"] == report["tolerances"]["contract_rtol"] == 1e-8
+
+    sup = st.fermion_state(6, 3, {(0, 1, 2): 0.6, (3, 4, 5): 0.8})
+    correlated = st.apply_single_particle(sup, la.haar_unitary(6, gen))
+    path = write(tmp_path, "sup.json", skio.pure_state_to_dict(correlated))
+    code, report = run(capsys, "rank", path, "--tol", "1e-9")
+    cert = report["certificate"]
+    assert code == 0 and report["rank_claim"] == "rank_ge_2"
+    assert cert["kind"] == "probe_chain" and len(cert["probes"]) == 1
+    assert cert["n_probes"] == 6 + 15 + 32
+    assert abs(cert["one_body_ratio"] - 0.75) < 1e-9  # s[3]/s[0] = 0.6/0.8
+    assert cert["tolerance"] == 1e-9
+
+    # correlated below the probe chains' resolution: the spectrum certifies
+    faint = st.boson_state(3, 3, {(0, 0, 0): 1.0, (0, 1, 2): 3e-8})
+    code, report = run(capsys, "rank", write(tmp_path, "faint.json", skio.pure_state_to_dict(faint)))
+    cert = report["certificate"]
+    assert code == 0 and report["rank_claim"] == "rank_ge_2"
+    assert cert["kind"] == "one_body" and "probes" not in cert
+    assert cert["one_body_ratio"] > cert["tolerance"]
+
+
 def test_concurrence_and_exit_codes(tmp_path, bell_file, capsys):
     code, report = run(capsys, "concurrence", bell_file)
     assert code == 0 and abs(report["concurrence"] - 1.0) < 1e-12

@@ -204,6 +204,47 @@ def test_edge_decompose_class_three():
     assert np.max(np.abs(recon - rho.matrix)) < 1e-8
 
 
+def edge_mixture():
+    mc = st.maximally_correlated_state("fermion", 2)
+    det = st.fermion_state(4, 2, {(0, 2): 1.0})
+    return mx.density_from_mixture([(0.5, det), (0.5, mc)])
+
+
+def test_edge_decompose_reports_range_searches():
+    result = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    # one search per subtraction, then the one that finds nothing
+    assert len(result.searches) == len(result.subtraction_log) + 1
+    for search in result.searches[:-1]:
+        assert 1 <= search.solved <= search.tried <= 24
+        assert search.solved == search.truncation_rejected + search.range_rejected + 1
+    # the edge part's range holds no Slater determinant: every restart fails
+    # the Gauss-Newton residual test and is counted, not dropped
+    assert result.searches[-1] == wi.RangeSearch(24, 0, 0, 0)
+
+
+def test_edge_decompose_counts_rejected_restarts(monkeypatch):
+    plain = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    truncate = wi._truncate_to_rank
+    calls = []
+
+    def reject_first_two(space, k, psi):
+        calls.append(psi)
+        if len(calls) == 1:
+            return None  # as if the canonical form failed
+        snapped = truncate(space, k, psi)
+        if len(calls) == 2:
+            return np.roll(snapped, 1)  # a vector outside the range
+        return snapped
+
+    monkeypatch.setattr(wi, "_truncate_to_rank", reject_first_two)
+    result = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    first = result.searches[0]
+    assert first.truncation_rejected == 1 and first.range_rejected == 1
+    assert first.solved == 3 and first.tried >= 3
+    assert result.searches[0].tried > plain.searches[0].tried
+    assert abs(result.weight - 0.5) < 0.05
+
+
 # ---------------------------------------------------------------------------
 # witness from edge states, canonical form
 # ---------------------------------------------------------------------------
@@ -300,6 +341,27 @@ def test_stacked_lbfgs_runs_each_start_as_if_alone():
         xi, fi, ci, ni = wi._lbfgs(double_well, start[None, :], 200)
         assert np.array_equal(xi[0], x[i]) and fi[0] == f[i]
         assert ci[0] == converged[i] and ni[0] == iterations[i]
+
+
+def test_rounding_level_line_search_counts_as_converged(monkeypatch):
+    # on the tangent family some restarts stop where f is zero up to its
+    # rounding: no trial of their last line search can decrease it
+    w = wi.optimal_witness_example(2, 2, "fermion")
+    chart = wi._SectorChart(w.space, 2)
+    fun = wi._quadratic_objective(chart, w.matrix)
+    starts = np.random.default_rng(0).standard_normal((64, chart.n_params))
+    x, f, converged, iterations = wi._lbfgs(fun, starts, 400)
+    assert converged.all()
+    monkeypatch.setattr(wi, "_F_ROUNDING", 0.0)
+    x_b, f_b, converged_b, iterations_b = wi._lbfgs(fun, starts, 400)
+    # the rule changes the flag only
+    assert np.array_equal(x, x_b) and np.array_equal(f, f_b)
+    assert np.array_equal(iterations, iterations_b)
+    flipped = np.flatnonzero(~converged_b)
+    assert flipped.size > 0
+    i = flipped[0]
+    assert iterations[i] < 20 and abs(f[i]) < 1e-15
+    assert np.abs(fun(x[i:i + 1])[1]).max() > wi._GTOL  # not the gradient test
 
 
 def test_optimize_recovers_shifted_witness():
