@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedSystemError,
     ValidationError,
 )
-from .linalg import RANK_RTOL, TOL_SYM, as_rng, require_hermitian
+from .linalg import RANK_RTOL, TOL_SYM, _lbfgs, as_rng, require_hermitian
 
 #: sampled non-negativity threshold for witness validation
 WITNESS_SAMPLE_TOL = -1e-8
@@ -149,19 +149,6 @@ def witness_value(w: WitnessOperator, rho: mixed.DensityMatrix) -> WitnessValue:
 # bounded-rank manifold searches
 # ---------------------------------------------------------------------------
 
-#: L-BFGS settings of the manifold search: stored curvature pairs, trials
-#: per backtracking line search, the Armijo constant and the stop tolerances
-#: on the relative decrease and on the largest gradient component
-_LBFGS_MEMORY = 10
-_LINE_SEARCH_TRIALS = 20
-_ARMIJO = 1e-4
-_FTOL = 1e-15
-_GTOL = 1e-10
-#: a failed line search whose trials all moved f by at most this many
-#: machine epsilons (times max(1, |f|)) ends its start as converged
-_F_ROUNDING = 4.0 * np.finfo(float).eps
-
-
 class Restart(NamedTuple):
     """One restart of the manifold search: its minimum and how it ended.
 
@@ -241,109 +228,6 @@ def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray):
         return f, grad
 
     return fun
-
-
-def _lbfgs_direction(g, s_mem, y_mem, rho):
-    """``-H g`` by the L-BFGS two-loop recursion, one row per start.
-
-    Slot 0 of the memory holds each start's newest pair; a slot the start
-    has not filled has ``rho == 0`` and drops out.
-    """
-    q = g.copy()
-    depth = int(np.count_nonzero(rho.any(axis=0)))
-    alphas = []
-    for back in range(depth):
-        alpha = rho[:, back] * np.einsum("ni,ni->n", s_mem[:, back], q)
-        q -= alpha[:, None] * y_mem[:, back]
-        alphas.append(alpha)
-    if depth:
-        yy = np.einsum("ni,ni->n", y_mem[:, 0], y_mem[:, 0])
-        held = rho[:, 0] > 0.0
-        q[held] /= (rho[held, 0] * yy[held])[:, None]  # H0 = s.y / y.y of the newest pair
-    for back in reversed(range(depth)):
-        beta = rho[:, back] * np.einsum("ni,ni->n", y_mem[:, back], q)
-        q += (alphas[back] - beta)[:, None] * s_mem[:, back]
-    return -q
-
-
-def _lbfgs(fun, x: np.ndarray, iters: int):
-    """Minimize ``fun`` from every row of ``x`` at once by L-BFGS.
-
-    ``fun`` maps a stack of rows to their values and gradients.  Each start
-    keeps its own memory of the last ``_LBFGS_MEMORY`` curvature pairs and
-    takes backtracking Armijo steps from a unit L-BFGS step, or from a
-    unit-length step along ``-g`` while its memory is empty: at the start and
-    after a step with ``s.y <= 0``, which stores no pair and clears the
-    memory.  A start stops after ``iters`` steps, at a relative decrease
-    ``<= _FTOL``, at ``max|g| <= _GTOL``, or when its line search fails
-    within ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their
-    values, the converged flags and the iteration counts.  A start counts as
-    converged when a tolerance was met, or when its line search failed
-    without any trial changing ``f`` by more than its rounding,
-    ``_F_ROUNDING * max(1, |f|)``.
-    """
-    x = np.array(x, dtype=float)
-    n, p = x.shape
-    f, g = fun(x)
-    converged = np.abs(g).max(axis=1, initial=0.0) <= _GTOL
-    iterations = np.zeros(n, dtype=int)
-    run = np.flatnonzero(~converged)  # the start behind each working row
-    xw, fw, gw = x[run], f[run], g[run]
-    s_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
-    y_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
-    rho = np.zeros((run.size, _LBFGS_MEMORY))
-    for _ in range(iters):
-        if run.size == 0:
-            break
-        direction = _lbfgs_direction(gw, s_mem, y_mem, rho)
-        slope = np.einsum("ni,ni->n", gw, direction)
-        step = np.where(rho[:, 0] > 0.0, 1.0,
-                        1.0 / np.maximum(np.linalg.norm(gw, axis=1), 1e-300))
-        x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
-        accepted = np.zeros(run.size, dtype=bool)
-        pending = np.flatnonzero(slope < 0.0)  # an uphill direction fails its search
-        moved = np.full(run.size, np.inf)  # largest |f_trial - f|; none tried: inf
-        moved[pending] = 0.0
-        for _ in range(_LINE_SEARCH_TRIALS):
-            if pending.size == 0:
-                break
-            trial = xw[pending] + step[pending, None] * direction[pending]
-            f_t, g_t = fun(trial)
-            moved[pending] = np.maximum(moved[pending], np.abs(f_t - fw[pending]))
-            ok = f_t <= fw[pending] + _ARMIJO * step[pending] * slope[pending]
-            done = pending[ok]
-            x_new[done], f_new[done], g_new[done] = trial[ok], f_t[ok], g_t[ok]
-            accepted[done] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
-        s, y = x_new - xw, g_new - gw
-        sy = np.einsum("ni,ni->n", s, y)
-        store = accepted & (sy > 0.0)
-        # without positive curvature along the step the stored pairs no longer
-        # describe the region; skipping the pair alone can stall a start on
-        # ever shorter steps near a saddle
-        rho[accepted & ~store] = 0.0
-        for mem, newest in ((s_mem, s), (y_mem, y), (rho, 1.0 / np.where(store, sy, 1.0))):
-            mem[store, 1:] = mem[store, :-1]
-            mem[store, 0] = newest[store]
-        scale = np.maximum(np.maximum(np.abs(fw), np.abs(f_new)), 1.0)
-        met = accepted & ((fw - f_new <= _FTOL * scale)
-                          | (np.abs(g_new).max(axis=1) <= _GTOL))
-        # a search that failed because no trial moved f beyond its rounding
-        # stands at the minimum as far as f can tell
-        flat = ~accepted & (moved <= _F_ROUNDING * np.maximum(np.abs(fw), 1.0))
-        iterations[run[accepted]] += 1
-        converged[run] = met | flat
-        xw, fw, gw = x_new, f_new, g_new
-        # a met tolerance or a failed line search ends a start
-        stop = met | ~accepted
-        if stop.any():
-            x[run[stop]], f[run[stop]] = xw[stop], fw[stop]
-            keep = ~stop
-            run, xw, fw, gw = run[keep], xw[keep], fw[keep], gw[keep]
-            s_mem, y_mem, rho = s_mem[keep], y_mem[keep], rho[keep]
-    x[run], f[run] = xw, fw
-    return x, f, converged, iterations
 
 
 def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,

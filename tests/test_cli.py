@@ -206,10 +206,13 @@ def test_cli_and_a_manifold_search_load_no_scipy():
     code = ("import sys\n"
             "import numpy as np\n"
             "import slaterkit.cli\n"
-            "from slaterkit import mixed, witnesses\n"
+            "from slaterkit import mixed, states, witnesses\n"
             "value = witnesses.infimum_over_rank(np.eye(6), 2, mixed.antisymmetric_space(4),"
             " budget=4, seed=0)\n"
             "assert abs(value - 1.0) < 1e-9, value\n"
+            "rho = mixed.density_from_mixture([(0.5, states.random_pure_state('fermion', 4, 2, s))"
+            " for s in (0, 1)])\n"
+            "assert mixed.convex_roof_oracle(rho, 2, 20) >= mixed.wootters_concurrence(rho) - 1e-10\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -352,7 +352,7 @@ def test_rounding_level_line_search_counts_as_converged(monkeypatch):
     starts = np.random.default_rng(0).standard_normal((64, chart.n_params))
     x, f, converged, iterations = wi._lbfgs(fun, starts, 400)
     assert converged.all()
-    monkeypatch.setattr(wi, "_F_ROUNDING", 0.0)
+    monkeypatch.setattr(la, "_F_ROUNDING", 0.0)
     x_b, f_b, converged_b, iterations_b = wi._lbfgs(fun, starts, 400)
     # the rule changes the flag only
     assert np.array_equal(x, x_b) and np.array_equal(f, f_b)
@@ -361,7 +361,7 @@ def test_rounding_level_line_search_counts_as_converged(monkeypatch):
     assert flipped.size > 0
     i = flipped[0]
     assert iterations[i] < 20 and abs(f[i]) < 1e-15
-    assert np.abs(fun(x[i:i + 1])[1]).max() > wi._GTOL  # not the gradient test
+    assert np.abs(fun(x[i:i + 1])[1]).max() > la._GTOL  # not the gradient test
 
 
 def test_optimize_recovers_shifted_witness():
