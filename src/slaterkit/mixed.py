@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -555,24 +554,13 @@ def bosonic_ppt_separability(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
 # convex-roof oracle
 # ---------------------------------------------------------------------------
 
-#: smoothing widths ``mu`` of the oracle's stages, from coarse to fine
-_ROOF_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)
-
-
-class RoofStage(NamedTuple):
-    """One smoothing stage of the convex-roof search: the width ``mu``, the
-    most L-BFGS steps any start took, and how many starts converged."""
-
-    mu: float
-    max_iterations: int
-    starts_converged: int
-
-
 @dataclass(frozen=True)
 class ConvexRoofResult:
+    """The oracle's value, the most steps any start took, the starts converged."""
+
     value: float
-    stages: tuple[RoofStage, ...]
-    stopped_early: bool
+    max_iterations: int
+    starts_converged: int
 
 
 def convex_roof_oracle(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 300,
@@ -587,27 +575,17 @@ def convex_roof_oracle(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 30
 
 def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 300,
                         seed=0) -> ConvexRoofResult:
-    """Convex-roof search returning its value and per-stage convergence.
+    """Convex-roof search returning its value and convergence.
 
     Minimizes ``sum_k p_k C(phi_k)`` over decompositions of ``rho``
     obtained by mixing the subnormalized eigenvectors with an ``m x r``
     isometry.  The starts are the identity and ``n_starts - 1`` seeded
-    random isometries.  Each stage smooths every ``|z_k|`` to
-    ``sqrt(|z_k|^2 + mu^2)`` and minimizes from where the previous stage
-    ended, all starts at once, by Riemannian L-BFGS on the stacked Stiefel
-    manifold (at most ``n_iters`` steps; see ``_roof_stage``).  The search
-    stops early once a start's unsmoothed value is below 1e-8.
-
-    ``stages`` reports each stage run.  A stage after the first usually
-    takes no accepted step and reads ``max_iterations == 0``, mostly with
-    no converged start (287 of 288 later stages on criterion 5's mixtures).
-    Each start enters it at the previous stage's minimizer, where the
-    gradient is tiny (about 1e-7) but above the gradient tolerance, and
-    L-BFGS with an empty memory first tries a unit-length step along
-    ``-g``.  After the line search's 20 halvings the trial is still about
-    1e-6 long, longer than the ``~|g| / curvature`` the Armijo test admits,
-    so the search fails and the start ends the stage where it began.
-    ``value`` then scores that point without smoothing.
+    random isometries.  Every ``|z_k|`` is smoothed to ``sqrt(|z_k|^2 +
+    mu^2)`` with ``mu = 1e-2``, and all starts descend at once by Riemannian
+    L-BFGS on the stacked Stiefel manifold (at most ``n_iters`` steps; see
+    ``_roof_stage``).  ``value`` scores the best final isometry without
+    smoothing.  A rank-1 state needs no search and reports zero steps and
+    starts.
     """
     if n_starts < 1 or n_iters < 0:
         raise ValidationError(f"need n_starts >= 1 and n_iters >= 0, got {n_starts}, {n_iters}")
@@ -616,20 +594,15 @@ def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 3
     if r > 6:
         raise ValidationError(f"oracle restricted to rank <= 6, got {r}")
     if r == 1:
-        return ConvexRoofResult(float(abs(tau[0, 0])), (), False)
+        return ConvexRoofResult(float(abs(tau[0, 0])), 0, 0)
     m = min(r * r, 16)
     rng = as_rng(seed)
     draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
              for _ in range(n_starts - 1)]
     x, _ = _polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
-    stages = []
-    for mu in _ROOF_SCHEDULE:
-        x, converged, iterations = _roof_stage(x, tau, mu, n_iters)
-        stages.append(RoofStage(mu, int(iterations.max()), int(converged.sum())))
-        best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
-        if best < 1e-8:
-            break
-    return ConvexRoofResult(best, tuple(stages), len(stages) < len(_ROOF_SCHEDULE))
+    x, converged, iterations = _roof_stage(x, tau, 1e-2, n_iters)
+    best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
+    return ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
 
 
 def _roof_stage(x: np.ndarray, tau: np.ndarray, mu: float, n_iters: int):

@@ -13,13 +13,14 @@ dispersion is reported rather than any claim of exactness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import mixed, sectors, states
+from . import linalg, mixed, sectors, states
 from .errors import (
     NotAnEdgeStateError,
     NotInRangeError,
@@ -341,23 +342,20 @@ class EdgeDecomposition:
 
 def _truncate_to_rank(space, k, psi):
     """Project a sector vector onto the Slater rank <= k-1 manifold."""
-    from .linalg import takagi_canonical, youla_canonical
-
     d = space.dims[0]
     w = sectors.tensor_from_amps(space.kind, d, 2, psi)
     try:
         if space.kind == mixed.ANTISYMMETRIC:
-            form = youla_canonical(w)
+            form = linalg.youla_canonical(w)
         else:
-            form = takagi_canonical(w)
+            form = linalg.takagi_canonical(w)
     except SlaterKitError:
         return None
     vals = form.values[: k - 1]
     target = np.zeros((d, d), dtype=complex)
     if space.kind == mixed.ANTISYMMETRIC:
-        for i, zi in enumerate(vals):
-            target[2 * i, 2 * i + 1] = zi
-            target[2 * i + 1, 2 * i] = -zi
+        target[2 * np.arange(len(vals)), 2 * np.arange(len(vals)) + 1] = vals
+        target -= target.T
     else:
         target[: len(vals), : len(vals)] = np.diag(vals)
     u = form.transform
@@ -367,86 +365,119 @@ def _truncate_to_rank(space, k, psi):
     return vec / n if n > 1e-12 else None
 
 
+def _range_system(mats: np.ndarray, k: int, pattern: str, free: int):
+    """The rank < k test on the span of ``mats``, in range coordinates ``c``.
+
+    The contraction is symmetric and multilinear, so its values at ``w = sum_j
+    c_j mats[j]`` are ``f(c) = T(c, ..., c)`` and their Jacobian is exactly
+    ``k T(c, ..., c, .)``, where ``T[j1, ..., jk]`` is the contraction of
+    ``mats[j1], ..., mats[jk]``: one mixed-operand call per multiset of slots.
+    Returns ``fill(c, times)``: ``T`` with its first ``times`` slots taken by
+    each row of ``c``, flattened per row.  Past ``linalg._MAX_CONTRACTION_TERMS``
+    entries of ``T``, ``fill`` contracts every row afresh instead.
+    """
+    r, d = mats.shape[:2]
+    ops = list(mats)  # one object per matrix, so repeated operands are found
+    n_values = math.comb(d, free)
+
+    def values(operands):
+        spec = linalg.EpsilonContractionSpec(operands, pattern, free)
+        return list(linalg.epsilon_contract(spec).values())
+
+    if n_values * r ** k > linalg._MAX_CONTRACTION_TERMS:
+        def fill(c, times):
+            tails = [()] if times == k else [(b,) for b in ops]
+            rows = [[values((w,) * times + tail) for tail in tails]
+                    for w in np.tensordot(c, mats, 1)]
+            return np.array(rows, dtype=complex).reshape(len(c), len(tails) * n_values)
+    else:
+        t = np.empty((r,) * k + (n_values,), dtype=complex)
+        for slots in itertools.combinations_with_replacement(range(r), k):
+            vals = values(tuple(ops[j] for j in slots))
+            for perm in set(itertools.permutations(slots)):
+                t[perm] = vals
+
+        def fill(c, times):
+            p = c @ t.reshape(r, -1)
+            for _ in range(times - 1):
+                p = np.einsum("nj,njm->nm", c, p.reshape(len(c), r, p.shape[1] // r))
+            return p
+    return fill
+
+
 def _find_in_range(space, k, range_basis, budget, iters, rng):
     """Search for a Slater rank < k vector inside a given range.
 
-    The rank < k condition restricted to the range is a system of
-    homogeneous degree-k polynomials in the range coordinates (the
-    Levi-Civita contraction values); it is solved by damped Gauss-Newton
-    from random starts, exploiting the multilinearity of the contraction
-    for the exact Jacobian.  Returns the vector found (or None) and the
-    ``RangeSearch`` tally of its restarts.
+    Restricted to the range, the rank < k condition is a system of
+    homogeneous degree-k polynomials (``_range_system``), solved by damped
+    Gauss-Newton from random unit starts, stacked in chunks of 1, 1, 2, 4,
+    ... restarts.  A start is solved once ``max|f| <= 1e-12 * factor *
+    smax**k``, the bound on the values at largest singular value ``smax``; it
+    fails on ``smax < 1e-10``, after ``max(iters // 8, 40)`` steps, or when
+    none of 20 halvings of its minimum-norm step, renormalized, lowers
+    ``|f|``.  The first solved restart in order whose rank k-1 truncation
+    stays in the range is kept, with the generator just past its draw, as if
+    the restarts ran one by one.  Returns it (or None) and the tally.
     """
-    from .linalg import EpsilonContractionSpec, epsilon_contract, singular_values
-
     rng = as_rng(rng)
-    d = space.dims[0]
-    r = range_basis.shape[1]
-    mats = [sectors.tensor_from_amps(space.kind, d, 2, range_basis[:, j]) for j in range(r)]
-    if space.kind == mixed.ANTISYMMETRIC:
-        pattern, free = "single", d - 2 * k
-    else:
-        pattern, free = "paired", d - k
-    if free < 0:
-        return None, RangeSearch(0, 0, 0, 0)
-
-    def residuals(w):
-        spec = EpsilonContractionSpec((w,) * k, pattern, free)
-        return np.array(list(epsilon_contract(spec).values()))
-
-    def jacobian(w):
-        cols = []
-        for bj in mats:
-            spec = EpsilonContractionSpec((w,) * (k - 1) + (bj,), pattern, free)
-            cols.append(k * np.array(list(epsilon_contract(spec).values())))
-        return np.column_stack(cols)
-
-    gn_iters = max(iters // 8, 40)
+    d, r = space.dims[0], range_basis.shape[1]
+    single = space.kind == mixed.ANTISYMMETRIC
+    free = d - (2 * k if single else k)
+    mats = np.array([sectors.tensor_from_amps(space.kind, d, 2, v) for v in range_basis.T])
+    fill = _range_system(mats, k, "single" if single else "paired", free)
+    factor = math.factorial(k) * (2.0 ** k if single else 1.0)
+    damping = 0.5 ** np.arange(20)
     tried = solved = truncated = outside = 0
-    for _ in range(budget):
-        tried += 1
-        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        c /= np.linalg.norm(c)
-        ok = False
-        for _ in range(gn_iters):
-            w = sum(cj * bj for cj, bj in zip(c, mats))
-            smax = float(singular_values(w)[0])
-            if smax < 1e-10:
+    while tried < budget:
+        n = min(max(tried, 1), budget - tried)
+        state = rng.bit_generator.state
+        z = rng.standard_normal((n, 2, r))
+        c = z[:, 0] + 1j * z[:, 1]
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        ok = np.zeros(n, dtype=bool)
+        run = np.arange(n)  # the restart behind each unfinished row
+        for _ in range(max(iters // 8, 40)):
+            smax = np.linalg.svd(np.einsum("nj,jab->nab", c[run], mats), compute_uv=False)[:, 0]
+            run, smax = run[smax >= 1e-10], smax[smax >= 1e-10]
+            f = fill(c[run], k)
+            met = np.abs(f).max(axis=1) <= 1e-12 * factor * smax ** k
+            ok[run[met]] = True
+            run, f = run[~met], f[~met]
+            if run.size == 0:
                 break
-            f = residuals(w)
-            scale = (2.0 ** k if pattern == "single" else 1.0) * math.factorial(k) * smax ** k
-            if np.max(np.abs(f)) <= 1e-12 * scale:
-                ok = True
-                break
-            jac = jacobian(w)
-            step, *_ = np.linalg.lstsq(jac, f, rcond=None)
-            norm_f = np.linalg.norm(f)
-            damp = 1.0
-            while damp > 1e-6:
-                trial = c - damp * step
-                tn = np.linalg.norm(trial)
-                if tn > 1e-12:
-                    trial = trial / tn
-                    w_t = sum(cj * bj for cj, bj in zip(trial, mats))
-                    if np.linalg.norm(residuals(w_t)) < norm_f:
-                        c = trial
-                        break
-                damp /= 2.0
-            else:
-                break
-        if not ok:
-            continue
-        solved += 1
-        psi = range_basis @ c
-        psi = psi / np.linalg.norm(psi)
-        snapped = _truncate_to_rank(space, k, psi)
-        if snapped is None:
-            truncated += 1
-            continue
-        proj_resid = np.linalg.norm(snapped - range_basis @ (range_basis.conj().T @ snapped))
-        if proj_resid <= 1e-8:
-            return snapped, RangeSearch(tried, solved, truncated, outside)
-        outside += 1
+            jac = k * fill(c[run], k - 1).reshape(run.size, r, -1).swapaxes(1, 2)
+            u, sv, vh = np.linalg.svd(jac, full_matrices=False)
+            # numpy.linalg.lstsq's cutoff, so the step is its minimum-norm solution
+            sv = np.where(sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1], sv, np.inf)
+            step = np.einsum("nij,ni->nj", vh.conj(), np.einsum("nai,na->ni", u.conj(), f) / sv)
+            norm_f = np.linalg.norm(f, axis=1)
+            pending = np.arange(run.size)
+            # the full step, then its 19 halvings at once; the first to lower |f| wins
+            for damps in (damping[:1], damping[1:]):
+                if pending.size == 0:
+                    break
+                trial = c[run[pending], None] - damps[:, None] * step[pending, None]
+                tn = np.linalg.norm(trial, axis=2)
+                trial /= np.where(tn > 1e-12, tn, 1.0)[..., None]
+                f_t = np.linalg.norm(fill(trial.reshape(-1, r), k), axis=1).reshape(tn.shape)
+                lower = (tn > 1e-12) & (f_t < norm_f[pending, None])
+                hit = lower.any(axis=1)
+                c[run[pending[hit]]] = trial[hit, lower[hit].argmax(axis=1)]
+                pending = pending[~hit]
+            run = np.delete(run, pending)
+        for i in np.flatnonzero(ok):
+            solved += 1
+            psi = range_basis @ c[i]
+            snapped = _truncate_to_rank(space, k, psi / np.linalg.norm(psi))
+            if snapped is None:
+                truncated += 1
+                continue
+            if np.linalg.norm(snapped - range_basis @ (range_basis.conj().T @ snapped)) <= 1e-8:
+                rng.bit_generator.state = state
+                rng.standard_normal((i + 1, 2, r))
+                return snapped, RangeSearch(tried + int(i) + 1, solved, truncated, outside)
+            outside += 1
+        tried += n
     return None, RangeSearch(tried, solved, truncated, outside)
 
 
@@ -454,8 +485,9 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
                          iters: int = 400, seed=0) -> EdgeDecomposition:
     """Greedy convex split of a state into a class-(k-1) part and a k-edge part.
 
-    Repeatedly finds Slater rank < k vectors in the range by seeded
-    manifold search and removes them with the maximal positive weight;
+    Repeatedly finds Slater rank < k vectors in the range, by a seeded
+    Gauss-Newton search over range coordinates with ``budget`` restarts
+    (``_find_in_range``), and removes them with the maximal positive weight;
     when no candidate is found within the restart budget, the remainder
     is reported as the edge part.  An exhausted remainder (weight below
     1e-10) means the state itself is class k-1 at this search budget.
@@ -475,12 +507,9 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
         if trace <= 1e-10:
             sigma = None
             break
+        # a positive trace keeps at least the largest eigenvalue
         evals, evecs = np.linalg.eigh(sigma)
-        keep = evals > RANK_RTOL * evals[-1]
-        if not np.any(keep):
-            sigma = None
-            break
-        basis = evecs[:, keep]
+        basis = evecs[:, evals > RANK_RTOL * evals[-1]]
         psi, search = _find_in_range(space, k, basis, budget, iters, rng)
         searches.append(search)
         if psi is None:
@@ -493,11 +522,8 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
         log.append((mixed.state_from_sector_vector(space, psi), lam))
 
     weight = 0.0 if sigma is None else float(np.clip(sigma.trace().real, 0.0, 1.0))
-    edge = None
-    if sigma is not None and weight > 1e-10:
-        edge = mixed.density_matrix(space, _clip_psd(sigma / weight))
-    else:
-        weight = 0.0
+    weight = weight if weight > 1e-10 else 0.0
+    edge = mixed.density_matrix(space, _clip_psd(sigma / weight)) if weight else None
     lower = None
     if log:
         acc = sum(lam * np.outer(s.flat(), s.flat().conj()) for s, lam in log)
