@@ -620,41 +620,92 @@ _GTOL = 1e-10
 _F_ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _lbfgs_direction(g, s_mem, y_mem, rho):
-    """``-H g`` by the L-BFGS two-loop recursion, one row per start.
+class _PairMemory:
+    """The last ``_LBFGS_MEMORY`` curvature pairs of every start, in ring slots.
 
-    Slot 0 of the memory holds each start's newest pair; a slot the start
-    has not filled has ``rho == 0`` and drops out.
+    Push ``i`` writes slot ``i % _LBFGS_MEMORY`` of every row, and a row that
+    refuses its pair clears its whole memory instead, so all rows hold their
+    pairs in one common age order and the oldest pair sits in the slot about
+    to be written.  Empty slots are zero.  The inverse Hessian is applied in
+    the compact form of Byrd, Nocedal & Schnabel, "Representations of
+    quasi-Newton matrices and their use in limited memory methods", *Math.
+    Prog.* 63 (1994), from ``R^-1`` (``R`` is the upper triangle of ``S^T Y``
+    in age order) and ``Y^T Y``, both kept with zero rows and columns at
+    empty slots.
     """
-    q = g.copy()
-    depth = int(np.count_nonzero(rho.any(axis=0)))
-    alphas = []
-    for back in range(depth):
-        alpha = rho[:, back] * np.einsum("ni,ni->n", s_mem[:, back], q)
-        q -= alpha[:, None] * y_mem[:, back]
-        alphas.append(alpha)
-    if depth:
-        yy = np.einsum("ni,ni->n", y_mem[:, 0], y_mem[:, 0])
-        held = rho[:, 0] > 0.0
-        q[held] /= (rho[held, 0] * yy[held])[:, None]  # H0 = s.y / y.y of the newest pair
-    for back in reversed(range(depth)):
-        beta = rho[:, back] * np.einsum("ni,ni->n", y_mem[:, back], q)
-        q += (alphas[back] - beta)[:, None] * s_mem[:, back]
-    return -q
+
+    def __init__(self, n: int, p: int):
+        m = _LBFGS_MEMORY
+        self.pairs = np.zeros((n, 2 * m, p))  # s in slots [:m], y in slots [m:]
+        self.r_inv = np.zeros((n, m, m))
+        self.yy = np.zeros((n, m, m))
+        self.sy = np.zeros((n, m))  # the diagonal of S^T Y
+        self.gamma = np.ones(n)  # H0 = gamma I: s.y / y.y of the newest pair
+        self.held = np.zeros(n, dtype=bool)  # some pair is stored
+        self.pushes = 0
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """``-H g = gamma (Y z - g) - S u``, with ``z = R^-1 S^T g`` and
+        ``u = R^-T (D z + gamma (Y^T Y z - Y^T g))``."""
+        m = _LBFGS_MEMORY
+        proj = (self.pairs @ g[:, :, None])[:, :, 0]  # S^T g and Y^T g
+        z = (self.r_inv @ proj[:, :m, None])[:, :, 0]
+        gamma = self.gamma[:, None]
+        w = self.sy * z + gamma * ((self.yy @ z[:, :, None])[:, :, 0] - proj[:, m:])
+        u = (w[:, None] @ self.r_inv)[:, 0]
+        coef = np.concatenate([-u, gamma * z], axis=1)
+        return (coef[:, None] @ self.pairs)[:, 0] - gamma * g
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: np.ndarray, store: np.ndarray) -> None:
+        """Store each row's pair ``(s, y)`` with ``s.y = sy`` where ``store``
+        holds, and clear the memory of every other row."""
+        m = _LBFGS_MEMORY
+        k = self.pushes % m
+        self.pushes += 1
+        # slot k holds the oldest pair; dropping it from R drops its row and
+        # column of R^-1
+        self.r_inv[:, k] = 0.0
+        self.r_inv[:, :, k] = 0.0
+        self.pairs[:, k], self.pairs[:, m + k] = s, y
+        proj = (self.pairs @ y[:, :, None])[:, :, 0]  # S^T y and Y^T y
+        inv = 1.0 / np.where(store, sy, 1.0)
+        column = -(self.r_inv @ proj[:, :m, None])[:, :, 0] * inv[:, None]
+        column[:, k] = inv
+        self.r_inv[:, :, k] = column
+        self.yy[:, k] = proj[:, m:]
+        self.yy[:, :, k] = proj[:, m:]
+        self.sy[:, k] = sy
+        self.gamma = sy / np.where(store, proj[:, m + k], 1.0)
+        clear = ~store
+        for block in (self.pairs, self.r_inv, self.yy, self.sy):
+            block[clear] = 0.0
+        self.gamma[clear] = 1.0
+        self.held = store.copy()
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row not selected by ``rows``."""
+        self.pairs, self.r_inv, self.yy = self.pairs[rows], self.r_inv[rows], self.yy[rows]
+        self.sy, self.gamma, self.held = self.sy[rows], self.gamma[rows], self.held[rows]
 
 
 def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     """Minimize ``fun`` from every row of ``x`` at once by L-BFGS.
 
     ``fun`` maps a stack of rows to their values and gradients.  Each start
-    keeps its own memory of the last ``_LBFGS_MEMORY`` curvature pairs and
-    takes backtracking Armijo steps from a unit L-BFGS step, or from a
-    unit-length step along ``-g`` while its memory is empty: at the start and
-    after a step with ``s.y <= 0``, which stores no pair and clears the
-    memory.  A start stops after ``iters`` steps, at a relative decrease
-    ``<= _FTOL``, at ``max|g| <= _GTOL``, or when its line search fails
-    within ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their
-    values, the converged flags and the iteration counts.  A start counts as
+    keeps its own memory of the last ``_LBFGS_MEMORY`` curvature pairs
+    (``_PairMemory``: ring slots in one age order shared by all starts, and
+    the compact form of the inverse Hessian, so a direction costs the same
+    few stacked products at any depth).  A start takes backtracking Armijo
+    steps from a unit L-BFGS step, or from a unit-length step along ``-g``
+    while its memory is empty: at the start and after a step with
+    ``s.y <= 0``, which stores no pair and clears the memory.  The full step
+    is tried alone; the halvings of the starts it fails for are tried in
+    stacked chunks of 1, 2, 4, ... trials, and each start takes its first
+    trial with Armijo decrease, as a halving loop would.  A start stops after
+    ``iters`` steps, at a relative decrease ``<= _FTOL``, at
+    ``max|g| <= _GTOL``, or when its line search fails within
+    ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their values,
+    the converged flags and the iteration counts.  A start counts as
     converged when a tolerance was met, or when its line search failed
     without any trial changing ``f`` by more than its rounding,
     ``_F_ROUNDING * max(1, |f|)``.
@@ -677,48 +728,50 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     iterations = np.zeros(n, dtype=int)
     run = np.flatnonzero(~converged)  # the start behind each working row
     xw, fw, gw = x[run], f[run], g[run]
-    s_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
-    y_mem = np.zeros((run.size, _LBFGS_MEMORY, p))
-    rho = np.zeros((run.size, _LBFGS_MEMORY))
+    memory = _PairMemory(run.size, p)
     for _ in range(iters):
         if run.size == 0:
             break
-        direction = _lbfgs_direction(gw, s_mem, y_mem, rho)
+        direction = memory.direction(gw)
         if project is not None:
             direction = project(xw, direction)
         slope = np.einsum("ni,ni->n", gw, direction)
-        step = np.where(rho[:, 0] > 0.0, 1.0,
+        step = np.where(memory.held, 1.0,
                         1.0 / np.maximum(np.linalg.norm(gw, axis=1), 1e-300))
         x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
         accepted = np.zeros(run.size, dtype=bool)
         pending = np.flatnonzero(slope < 0.0)  # an uphill direction fails its search
         moved = np.full(run.size, np.inf)  # largest |f_trial - f|; none tried: inf
         moved[pending] = 0.0
-        for _ in range(_LINE_SEARCH_TRIALS):
-            if pending.size == 0:
-                break
-            trial = xw[pending] + step[pending, None] * direction[pending]
+        tried = 0
+        while pending.size and tried < _LINE_SEARCH_TRIALS:
+            # the full step alone, then the next halvings in stacked chunks of 1, 2, 4, ...
+            width = min(max(tried, 1), _LINE_SEARCH_TRIALS - tried)
+            steps = np.ldexp(step[pending, None], -np.arange(tried, tried + width))
+            trial = (xw[pending, None] + steps[:, :, None] * direction[pending, None]).reshape(-1, p)
             on_manifold = True
             if retract is not None:
                 trial, on_manifold = retract(trial)
             f_t, g_t = fun(trial)
-            moved[pending] = np.maximum(moved[pending], np.abs(f_t - fw[pending]))
-            ok = on_manifold & (f_t <= fw[pending] + _ARMIJO * step[pending] * slope[pending])
-            done = pending[ok]
-            x_new[done], f_new[done], g_new[done] = trial[ok], f_t[ok], g_t[ok]
+            bound = fw[pending, None] + _ARMIJO * steps * slope[pending, None]
+            ok = (on_manifold & (f_t <= bound.ravel())).reshape(-1, width)
+            hit = ok.any(axis=1)
+            # moved is read only where every trial failed, so it may take in
+            # the trials past a start's first accepted one
+            moved[pending] = np.maximum(moved[pending],
+                                        np.abs(f_t.reshape(-1, width) - fw[pending, None]).max(axis=1))
+            pick = np.flatnonzero(hit) * width + ok[hit].argmax(axis=1)
+            done = pending[hit]
+            x_new[done], f_new[done], g_new[done] = trial[pick], f_t[pick], g_t[pick]
             accepted[done] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
+            pending = pending[~hit]
+            tried += width
         s, y = x_new - xw, g_new - gw
         sy = np.einsum("ni,ni->n", s, y)
-        store = accepted & (sy > 0.0)
         # without positive curvature along the step the stored pairs no longer
         # describe the region; skipping the pair alone can stall a start on
         # ever shorter steps near a saddle
-        rho[accepted & ~store] = 0.0
-        for mem, newest in ((s_mem, s), (y_mem, y), (rho, 1.0 / np.where(store, sy, 1.0))):
-            mem[store, 1:] = mem[store, :-1]
-            mem[store, 0] = newest[store]
+        memory.push(s, y, sy, accepted & (sy > 0.0))
         scale = np.maximum(np.maximum(np.abs(fw), np.abs(f_new)), 1.0)
         met = accepted & ((fw - f_new <= _FTOL * scale)
                           | (np.abs(g_new).max(axis=1) <= _GTOL))
@@ -734,6 +787,6 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
             x[run[stop]], f[run[stop]] = xw[stop], fw[stop]
             keep = ~stop
             run, xw, fw, gw = run[keep], xw[keep], fw[keep], gw[keep]
-            s_mem, y_mem, rho = s_mem[keep], y_mem[keep], rho[keep]
+            memory.keep(keep)
     x[run], f[run] = xw, fw
     return x, f, converged, iterations

@@ -396,6 +396,15 @@ class RankVerdict:
     certificate: dict
 
 
+@lru_cache(maxsize=16)
+def _contraction_operand(kind: str, dim: int, amps: bytes) -> tuple[np.ndarray, float]:
+    """The read-only coefficient matrix of a two-particle state and its largest
+    singular value.  Keyed by the amplitudes' bytes, so the tests of one rank
+    scan build both once, and a state changed in place builds them anew."""
+    m = read_only(PureState(kind, 2, dim, np.frombuffer(amps, dtype=complex)).matrix())
+    return m, float(singular_values(m)[0])
+
+
 def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> RankVerdict:
     """Contraction rank test shared by the fermionic and bosonic criteria."""
     if state.kind != kind or state.particles != 2:
@@ -409,10 +418,10 @@ def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> Ran
         big_k, pattern, free, weight = d, "paired", d - threshold, 1.0
     if not 1 <= threshold <= big_k:
         raise ThresholdOutOfRangeError(f"threshold {threshold} outside 1..{big_k}")
-    m = state.matrix()
+    m, s_max = _contraction_operand(kind, d, np.asarray(state.amps, dtype=complex).tobytes())
     values = epsilon_contract(EpsilonContractionSpec((m,) * threshold, pattern, free))
     # no contraction value exceeds weight * k! * s_max**k in modulus
-    scale = weight * math.factorial(threshold) * float(singular_values(m)[0]) ** threshold
+    scale = weight * math.factorial(threshold) * s_max ** threshold
     tol = rtol * max(scale, np.finfo(float).tiny)
     argmax = max(values, key=lambda t: abs(values[t]))
     peak = abs(values[argmax])
@@ -448,7 +457,10 @@ def two_boson_rank_below(state: PureState, threshold: int,
 
 
 def slater_rank_by_contractions(state: PureState, rtol: float = CONTRACT_RTOL) -> int:
-    """Exact Slater rank of a two-particle state from the rank criteria alone."""
+    """Exact Slater rank of a two-particle state from the rank criteria alone.
+
+    The tests of the scan share one coefficient matrix and one SVD.
+    """
     if state.kind == FERMION:
         upper = state.dim // 2
         test = two_fermion_rank_below

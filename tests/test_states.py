@@ -172,6 +172,38 @@ def test_rank_agreement_battery():
         assert st.slater_decompose_two_particle(bos).rank == rb
 
 
+@pytest.mark.parametrize("kind, dims", [("fermion", range(4, 13, 2)), ("boson", range(3, 9))])
+def test_rank_scan_equals_loop_over_public_tests(kind, dims, monkeypatch):
+    # the scan builds the coefficient matrix and its SVD once; in the loop
+    # every public test builds its own
+    svds = []
+    monkeypatch.setattr(st, "singular_values", lambda m: svds.append(m) or la.singular_values(m))
+    test = st.two_fermion_rank_below if kind == "fermion" else st.two_boson_rank_below
+
+    def below(state, n):
+        st._contraction_operand.cache_clear()
+        return test(state, n).claim.startswith("rank_lt")
+
+    gen = np.random.default_rng(21)
+    for d in dims:
+        upper = d // 2 if kind == "fermion" else d
+        for rank in range(1, upper + 1):
+            state = st.random_slater_rank_state(kind, d, rank, gen)
+            loop = next((n - 1 for n in range(1, upper + 1) if below(state, n)), upper)
+            st._contraction_operand.cache_clear()
+            del svds[:]
+            assert st.slater_rank_by_contractions(state) == loop == rank
+            assert len(svds) == 1
+
+
+def test_rank_scan_sees_amplitudes_changed_in_place():
+    state = st.fermion_state(4, 2, {(0, 1): 0.6, (2, 3): 0.8})
+    assert st.slater_rank_by_contractions(state) == 2
+    state.amps[:] = 0.0
+    state.amps[0] = 1.0
+    assert st.slater_rank_by_contractions(state) == 1
+
+
 # ---------------------------------------------------------------------------
 # projection and multi-particle rank
 # ---------------------------------------------------------------------------
