@@ -9,11 +9,9 @@ minimization used as a numerical oracle for the closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import sectors, states
 from .errors import (
@@ -295,173 +293,87 @@ class ProductVectorsResult:
     diagnostics: list = field(default_factory=list)
 
 
-def _pair_overlap_poly(phi: np.ndarray):
-    """Quadratic coefficients of ``<phi|e,e>`` for ``e = (1, z1, z2)``.
-
-    Returns the coefficient dict of a polynomial in (z1, z2), using the
-    symmetric-sector tuple basis of d=3.
-    """
-    idx = sectors.tuple_index(SYMMETRIC, 3, 2)
-    c = np.conj(phi)
-    s2 = math.sqrt(2.0)
-    return {
-        (0, 0): c[idx[(0, 0)]],
-        (1, 0): s2 * c[idx[(0, 1)]],
-        (0, 1): s2 * c[idx[(0, 2)]],
-        (2, 0): c[idx[(1, 1)]],
-        (1, 1): s2 * c[idx[(1, 2)]],
-        (0, 2): c[idx[(2, 2)]],
-    }
-
-
-def _poly_eval(coeffs: dict, z1: complex, z2: complex) -> complex:
-    return sum(c * z1 ** i * z2 ** j for (i, j), c in coeffs.items())
-
-
-def _poly_grad(coeffs: dict, z1: complex, z2: complex) -> tuple[complex, complex]:
-    g1 = sum(i * c * z1 ** (i - 1) * z2 ** j for (i, j), c in coeffs.items() if i)
-    g2 = sum(j * c * z1 ** i * z2 ** (j - 1) for (i, j), c in coeffs.items() if j)
-    return g1, g2
-
-
-def _resultant_in_z2(p: dict, q: dict) -> np.ndarray:
-    """Coefficients (ascending in z1) of the Sylvester resultant in z2."""
-
-    def as_z2_poly(c):
-        # entries are polynomials in z1, ascending coefficient arrays
-        a0 = np.array([c.get((0, 0), 0.0), c.get((1, 0), 0.0), c.get((2, 0), 0.0)])
-        a1 = np.array([c.get((0, 1), 0.0), c.get((1, 1), 0.0)])
-        a2 = np.array([c.get((0, 2), 0.0)])
-        return [a0, a1, a2]
-
-    pa, qa = as_z2_poly(p), as_z2_poly(q)
-    zero = np.zeros(1, dtype=complex)
-    rows = [
-        [pa[2], pa[1], pa[0], zero],
-        [zero, pa[2], pa[1], pa[0]],
-        [qa[2], qa[1], qa[0], zero],
-        [zero, qa[2], qa[1], qa[0]],
-    ]
-
-    def det3(a, b, c, d, e, f, g, h, i):
-        # cofactor expansion with polynomial arithmetic
-        return npoly.polyadd(
-            npoly.polysub(
-                npoly.polymul(a, npoly.polysub(npoly.polymul(e, i), npoly.polymul(f, h))),
-                npoly.polymul(b, npoly.polysub(npoly.polymul(d, i), npoly.polymul(f, g)))),
-            npoly.polymul(c, npoly.polysub(npoly.polymul(d, h), npoly.polymul(e, g))))
-
-    total = np.zeros(1, dtype=complex)
-    for col in range(4):
-        minor = [row[:col] + row[col + 1:] for r, row in enumerate(rows) if r != 0]
-        sub = det3(*minor[0], *minor[1], *minor[2])
-        term = npoly.polymul(rows[0][col], sub)
-        total = npoly.polyadd(total, term if col % 2 == 0 else npoly.polymul([-1], term))
-    return np.asarray(total, dtype=complex)
-
-
 def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
                              range_tol: float = 1e-6) -> ProductVectorsResult:
     """Solve for the product vectors ``|e, e>`` in the range of a rank-4
     two-boson state with three modes.
 
-    The two kernel vectors impose two quadratic equations on
-    ``e = (1, z1, z2)``; eliminating ``z2`` by a resultant leaves a
-    quartic solved through its companion matrix, followed by damped
-    Newton polishing.  Generically there are exactly four solutions;
-    projective roots (leading coefficient near zero) are reported in the
-    diagnostics rather than silently dropped.
+    Each kernel vector ``phi_i`` gives the complex symmetric form
+    ``Q_i = tensor_from_amps(conj(phi_i))``, with ``e^T Q_i e`` proportional
+    to ``<phi_i|e, e>``, so the product vectors are the common projective
+    zeros of two conics.  They are found by the pencil method
+    (Richter-Gebert, *Perspectives on Projective Geometry*, ch. 11): the
+    cubic ``det(Q_1 + l Q_2)`` is read off four roots-of-unity samples,
+    and of the members at its roots and ``Q_2`` itself (a root at
+    infinity) the one with the smallest ``s[2] / s[1]`` is taken as the
+    rank-2 conic ``C``.  ``takagi_canonical`` writes ``C``
+    as ``z_1 a_1 a_1^T + z_2 a_2 a_2^T``, the product of the two lines
+    ``sqrt(z_1) a_1 +- i sqrt(z_2) a_2``.  On each line the other conic is
+    a binary quadratic ``a t_0^2 + 2 b t_0 t_1 + c t_1^2`` with the
+    homogeneous roots ``(q : a)`` and ``(c : q)``, ``q = -(b +- sqrt(b^2 -
+    ac))`` of the larger modulus.  No affine chart is chosen, so a vector
+    with ``e_0 = 0`` is found like any other; generically there are
+    exactly four.  Each candidate off either conic adds a ``"discarded
+    ..."`` line to the diagnostics.
 
     Raises
     ------
     DegenerateSystemError
-        If the polynomial system is non-generic (deficient or infinite
-        solution set).
+        If the pencil is degenerate (its determinant vanishes identically
+        or its best member has rank one), a vector repeats, fewer than four
+        candidates survive, or a vector leaves the range.
     """
     if rho.space.kind != SYMMETRIC or rho.space.dims != (3,) or rho.space.particles != 2:
         raise UnsupportedSystemError("product-vector recovery expects a two-boson state with d=3")
     evals, evecs = np.linalg.eigh(rho.matrix)
-    top = evals[-1]
-    kernel = [evecs[:, i] for i in range(6) if evals[i] <= rank_rtol * top]
-    if len(kernel) != 2:
-        raise ValidationError(f"expected rank 4 (kernel dimension 2), found kernel {len(kernel)}")
-    p, q = (_pair_overlap_poly(phi) for phi in kernel)
+    in_kernel = evals <= rank_rtol * evals[-1]
+    if np.count_nonzero(in_kernel) != 2:
+        raise ValidationError(
+            f"expected rank 4 (kernel dimension 2), found kernel {np.count_nonzero(in_kernel)}")
+    q1, q2 = (sectors.tensor_from_amps(SYMMETRIC, 3, 2, phi.conj())
+              for phi in evecs[:, in_kernel].T)
 
-    res = _resultant_in_z2(p, q)
-    scale = np.max(np.abs(res))
-    if scale == 0 or np.all(np.abs(res) <= 1e-12):
-        raise DegenerateSystemError("resultant vanishes identically; infinite solution family")
-    res = res / scale
-    diagnostics = []
-    coeffs = res.copy()
-    n_at_infinity = 0
-    while len(coeffs) > 1 and abs(coeffs[-1]) < 1e-9:
-        coeffs = coeffs[:-1]
-        n_at_infinity += 1
-    if n_at_infinity:
-        diagnostics.append(
-            f"{n_at_infinity} projective root(s) at infinity (vanishing leading coefficient)")
-    if len(coeffs) <= 1:
-        raise DegenerateSystemError("resultant degenerates to a constant")
-    z1_roots = npoly.polyroots(coeffs)
-
-    solutions = []
-    for z1 in z1_roots:
-        a2 = p.get((0, 2), 0.0)
-        a1 = p.get((0, 1), 0.0) + p.get((1, 1), 0.0) * z1
-        a0 = p.get((0, 0), 0.0) + p.get((1, 0), 0.0) * z1 + p.get((2, 0), 0.0) * z1 ** 2
-        if abs(a2) > 1e-12:
-            disc = np.sqrt(a1 ** 2 - 4 * a2 * a0 + 0j)
-            candidates = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
-        elif abs(a1) > 1e-12:
-            candidates = [-a0 / a1]
-        else:
-            continue
-        best = min(candidates, key=lambda z2: abs(_poly_eval(q, z1, z2)))
-        z = np.array([z1, best], dtype=complex)
-        # damped Newton on both quadrics
-        for _ in range(50):
-            f = np.array([_poly_eval(p, *z), _poly_eval(q, *z)])
-            if max(abs(f)) < 1e-13:
-                break
-            jac = np.array([_poly_grad(p, *z), _poly_grad(q, *z)])
-            try:
-                step = np.linalg.solve(jac, f)
-            except np.linalg.LinAlgError:
-                break
-            damp = 1.0
-            while damp > 1e-4:
-                trial = z - damp * step
-                ft = np.array([_poly_eval(p, *trial), _poly_eval(q, *trial)])
-                if max(abs(ft)) < max(abs(f)):
-                    z = trial
-                    break
-                damp /= 2
-            else:
-                break
-        if max(abs(_poly_eval(p, *z)), abs(_poly_eval(q, *z))) > 1e-8:
-            diagnostics.append(f"discarded spurious root near z1={z1:.4f}")
-            continue
-        e = np.array([1.0, z[0], z[1]], dtype=complex)
-        e = e / np.linalg.norm(e)
-        solutions.append(e)
-
-    # dedupe up to phase
-    unique = []
-    for e in solutions:
-        if all(abs(abs(np.vdot(e, u)) - 1.0) > 1e-8 for u in unique):
-            unique.append(e)
-    if len(unique) < len(solutions):
-        raise DegenerateSystemError("repeated product vectors; solution set is deficient")
-    if len(unique) + n_at_infinity < 4:
+    samples = np.exp(0.5j * np.pi * np.arange(4))
+    cubic = np.fft.fft(np.linalg.det(q1 + samples[:, None, None] * q2)) / 4
+    if np.all(np.abs(cubic) <= 1e-12):
         raise DegenerateSystemError(
-            f"found {len(unique)} affine + {n_at_infinity} infinite product vectors, expected 4")
+            "pencil determinant vanishes identically; infinite solution family")
+    members = [(q1 + l * q2, q2) for l in np.roots(cubic[::-1])] + [(q2, q1)]
+    svals = [np.linalg.svd(conic, compute_uv=False) for conic, _ in members]
+    best = int(np.argmin([s[2] / s[1] if s[1] else np.inf for s in svals]))
+    if svals[best][1] <= rank_rtol * svals[best][0]:
+        raise DegenerateSystemError(
+            "the pencil has no member of rank two; repeated product vectors")
+    conic, other = members[best]
+    form = takagi_canonical(conic, rank_rtol=rank_rtol)
+    (z1, z2), (a1, a2) = np.sqrt(form.values[:2]), form.transform[:2].conj()
+
+    diagnostics, found = [], []
+    for line in (z1 * a1 + 1j * z2 * a2, z1 * a1 - 1j * z2 * a2):
+        on_line = np.linalg.svd(line[None, :])[2][1:].conj().T
+        (a, b), (_, c) = on_line.T @ other @ on_line
+        root = np.sqrt(b * b - a * c)
+        q = -(b + root) if (np.conj(b) * root).real >= 0 else root - b
+        if q == 0:
+            raise DegenerateSystemError("a line touches the other conic; repeated product vectors")
+        for t in ((q, a), (c, q)):
+            e = on_line @ np.array(t)
+            e = e / np.linalg.norm(e)
+            resid = max(abs(e @ q1 @ e), abs(e @ q2 @ e))
+            if resid > 1e-8:
+                diagnostics.append(f"discarded candidate off the conics (residual {resid:.2e})")
+                continue
+            if any(abs(np.vdot(u, e)) > 1.0 - 1e-8 for u in found):
+                raise DegenerateSystemError("repeated product vectors; solution set is deficient")
+            found.append(e)
+    if len(found) < 4:
+        raise DegenerateSystemError("; ".join(
+            [f"found {len(found)} product vectors, expected 4", *diagnostics]))
 
     # verify range membership
-    spec = subnormalized_spectrum(rho, rank_rtol)
-    basis, _ = np.linalg.qr(spec.vectors)
+    basis = evecs[:, ~in_kernel]
     checked = []
-    for e in unique:
+    for e in found:
         pair = _symmetric_pair_vector(e)
         resid = np.linalg.norm(pair - basis @ (basis.conj().T @ pair))
         if resid > range_tol:
@@ -472,12 +384,8 @@ def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
 
 def _symmetric_pair_vector(e: np.ndarray) -> np.ndarray:
     """Sector coordinates of the normalized product state ``|e, e>``."""
-    d = len(e)
-    tuples = sectors.sector_tuples(SYMMETRIC, d, 2)
-    out = np.empty(len(tuples), dtype=complex)
-    for i, (a, b) in enumerate(tuples):
-        out[i] = e[a] * e[b] * (1.0 if a == b else math.sqrt(2.0))
-    return out / np.linalg.norm(out)
+    pair = sectors.amps_from_tensor(SYMMETRIC, np.outer(e, e))
+    return pair / np.linalg.norm(pair)
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:

@@ -556,7 +556,10 @@ def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
     ``"singular_values"``, ``"m"``, ``"ratio"`` (``s[m] / s[0]``) and
     ``"tolerance"`` (``rtol``).  Its kind is ``"probe_chain"`` when a chain
     certifies, and ``"one_body"`` otherwise: a ``rank_one`` state, or one
-    correlated below the chain test's resolution.
+    correlated below the chain test's resolution.  The one-body test at
+    ``rtol`` is the single resolution for both claims: a chain certifies
+    only a state that test calls ``rank_ge_2``, although renormalizing
+    after each projection can show a chain an admixture below ``rtol``.
     """
     if state.kind == BIPARTITE:
         raise WrongKindError("multiparticle_rank_one acts on fermionic or bosonic states")
@@ -593,9 +596,11 @@ def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
 
 def verify_rank_certificate(state: PureState, verdict: RankVerdict,
                             rtol: float = CONTRACT_RTOL) -> bool:
-    """Re-evaluate a rank certificate against its state."""
+    """Re-evaluate a rank certificate against its state (see ``multiparticle_rank_one``)."""
     cert = verdict.certificate
     if cert.get("kind") == "probe_chain" and verdict.claim == "rank_ge_2":
+        if _one_body_test(state, rtol)[0]:
+            return False
         st = state
         for a in cert["probes"]:
             st = project_reduce(st, a)

@@ -8,6 +8,7 @@ from slaterkit import mixed as mx
 from slaterkit import sectors
 from slaterkit import states as st
 from slaterkit.errors import (
+    DegenerateSystemError,
     NotAStateError,
     UnsupportedSystemError,
     ValidationError,
@@ -219,13 +220,46 @@ def test_product_vectors_recovery():
 
 
 def test_product_vectors_projective_root():
+    # e_0 = 0 puts the vector at infinity of the chart e = (1, z1, z2);
+    # the pencil works projectively and finds it like the other three
     gen = np.random.default_rng(11)
-    special = np.array([0.0, 1.0, 0.4 + 0.3j])
+    special = np.array([0.0, 1.0, 0.4 + 0.3j]) / np.sqrt(1.25)
     vectors = [special] + [la.haar_vector(3, gen) for _ in range(3)]
     rho = product_mixture(vectors, np.ones(4) / 4)
     found = mx.product_vectors_in_range(rho)
-    assert len(found.vectors) == 3
-    assert any("infinity" in d for d in found.diagnostics)
+    assert len(found.vectors) == 4 and found.diagnostics == []
+    for e in vectors:
+        assert max(abs(np.vdot(e, f)) for f in found.vectors) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("n_at_infinity", (1, 2))
+@pytest.mark.parametrize("seed", (20, 21, 22))
+def test_bosonic_separability_vectors_with_vanishing_first_mode(n_at_infinity, seed):
+    gen = np.random.default_rng(seed)
+    vectors = [la.haar_vector(3, gen) for _ in range(4)]
+    for e in vectors[:n_at_infinity]:
+        e[0] = 0.0
+        e /= np.linalg.norm(e)
+    rho = product_mixture(vectors, gen.dirichlet(np.ones(4)))
+    result = mx.bosonic_ppt_separability(rho)
+    assert result.verdict == "separable"
+    recon = sum(w * np.outer(mx._symmetric_pair_vector(e), mx._symmetric_pair_vector(e).conj())
+                for w, e in result.decomposition)
+    assert np.max(np.abs(recon - rho.matrix)) < 1e-8
+    for e in vectors:
+        assert max(abs(np.vdot(e, f)) for _, f in result.decomposition) > 1 - 1e-10
+
+
+def test_product_vectors_degenerate_pencil():
+    # |e, e> for three vectors on one line span every |e, e> on that line,
+    # so both kernel conics contain it and det(Q1 + l Q2) vanishes
+    gen = np.random.default_rng(7)
+    u, v, w = (la.haar_vector(3, gen) for _ in range(3))
+    rho = product_mixture([u, v, u + 0.7j * v, w], np.ones(4) / 4)
+    assert rho.rank() == 4
+    with pytest.raises(DegenerateSystemError):
+        mx.product_vectors_in_range(rho)
+    assert mx.bosonic_ppt_separability(rho).verdict == "inconclusive"
 
 
 def test_product_vectors_rank_precondition():

@@ -167,6 +167,17 @@ def test_admixture_below_the_chain_resolution(kind, d, amplitudes, probe_seed):
     assert not st.verify_rank_certificate(main, verdict)
 
 
+def test_chain_below_the_one_body_resolution_does_not_certify():
+    # renormalizing after a projection nearly orthogonal to the main mode
+    # shows the chain an admixture of 1e-9 that the one-body test, at the
+    # same rtol, counts as rank one: the two verdicts share that resolution
+    state = st.boson_state(2, 4, {(0, 0, 0, 0): math.cos(1e-9), (1, 1, 1, 1): math.sin(1e-9)})
+    assert st.multiparticle_rank_one(state).claim == "rank_one"
+    chained = _probe_only_rank_one(state, rng=3)
+    assert chained.claim == "rank_ge_2" and len(chained.certificate["probes"]) == 2
+    assert not st.verify_rank_certificate(state, chained)
+
+
 def test_rotated_elementary_states_sit_far_below_the_tolerance():
     gen = np.random.default_rng(303)
     worst = 0.0
