@@ -201,11 +201,11 @@ def _run_single(command: str, args) -> int:
         if not os.path.isdir(directory):
             raise ValidationError(f"--batch expects a directory, got {directory}")
         names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
-        base_seed = args.seed
 
         def work(name):
             sub_args = argparse.Namespace(**vars(args))
-            sub_args.seed = _derived_seed(base_seed, name)
+            if "seed" in vars(args):
+                sub_args.seed = _derived_seed(args.seed, name)
             try:
                 return name, handler(os.path.join(directory, name), sub_args), 0
             except SlaterKitError as exc:
@@ -242,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("path", help="input JSON file (or directory with --batch)")
             p.add_argument("--batch", action="store_true",
                            help="treat PATH as a directory of state files")
-        p.add_argument("--tol", type=float, default=None, help="rank threshold override")
-        p.add_argument("--seed", type=int, default=0, help="seed for stochastic searches")
-        p.add_argument("--budget", type=int, default=64, help="restart budget for searches")
         p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
-    add_common(sub.add_parser("rank", help="Schmidt/Slater rank of a pure state"))
+    rank = sub.add_parser("rank", help="Schmidt/Slater rank of a pure state")
+    add_common(rank)
+    rank.add_argument("--tol", type=float, default=None, help="rank threshold override")
+    rank.add_argument("--seed", type=int, default=0, help="seed for stochastic searches")
     add_common(sub.add_parser("concurrence", help="pure-state concurrence"))
     add_common(sub.add_parser("mixed-concurrence", help="mixed-state concurrence"))
     add_common(sub.add_parser("slater1", help="Slater-number-one spectral test"))
@@ -276,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     wopt.add_argument("witness")
     wopt.add_argument("-o", "--output", default=None)
     add_common(wopt, with_path=False)
+    wopt.add_argument("--seed", type=int, default=0, help="seed for stochastic searches")
+    wopt.add_argument("--budget", type=int, default=64, help="restart budget for searches")
     return parser
 
 

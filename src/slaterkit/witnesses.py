@@ -195,11 +195,17 @@ class _SectorChart:
         return _pair_amps(self.kind, self.pair_matrices(self.vectors(x)))
 
 
-def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray):
-    """``f(x) = <psi|M|psi>`` on normalized chart states, with gradient, for
-    every row of a parameter stack ``x``."""
+def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray, d_matrix=None):
+    """``f(x) = <psi|M|psi> / <psi|D|psi>`` on chart states, with gradient, for
+    every row of a parameter stack ``x``; ``D`` defaults to the identity.
+
+    A row whose norm vanishes, or whose ``<psi|D|psi>`` falls below ``1e-12
+    <psi|psi>`` (0/0 for a ``D`` with a kernel), scores ``1e6`` with a zero
+    gradient.
+    """
     flats, factors = sectors._gather_table(chart.kind, chart.d, 2)
     m_t = np.ascontiguousarray(m_matrix.T)
+    d_t = None if d_matrix is None else np.ascontiguousarray(d_matrix.T)
 
     def fun(x: np.ndarray):
         n = len(x)
@@ -207,10 +213,15 @@ def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray):
         psi = _pair_amps(chart.kind, chart.pair_matrices(vecs))
         den = np.einsum("ni,ni->n", psi.conj(), psi).real
         degenerate = den < 1e-18
+        dpsi = psi
+        if d_t is not None:
+            dpsi = psi @ d_t
+            norm2, den = den, np.einsum("ni,ni->n", psi.conj(), dpsi).real
+            degenerate |= den < 1e-12 * norm2
         den[degenerate] = 1.0
         mpsi = psi @ m_t
         f = np.einsum("ni,ni->n", psi.conj(), mpsi).real / den
-        grad_vec = (mpsi - f[:, None] * psi) / den[:, None]  # d f / d conj(psi)
+        grad_vec = (mpsi - f[:, None] * dpsi) / den[:, None]  # d f / d conj(psi)
         # adjoint of the gather: d f / d conj(w) on an unconstrained w
         g = np.zeros((n, chart.d * chart.d), dtype=complex)
         g[:, flats] = grad_vec * factors
@@ -623,58 +634,24 @@ class OptimizedWitness:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _x_e_operator(full: np.ndarray, e: np.ndarray, d: int, fermionic: bool) -> np.ndarray:
-    """Single-particle reduction ``X_e`` of a full-space two-particle operator."""
-    t = full.reshape(d, d, d, d)
-    ec = e.conj()
-    t1 = np.einsum("a,afbg,b->fg", ec, t, e)  # <e,.|X|e,.>
-    t2 = np.einsum("a,afgb,b->fg", ec, t, e)  # <e,.|X|.,e>
-    t3 = np.einsum("a,fabg,b->fg", ec, t, e)  # <.,e|X|e,.>
-    t4 = np.einsum("a,fagb,b->fg", ec, t, e)  # <.,e|X|.,e>
-    if fermionic:
-        return t1 - t2 - t3 + t4
-    return t1 + t2 + t3 + t4
-
-
-def _xe_criterion(w_full: np.ndarray, p_full: np.ndarray, d: int, fermionic: bool,
-                  n_samples: int, rng) -> float:
-    """inf over sampled e of the minimal eigenvalue of
-    ``P_e^{-1/2} W_e P_e^{-1/2}`` restricted to the range of ``P_e``."""
-    rng = as_rng(rng)
-    best = math.inf
-    probes = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    probes += [as_rng(rng).standard_normal(d) + 1j * as_rng(rng).standard_normal(d)
-               for _ in range(n_samples)]
-    for e in probes:
-        e = e / np.linalg.norm(e)
-        pe = _x_e_operator(p_full, e, d, fermionic)
-        we = _x_e_operator(w_full, e, d, fermionic)
-        evals, evecs = np.linalg.eigh(0.5 * (pe + pe.conj().T))
-        keep = evals > 1e-10 * max(evals[-1], 1.0)
-        if not np.any(keep):
-            continue
-        scale = evecs[:, keep] * (1.0 / np.sqrt(evals[keep]))
-        reduced = scale.conj().T @ we @ scale
-        low = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))[0])
-        best = min(best, low)
-    return best
-
-
 def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
                      seed=0) -> OptimizedWitness:
     """Improve a witness by subtracting a positive operator off its tangent set.
 
-    Samples the tangent set (rank < k states with vanishing expectation)
-    through the infimum search.  If the tangent states span the whole
-    sector the witness is already optimal and returned unchanged.
-    Otherwise a multiple of the projector onto the orthogonal complement
-    of the tangent span is removed, with the weight maximized by
-    bisection subject to re-checked witness validity.  For class-2
-    witnesses the single-particle reduction criterion (the minimal
-    eigenvalue of ``P_e^{-1/2} W_e P_e^{-1/2}`` over probe vectors
-    ``e``) is evaluated as an additional diagnostic gate.  The
-    diagnostics report how many restarts of the first search converged
-    and the most iterations any of them took.
+    Follows Lewenstein, Kraus, Cirac & Horodecki, "Optimization of
+    entanglement witnesses", PRA 62, 052310 (2000).  The infimum search
+    samples the tangent set (rank < k states with vanishing expectation).
+    If the tangent states span the whole sector the witness is optimal and
+    returned unchanged.  Otherwise ``P_c`` projects onto the complement of
+    their span, and the largest ``mu`` that keeps ``W - mu P_c`` a witness
+    is ``inf <psi|W|psi> / <psi|P_c|psi>`` over rank < k states.  Without
+    tangent samples ``P_c = 1`` and that ratio is the infimum already found;
+    otherwise one stacked search of ``budget`` restarts minimizes it, and
+    ``mu`` is kept only if an infimum search of ``W - mu P_c`` with
+    ``max(8, budget // 4)`` restarts stays at or above -1e-9
+    (``subtraction_check`` in the diagnostics).  The diagnostics also report
+    how many restarts of the first search converged and the most iterations
+    any of them took.
     """
     space = w.space
     dim = space.dim
@@ -699,51 +676,22 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
         _, _, vh = np.linalg.svd(stack)
         comp = vh[span_dim:].conj().T  # orthonormal basis of the complement
         p_c = comp @ comp.conj().T
+        chart = _SectorChart(space, k)
+        x0 = rng.standard_normal((budget, chart.n_params))
+        mu = float(_lbfgs(_quadratic_objective(chart, w.matrix, p_c), x0, iters)[1].min())
+        diagnostics["ratio_infimum"] = mu
     else:
         diagnostics["tangent_span_dim"] = 0
-        p_c = np.eye(dim, dtype=complex)
-
-    if k == 2:
-        d = space.dims[0]
-        fermionic = space.kind == mixed.ANTISYMMETRIC
-        w_full = sectors.embed_operator(space.kind, d, 2, w.matrix)
-        p_full = sectors.embed_operator(space.kind, d, 2, p_c)
-        crit = _xe_criterion(w_full, p_full, d, fermionic, 64, rng)
-        diagnostics["xe_criterion"] = crit
-        if crit <= 1e-10:
-            return OptimizedWitness(w, False, 0.0, diagnostics)
-
-    check_budget = max(8, budget // 4)
-
-    def is_witness(mu: float) -> bool:
-        cand = w.matrix - mu * p_c
-        inf_val = infimum_over_rank(cand, k, space, budget=check_budget,
-                                    iters=iters, seed=rng)
-        return inf_val >= -1e-9
-
-    if not tangent:
         # expectation is bounded away from zero; remove the slack directly
-        mu = best
-    else:
-        lo, hi = 0.0, max(best, float(np.linalg.eigvalsh(w.matrix)[-1]))
-        if hi <= 0.0 or not is_witness(hi * 1e-3):
-            return OptimizedWitness(w, False, 0.0, diagnostics)
-        mu_probe = hi * 1e-3
-        while mu_probe < hi and is_witness(min(2 * mu_probe, hi)):
-            mu_probe = min(2 * mu_probe, hi)
-            if mu_probe == hi:
-                break
-        lo = mu_probe
-        hi = min(2 * mu_probe, hi)
-        for _ in range(6):
-            mid = 0.5 * (lo + hi)
-            if is_witness(mid):
-                lo = mid
-            else:
-                hi = mid
-        mu = lo
+        mu, p_c = best, np.eye(dim, dtype=complex)
     if mu <= 1e-12:
         return OptimizedWitness(w, False, 0.0, diagnostics)
+    if tangent:
+        check = infimum_over_rank(w.matrix - mu * p_c, k, space, budget=max(8, budget // 4),
+                                  iters=iters, seed=rng)
+        diagnostics["subtraction_check"] = check
+        if check < -1e-9:
+            return OptimizedWitness(w, False, 0.0, diagnostics)
     improved = witness_operator(space, w.matrix - mu * p_c, k)
     diagnostics["subtracted_mu"] = mu
     return OptimizedWitness(improved, False, float(mu), diagnostics)

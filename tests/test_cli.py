@@ -156,6 +156,35 @@ def test_witness_pipeline(tmp_path, capsys):
     assert 0 < diag["max_iterations"] <= 400
 
 
+def test_witness_optimize_writes_improved_bosonic_witness(tmp_path, capsys):
+    base = wi.optimal_witness_example(3, 2, "boson")
+    gen = np.random.default_rng(1)
+    v = gen.standard_normal(base.space.dim) + 1j * gen.standard_normal(base.space.dim)
+    v /= np.linalg.norm(v)
+    w = wi.witness_operator(base.space, base.matrix + 0.3 * np.outer(v, v.conj()), 2)
+    out = str(tmp_path / "improved.json")
+    code, report = run(capsys, "witness", "optimize", write(tmp_path, "w.json",
+                       skio.witness_to_dict(w)), "-o", out, "--seed", "1")
+    assert code == 0 and report["written"] == out
+    assert report["optimal"] is False and report["subtracted_weight"] > 0
+    assert "xe_criterion" not in report["diagnostics"]
+    improved = skio.load_any(out)  # runs the witness battery
+    assert isinstance(improved, wi.WitnessOperator) and improved.slater_class == 2
+    assert np.linalg.eigvalsh(w.matrix - improved.matrix)[0] >= -1e-12
+
+
+def test_search_flags_attach_only_where_read(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["rank", "s.json", "--tol", "1e-9", "--seed", "3"]).seed == 3
+    assert parser.parse_args(["witness", "optimize", "w.json", "--budget", "8"]).budget == 8
+    for argv in (["concurrence", "s.json", "--seed", "1"], ["rank", "s.json", "--budget", "8"],
+                 ["witness", "make", "--K", "2", "--k", "2", "--kind", "boson", "--seed", "1"],
+                 ["witness", "optimize", "w.json", "--tol", "1e-9"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    capsys.readouterr()
+
+
 def test_kak_command(tmp_path, capsys):
     u = la.haar_unitary(4, np.random.default_rng(2))
     obj = {"type": "operator", "hermitian": False, "slater_class": 2,

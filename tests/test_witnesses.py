@@ -379,6 +379,109 @@ def test_optimize_bosonic_example():
     assert outcome.optimal
 
 
+def perturbed_optimal_witness(big_k, kind, seed):
+    """``optimal_witness_example(K, 2, kind) + 0.3 |v><v|`` with ``v`` a seeded
+    normalized complex Gaussian: a valid witness whose tangent states no
+    longer span the sector."""
+    base = wi.optimal_witness_example(big_k, 2, kind)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(base.space.dim) + 1j * rng.standard_normal(base.space.dim)
+    v /= np.linalg.norm(v)
+    return wi.witness_operator(base.space, base.matrix + 0.3 * np.outer(v, v.conj()), 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_optimize_subtracts_off_bosonic_tangent_span(seed):
+    w = perturbed_optimal_witness(3, "boson", seed)
+    outcome = wi.witness_optimize(w, seed=seed)
+    diag = outcome.diagnostics
+    assert 0 < diag["tangent_span_dim"] < w.space.dim
+    assert not outcome.optimal and outcome.subtracted_weight > 0
+    assert diag["subtracted_mu"] == outcome.subtracted_weight == diag["ratio_infimum"]
+    assert diag["subtraction_check"] >= -1e-9 and "xe_criterion" not in diag
+    improved = outcome.witness.matrix
+    wi.witness_operator(w.space, improved, 2)  # the sampling battery
+    assert wi.infimum_over_rank(improved, 2, w.space) >= -1e-9
+    assert np.linalg.eigvalsh(w.matrix - improved)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_optimize_keeps_fermionic_witness_with_tangent_complement(seed):
+    # the tangent states leave a complement, but the ratio's infimum is zero
+    w = perturbed_optimal_witness(2, "fermion", seed)
+    outcome = wi.witness_optimize(w, seed=seed)
+    assert 0 < outcome.diagnostics["tangent_span_dim"] < w.space.dim
+    assert not outcome.optimal and outcome.subtracted_weight == 0.0
+    assert outcome.witness is w
+
+
+def _quadratic_objective_identity(chart, m_matrix):
+    """``witnesses._quadratic_objective`` as it was before its denominator
+    operator, kept verbatim as the reference for its default."""
+    flats, factors = sectors._gather_table(chart.kind, chart.d, 2)
+    m_t = np.ascontiguousarray(m_matrix.T)
+
+    def fun(x: np.ndarray):
+        n = len(x)
+        vecs = chart.vectors(x)
+        psi = wi._pair_amps(chart.kind, chart.pair_matrices(vecs))
+        den = np.einsum("ni,ni->n", psi.conj(), psi).real
+        degenerate = den < 1e-18
+        den[degenerate] = 1.0
+        mpsi = psi @ m_t
+        f = np.einsum("ni,ni->n", psi.conj(), mpsi).real / den
+        grad_vec = (mpsi - f[:, None] * psi) / den[:, None]  # d f / d conj(psi)
+        # adjoint of the gather: d f / d conj(w) on an unconstrained w
+        g = np.zeros((n, chart.d * chart.d), dtype=complex)
+        g[:, flats] = grad_vec * factors
+        g = g.reshape(n, chart.d, chart.d)
+        if chart.kind == mx.ANTISYMMETRIC:
+            gm = g.swapaxes(1, 2) - g  # (g - g^T)^T
+            gv = np.empty_like(vecs)
+            gv[:, 0::2] = vecs[:, 1::2].conj() @ gm  # rows: d f / d conj(a_r)
+            gv[:, 1::2] = -(vecs[:, 0::2].conj() @ gm)
+        else:
+            gv = vecs.conj() @ (g + g.swapaxes(1, 2))
+        flat = gv.reshape(n, -1)
+        grad = np.concatenate([2.0 * flat.real, 2.0 * flat.imag], axis=1)
+        f[degenerate] = 1e6
+        grad[degenerate] = 0.0
+        return f, grad
+
+    return fun
+
+
+@pytest.mark.parametrize("space, k", [(mx.antisymmetric_space(6), 3), (mx.symmetric_space(3), 2)])
+def test_ratio_objective_gradient(space, k):
+    rng = np.random.default_rng(k)
+    dim = space.dim
+    chart = wi._SectorChart(space, k)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = a + a.conj().T
+    x = rng.standard_normal((6, chart.n_params))
+    x[0] = 0.0  # a vanishing state
+    f_old, g_old = _quadratic_objective_identity(chart, m)(x)
+    f_new, g_new = wi._quadratic_objective(chart, m)(x)
+    assert np.array_equal(f_new, f_old) and np.array_equal(g_new, g_old)
+
+    # D projects off one chart state, which the ratio then cannot score
+    psi = chart.sector_vectors(x[1:2])[0]
+    q, _ = np.linalg.qr(np.column_stack([psi, rng.standard_normal((dim, 2))]))
+    d_matrix = np.eye(dim) - np.outer(q[:, 0], q[:, 0].conj())
+    fun = wi._quadratic_objective(chart, m, d_matrix)
+    f, g = fun(x)
+    assert np.array_equal(f[:2], [1e6, 1e6]) and not g[:2].any()
+    psi = chart.sector_vectors(x[2:])
+    expected = (np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real
+                / np.einsum("ni,ij,nj->n", psi.conj(), d_matrix, psi).real)
+    assert np.max(np.abs(f[2:] - expected) / np.abs(expected)) <= 1e-12
+    h = 1e-6
+    steps = h * np.eye(chart.n_params)
+    for row, grad in zip(x[2:], g[2:]):
+        central = (fun(row + steps)[0] - fun(row - steps)[0]) / (2 * h)
+        assert np.max(np.abs(central - grad)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+
+
 # ---------------------------------------------------------------------------
 # positive maps
 # ---------------------------------------------------------------------------
