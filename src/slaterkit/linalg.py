@@ -661,26 +661,29 @@ class _PairMemory:
         holds, and clear the memory of every other row."""
         m = _LBFGS_MEMORY
         k = self.pushes % m
+        if self.pushes >= m:
+            # slot k holds the oldest pair; dropping it from R drops its row
+            # and column of R^-1 (before the ring wraps they are still zero)
+            self.r_inv[:, k] = 0.0
+            self.r_inv[:, :, k] = 0.0
         self.pushes += 1
-        # slot k holds the oldest pair; dropping it from R drops its row and
-        # column of R^-1
-        self.r_inv[:, k] = 0.0
-        self.r_inv[:, :, k] = 0.0
         self.pairs[:, k], self.pairs[:, m + k] = s, y
         proj = (self.pairs @ y[:, :, None])[:, :, 0]  # S^T y and Y^T y
-        inv = 1.0 / np.where(store, sy, 1.0)
+        every = store.all()
+        inv = 1.0 / (sy if every else np.where(store, sy, 1.0))
         column = -(self.r_inv @ proj[:, :m, None])[:, :, 0] * inv[:, None]
         column[:, k] = inv
         self.r_inv[:, :, k] = column
         self.yy[:, k] = proj[:, m:]
         self.yy[:, :, k] = proj[:, m:]
         self.sy[:, k] = sy
-        self.gamma = sy / np.where(store, proj[:, m + k], 1.0)
-        clear = ~store
-        for block in (self.pairs, self.r_inv, self.yy, self.sy):
-            block[clear] = 0.0
-        self.gamma[clear] = 1.0
-        self.held = store.copy()
+        self.gamma = sy / (proj[:, m + k] if every else np.where(store, proj[:, m + k], 1.0))
+        if not every:
+            clear = ~store
+            for block in (self.pairs, self.r_inv, self.yy, self.sy):
+                block[clear] = 0.0
+            self.gamma[clear] = 1.0
+        self.held = store
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not selected by ``rows``."""
@@ -691,7 +694,8 @@ class _PairMemory:
 def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     """Minimize ``fun`` from every row of ``x`` at once by L-BFGS.
 
-    ``fun`` maps a stack of rows to their values and gradients.  Each start
+    ``fun`` maps a stack of rows to their values and gradients, as new
+    arrays: the full-step trials become the next rows in place.  Each start
     keeps its own memory of the last ``_LBFGS_MEMORY`` curvature pairs
     (``_PairMemory``: ring slots in one age order shared by all starts, and
     the compact form of the inverse Hessian, so a direction costs the same
@@ -701,7 +705,10 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     ``s.y <= 0``, which stores no pair and clears the memory.  The full step
     is tried alone; the halvings of the starts it fails for are tried in
     stacked chunks of 1, 2, 4, ... trials, and each start takes its first
-    trial with Armijo decrease, as a halving loop would.  A start stops after
+    trial with Armijo decrease.  In exact arithmetic that is the step a
+    halving loop would take.  In floating point the rows of one call to
+    ``fun`` can round differently with the number of rows in that call, so
+    the batches each call sees are part of the result.  A start stops after
     ``iters`` steps, at a relative decrease ``<= _FTOL``, at
     ``max|g| <= _GTOL``, or when its line search fails within
     ``_LINE_SEARCH_TRIALS`` halvings.  Returns the final rows, their values,
@@ -714,7 +721,8 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     rows (Riemannian L-BFGS; Absil, Mahony & Sepulchre, *Optimization
     Algorithms on Matrix Manifolds*, 2008).  ``project(rows, v)`` maps each
     direction into the tangent space at its row, and ``retract(rows)``
-    returns ``(rows, ok)``, the trial points pulled back onto the manifold;
+    returns ``(rows, ok)``, the trial points pulled back onto the manifold
+    as a new array;
     a trial with ``ok`` False fails like a trial without Armijo decrease, so
     its step halves.  ``fun`` should then return the tangent (Riemannian)
     gradient.  Curvature pairs stay plain differences of rows and of
@@ -729,43 +737,58 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
     run = np.flatnonzero(~converged)  # the start behind each working row
     xw, fw, gw = x[run], f[run], g[run]
     memory = _PairMemory(run.size, p)
-    for _ in range(iters):
+    for passes in range(iters):
         if run.size == 0:
             break
         direction = memory.direction(gw)
         if project is not None:
             direction = project(xw, direction)
         slope = np.einsum("ni,ni->n", gw, direction)
-        step = np.where(memory.held, 1.0,
-                        1.0 / np.maximum(np.linalg.norm(gw, axis=1), 1e-300))
-        x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
-        accepted = np.zeros(run.size, dtype=bool)
-        pending = np.flatnonzero(slope < 0.0)  # an uphill direction fails its search
-        moved = np.full(run.size, np.inf)  # largest |f_trial - f|; none tried: inf
-        moved[pending] = 0.0
+        step = np.ones(run.size) if memory.held.all() else np.where(
+            memory.held, 1.0, 1.0 / np.maximum(np.linalg.norm(gw, axis=1), 1e-300))
+        accepted = slope < 0.0  # an uphill direction fails its search
+        pending = np.flatnonzero(accepted)
+        # where every row tries the full step, its trials become the new rows
+        # (the rows it fails for are overwritten); else all start where they stand
+        x_new = None
+        if pending.size < run.size:
+            x_new, f_new, g_new = xw.copy(), fw.copy(), gw.copy()
+        chunks = []  # (pending, f of its trials) per chunk
         tried = 0
         while pending.size and tried < _LINE_SEARCH_TRIALS:
             # the full step alone, then the next halvings in stacked chunks of 1, 2, 4, ...
             width = min(max(tried, 1), _LINE_SEARCH_TRIALS - tried)
-            steps = np.ldexp(step[pending, None], -np.arange(tried, tried + width))
-            trial = (xw[pending, None] + steps[:, :, None] * direction[pending, None]).reshape(-1, p)
+            rows = slice(None) if pending.size == run.size else pending
+            steps = np.ldexp(step[rows, None], -np.arange(tried, tried + width))
+            trial = (xw[rows, None] + steps[:, :, None] * direction[rows, None]).reshape(-1, p)
             on_manifold = True
             if retract is not None:
                 trial, on_manifold = retract(trial)
             f_t, g_t = fun(trial)
-            bound = fw[pending, None] + _ARMIJO * steps * slope[pending, None]
+            bound = fw[rows, None] + _ARMIJO * steps * slope[rows, None]
             ok = (on_manifold & (f_t <= bound.ravel())).reshape(-1, width)
             hit = ok.any(axis=1)
-            # moved is read only where every trial failed, so it may take in
-            # the trials past a start's first accepted one
-            moved[pending] = np.maximum(moved[pending],
-                                        np.abs(f_t.reshape(-1, width) - fw[pending, None]).max(axis=1))
-            pick = np.flatnonzero(hit) * width + ok[hit].argmax(axis=1)
-            done = pending[hit]
-            x_new[done], f_new[done], g_new[done] = trial[pick], f_t[pick], g_t[pick]
-            accepted[done] = True
+            chunks.append((pending, f_t.reshape(-1, width)))
+            if x_new is None:
+                x_new, f_new, g_new = trial, f_t, g_t
+            else:
+                pick = np.flatnonzero(hit) * width + ok[hit].argmax(axis=1)
+                done = pending[hit]
+                x_new[done], f_new[done], g_new[done] = trial[pick], f_t[pick], g_t[pick]
             pending = pending[~hit]
             tried += width
+        flat = np.zeros(run.size, dtype=bool)
+        if pending.size:
+            # every trial failed for these starts: a search whose trials all
+            # stayed within the rounding of f stands at the minimum as far as
+            # f can tell.  The new rows may share the first chunk's arrays,
+            # so its values are read before these rows are restored.
+            f0 = fw[pending]
+            moved = np.max([np.abs(f_c[np.searchsorted(rows_c, pending)] - f0[:, None]).max(axis=1)
+                            for rows_c, f_c in chunks], axis=0)
+            flat[pending] = moved <= _F_ROUNDING * np.maximum(np.abs(f0), 1.0)
+            accepted[pending] = False
+            x_new[pending], f_new[pending], g_new[pending] = xw[pending], f0, gw[pending]
         s, y = x_new - xw, g_new - gw
         sy = np.einsum("ni,ni->n", s, y)
         # without positive curvature along the step the stored pairs no longer
@@ -775,18 +798,16 @@ def _lbfgs(fun, x: np.ndarray, iters: int, retract=None, project=None):
         scale = np.maximum(np.maximum(np.abs(fw), np.abs(f_new)), 1.0)
         met = accepted & ((fw - f_new <= _FTOL * scale)
                           | (np.abs(g_new).max(axis=1) <= _GTOL))
-        # a search that failed because no trial moved f beyond its rounding
-        # stands at the minimum as far as f can tell
-        flat = ~accepted & (moved <= _F_ROUNDING * np.maximum(np.abs(fw), 1.0))
-        iterations[run[accepted]] += 1
-        converged[run] = met | flat
         xw, fw, gw = x_new, f_new, g_new
-        # a met tolerance or a failed line search ends a start
+        # a met tolerance or a failed line search ends a start; a start that
+        # goes on has met no tolerance and has taken a step in every pass
         stop = met | ~accepted
         if stop.any():
-            x[run[stop]], f[run[stop]] = xw[stop], fw[stop]
+            ended = run[stop]
+            x[ended], f[ended], converged[ended] = xw[stop], fw[stop], met[stop] | flat[stop]
+            iterations[ended] = passes + accepted[stop]
             keep = ~stop
             run, xw, fw, gw = run[keep], xw[keep], fw[keep], gw[keep]
             memory.keep(keep)
-    x[run], f[run] = xw, fw
+    x[run], f[run], iterations[run] = xw, fw, iters
     return x, f, converged, iterations

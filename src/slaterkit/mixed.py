@@ -554,5 +554,5 @@ def _polar_retract(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked polar factors ``Y (Y^H Y)^(-1/2)``; ``ok`` marks Gram eigenvalue ratios >= 1e-12."""
     w, v = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ y)
     ok = w[..., 0] > 1e-12 * w[..., -1]
-    scale = 1.0 / np.sqrt(np.where(ok[..., None], w, 1.0))
+    scale = 1.0 / np.sqrt(w if ok.all() else np.where(ok[..., None], w, 1.0))
     return y @ ((v * scale[..., None, :]) @ v.conj().swapaxes(-1, -2)), ok

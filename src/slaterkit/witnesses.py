@@ -211,16 +211,19 @@ def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray, d_matrix=Non
         n = len(x)
         vecs = chart.vectors(x)
         psi = _pair_amps(chart.kind, chart.pair_matrices(vecs))
-        den = np.einsum("ni,ni->n", psi.conj(), psi).real
+        bra = psi.conj()
+        den = np.einsum("ni,ni->n", bra, psi).real
         degenerate = den < 1e-18
         dpsi = psi
         if d_t is not None:
             dpsi = psi @ d_t
-            norm2, den = den, np.einsum("ni,ni->n", psi.conj(), dpsi).real
+            norm2, den = den, np.einsum("ni,ni->n", bra, dpsi).real
             degenerate |= den < 1e-12 * norm2
-        den[degenerate] = 1.0
+        some_degenerate = degenerate.any()
+        if some_degenerate:
+            den[degenerate] = 1.0
         mpsi = psi @ m_t
-        f = np.einsum("ni,ni->n", psi.conj(), mpsi).real / den
+        f = np.einsum("ni,ni->n", bra, mpsi).real / den
         grad_vec = (mpsi - f[:, None] * dpsi) / den[:, None]  # d f / d conj(psi)
         # adjoint of the gather: d f / d conj(w) on an unconstrained w
         g = np.zeros((n, chart.d * chart.d), dtype=complex)
@@ -235,8 +238,9 @@ def _quadratic_objective(chart: _SectorChart, m_matrix: np.ndarray, d_matrix=Non
             gv = vecs.conj() @ (g + g.swapaxes(1, 2))
         flat = gv.reshape(n, -1)
         grad = np.concatenate([2.0 * flat.real, 2.0 * flat.imag], axis=1)
-        f[degenerate] = 1e6
-        grad[degenerate] = 0.0
+        if some_degenerate:
+            f[degenerate] = 1e6
+            grad[degenerate] = 0.0
         return f, grad
 
     return fun
