@@ -10,7 +10,6 @@ every ``*.json`` file in a directory with deterministic per-file seeds.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import zlib
@@ -211,8 +210,7 @@ def _run_single(command: str, args) -> int:
             except SlaterKitError as exc:
                 return name, {"error": str(exc), "error_type": type(exc).__name__}, _exit_code(exc)
 
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            rows = list(pool.map(work, names))
+        rows = [work(name) for name in names]
         report = {name: payload for name, payload, _ in rows}
         print(io.dump(report, None, args.pretty))
         codes = [code for _, _, code in rows]

@@ -13,20 +13,17 @@ dispersion is reported rather than any claim of exactness.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, mixed, sectors, states
+from . import mixed, sectors, states
 from .errors import (
     NotAnEdgeStateError,
     NotInRangeError,
     NumericalFailureError,
     OutOfRangeError,
-    SlaterKitError,
     SpaceMismatchError,
     UnsupportedSystemError,
     ValidationError,
@@ -328,16 +325,15 @@ def subtract_pure_projector(rho: mixed.DensityMatrix, psi: states.PureState,
 class RangeSearch(NamedTuple):
     """How the restarts of one search for a rank < k vector in a range ended.
 
-    ``tried`` restarts ran (the search stops at the first vector it keeps);
-    ``solved`` of them met the Gauss-Newton residual test, so ``tried -
-    solved`` failed it.  Of the solved ones, ``truncation_rejected`` could not
-    be snapped to the rank < k manifold and ``range_rejected`` left the range
-    once snapped.
+    ``tried`` restarts ran, counted in order up to the vector kept (the
+    search stops there); ``solved`` of them reached ``<psi|P|psi> <= 1e-10``
+    on the kernel projector ``P``, and ``range_rejected`` of the solved ones
+    were still outside the range after the polish.  A one-dimensional range
+    is decided without restarts and reports ``RangeSearch(0, 0, 0)``.
     """
 
     tried: int
     solved: int
-    truncation_rejected: int
     range_rejected: int
 
 
@@ -355,145 +351,60 @@ class EdgeDecomposition:
     searches: list = field(default_factory=list)
 
 
-def _truncate_to_rank(space, k, psi):
-    """Project a sector vector onto the Slater rank <= k-1 manifold."""
-    d = space.dims[0]
-    w = sectors.tensor_from_amps(space.kind, d, 2, psi)
-    try:
-        if space.kind == mixed.ANTISYMMETRIC:
-            form = linalg.youla_canonical(w)
-        else:
-            form = linalg.takagi_canonical(w)
-    except SlaterKitError:
-        return None
-    vals = form.values[: k - 1]
-    target = np.zeros((d, d), dtype=complex)
-    if space.kind == mixed.ANTISYMMETRIC:
-        target[2 * np.arange(len(vals)), 2 * np.arange(len(vals)) + 1] = vals
-        target -= target.T
-    else:
-        target[: len(vals), : len(vals)] = np.diag(vals)
-    u = form.transform
-    w_t = u.conj().T @ target @ u.conj()
-    vec = sectors.amps_from_tensor(space.kind, w_t)
-    n = np.linalg.norm(vec)
-    return vec / n if n > 1e-12 else None
+def _polish(chart: _SectorChart, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The chart state of the row ``x`` after 8 Gauss-Newton steps on the
+    residual ``kernel @ psi(z)``, as a unit sector vector.
 
-
-def _range_system(mats: np.ndarray, k: int, pattern: str, free: int):
-    """The rank < k test on the span of ``mats``, in range coordinates ``c``.
-
-    The contraction is symmetric and multilinear, so its values at ``w = sum_j
-    c_j mats[j]`` are ``f(c) = T(c, ..., c)`` and their Jacobian is exactly
-    ``k T(c, ..., c, .)``, where ``T[j1, ..., jk]`` is the contraction of
-    ``mats[j1], ..., mats[jk]``: one mixed-operand call per multiset of slots.
-    Returns ``fill(c, times)``: ``T`` with its first ``times`` slots taken by
-    each row of ``c``, flattened per row.  Past ``linalg._MAX_CONTRACTION_TERMS``
-    entries of ``T``, ``fill`` contracts every row afresh instead.
+    ``psi`` is quadratic and holomorphic in the chart vectors ``z``, so unit
+    central differences give its Jacobian exactly.  Each step is the
+    minimum-norm solution orthogonal to ``z``, so no step shrinks ``psi``
+    toward the trivial zero of the residual.
     """
-    r, d = mats.shape[:2]
-    ops = list(mats)  # one object per matrix, so repeated operands are found
-    n_values = math.comb(d, free)
-
-    def values(operands):
-        spec = linalg.EpsilonContractionSpec(operands, pattern, free)
-        return list(linalg.epsilon_contract(spec).values())
-
-    if n_values * r ** k > linalg._MAX_CONTRACTION_TERMS:
-        def fill(c, times):
-            tails = [()] if times == k else [(b,) for b in ops]
-            rows = [[values((w,) * times + tail) for tail in tails]
-                    for w in np.tensordot(c, mats, 1)]
-            return np.array(rows, dtype=complex).reshape(len(c), len(tails) * n_values)
-    else:
-        t = np.empty((r,) * k + (n_values,), dtype=complex)
-        for slots in itertools.combinations_with_replacement(range(r), k):
-            vals = values(tuple(ops[j] for j in slots))
-            for perm in set(itertools.permutations(slots)):
-                t[perm] = vals
-
-        def fill(c, times):
-            p = c @ t.reshape(r, -1)
-            for _ in range(times - 1):
-                p = np.einsum("nj,njm->nm", c, p.reshape(len(c), r, p.shape[1] // r))
-            return p
-    return fill
+    z = chart.vectors(x[None])[0]
+    units = np.eye(z.size).reshape(z.size, *z.shape)
+    shifts = np.concatenate([np.zeros_like(units[:1]), units, -units])
+    for _ in range(8):
+        psi = _pair_amps(chart.kind, chart.pair_matrices(z + shifts))
+        jac = kernel @ (psi[1:z.size + 1] - psi[z.size + 1:]).T / 2
+        flat = z.ravel()
+        across = np.eye(z.size) - np.outer(flat, flat.conj()) / np.vdot(flat, flat).real
+        step = np.linalg.lstsq(jac @ across, -(kernel @ psi[0]), rcond=None)[0]
+        z = z + step.reshape(z.shape)
+    psi = _pair_amps(chart.kind, chart.pair_matrices(z[None]))[0]
+    return psi / np.linalg.norm(psi)
 
 
 def _find_in_range(space, k, range_basis, budget, iters, rng):
     """Search for a Slater rank < k vector inside a given range.
 
-    Restricted to the range, the rank < k condition is a system of
-    homogeneous degree-k polynomials (``_range_system``), solved by damped
-    Gauss-Newton from random unit starts, stacked in chunks of 1, 1, 2, 4,
-    ... restarts.  A start is solved once ``max|f| <= 1e-12 * factor *
-    smax**k``, the bound on the values at largest singular value ``smax``; it
-    fails on ``smax < 1e-10``, after ``max(iters // 8, 40)`` steps, or when
-    none of 20 halvings of its minimum-norm step, renormalized, lowers
-    ``|f|``.  The first solved restart in order whose rank k-1 truncation
-    stays in the range is kept, with the generator just past its draw, as if
-    the restarts ran one by one.  Returns it (or None) and the tally.
+    A one-dimensional range holds a single candidate, decided by its Slater
+    decomposition.  Otherwise restarts minimize ``<psi|P|psi>`` over the rank
+    < k manifold (``_SectorChart``) with ``P`` the kernel projector, stacked
+    in chunks of 1, 1, 2, 4, ... restarts of ``iters`` L-BFGS steps.  A
+    restart with ``f <= 1e-10`` is polished onto the range (``_polish``) and
+    kept when its range residual is at most 1e-8; the first kept in order
+    ends the search.  Returns the vector (or None) and the tally.
     """
     rng = as_rng(rng)
-    d, r = space.dims[0], range_basis.shape[1]
-    single = space.kind == mixed.ANTISYMMETRIC
-    free = d - (2 * k if single else k)
-    mats = np.array([sectors.tensor_from_amps(space.kind, d, 2, v) for v in range_basis.T])
-    fill = _range_system(mats, k, "single" if single else "paired", free)
-    factor = math.factorial(k) * (2.0 ** k if single else 1.0)
-    damping = 0.5 ** np.arange(20)
-    tried = solved = truncated = outside = 0
+    if range_basis.shape[1] == 1:
+        psi = range_basis[:, 0]
+        rank = states.slater_decompose_two_particle(mixed.state_from_sector_vector(space, psi)).rank
+        return (psi if rank < k else None), RangeSearch(0, 0, 0)
+    chart = _SectorChart(space, k)
+    kernel = np.eye(len(range_basis)) - range_basis @ range_basis.conj().T
+    objective = _quadratic_objective(chart, kernel)
+    tried = solved = outside = 0
     while tried < budget:
         n = min(max(tried, 1), budget - tried)
-        state = rng.bit_generator.state
-        z = rng.standard_normal((n, 2, r))
-        c = z[:, 0] + 1j * z[:, 1]
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        ok = np.zeros(n, dtype=bool)
-        run = np.arange(n)  # the restart behind each unfinished row
-        for _ in range(max(iters // 8, 40)):
-            smax = np.linalg.svd(np.einsum("nj,jab->nab", c[run], mats), compute_uv=False)[:, 0]
-            run, smax = run[smax >= 1e-10], smax[smax >= 1e-10]
-            f = fill(c[run], k)
-            met = np.abs(f).max(axis=1) <= 1e-12 * factor * smax ** k
-            ok[run[met]] = True
-            run, f = run[~met], f[~met]
-            if run.size == 0:
-                break
-            jac = k * fill(c[run], k - 1).reshape(run.size, r, -1).swapaxes(1, 2)
-            u, sv, vh = np.linalg.svd(jac, full_matrices=False)
-            # numpy.linalg.lstsq's cutoff, so the step is its minimum-norm solution
-            sv = np.where(sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1], sv, np.inf)
-            step = np.einsum("nij,ni->nj", vh.conj(), np.einsum("nai,na->ni", u.conj(), f) / sv)
-            norm_f = np.linalg.norm(f, axis=1)
-            pending = np.arange(run.size)
-            # the full step, then its 19 halvings at once; the first to lower |f| wins
-            for damps in (damping[:1], damping[1:]):
-                if pending.size == 0:
-                    break
-                trial = c[run[pending], None] - damps[:, None] * step[pending, None]
-                tn = np.linalg.norm(trial, axis=2)
-                trial /= np.where(tn > 1e-12, tn, 1.0)[..., None]
-                f_t = np.linalg.norm(fill(trial.reshape(-1, r), k), axis=1).reshape(tn.shape)
-                lower = (tn > 1e-12) & (f_t < norm_f[pending, None])
-                hit = lower.any(axis=1)
-                c[run[pending[hit]]] = trial[hit, lower[hit].argmax(axis=1)]
-                pending = pending[~hit]
-            run = np.delete(run, pending)
-        for i in np.flatnonzero(ok):
+        x, f, _, _ = _lbfgs(objective, rng.standard_normal((n, chart.n_params)), iters)
+        for i in np.flatnonzero(f <= 1e-10):
             solved += 1
-            psi = range_basis @ c[i]
-            snapped = _truncate_to_rank(space, k, psi / np.linalg.norm(psi))
-            if snapped is None:
-                truncated += 1
-                continue
-            if np.linalg.norm(snapped - range_basis @ (range_basis.conj().T @ snapped)) <= 1e-8:
-                rng.bit_generator.state = state
-                rng.standard_normal((i + 1, 2, r))
-                return snapped, RangeSearch(tried + int(i) + 1, solved, truncated, outside)
+            psi = _polish(chart, kernel, x[i])
+            if np.linalg.norm(psi - range_basis @ (range_basis.conj().T @ psi)) <= 1e-8:
+                return psi, RangeSearch(tried + int(i) + 1, solved, outside)
             outside += 1
         tried += n
-    return None, RangeSearch(tried, solved, truncated, outside)
+    return None, RangeSearch(tried, solved, outside)
 
 
 def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
@@ -501,7 +412,7 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
     """Greedy convex split of a state into a class-(k-1) part and a k-edge part.
 
     Repeatedly finds Slater rank < k vectors in the range, by a seeded
-    Gauss-Newton search over range coordinates with ``budget`` restarts
+    search over the rank < k manifold with ``budget`` restarts
     (``_find_in_range``), and removes them with the maximal positive weight;
     when no candidate is found within the restart budget, the remainder
     is reported as the edge part.  An exhausted remainder (weight below
@@ -524,13 +435,14 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
             break
         # a positive trace keeps at least the largest eigenvalue
         evals, evecs = np.linalg.eigh(sigma)
-        basis = evecs[:, evals > RANK_RTOL * evals[-1]]
+        keep = evals > RANK_RTOL * evals[-1]
+        basis = evecs[:, keep]
         psi, search = _find_in_range(space, k, basis, budget, iters, rng)
         searches.append(search)
         if psi is None:
             break
-        pinv = np.linalg.pinv(sigma, rcond=RANK_RTOL, hermitian=True)
-        lam = 1.0 / float(np.real(np.vdot(psi, pinv @ psi)))
+        # 1 / <psi|sigma^+|psi>, the pseudo-inverse taken on the kept range
+        lam = 1.0 / float(np.sum(np.abs(basis.conj().T @ psi) ** 2 / evals[keep]))
         lam = min(lam, trace)
         sigma = sigma - lam * np.outer(psi, psi.conj())
         sigma = 0.5 * (sigma + sigma.conj().T)

@@ -1,13 +1,14 @@
-"""Differential test: the stacked range search against the restart loop.
+"""Differential test: the manifold range search against the Gauss-Newton loop.
 
-``_looped_find_in_range`` below is the former ``witnesses._find_in_range``:
-one Gauss-Newton restart at a time, with two Levi-Civita contractions per
-residual and one per Jacobian column on every step.  It is kept here only
-as the reference for the stacked search over the precomputed range
-polynomial (``witnesses._range_system``).
+``_looped_find_in_range`` below is a former ``witnesses._find_in_range``:
+damped Gauss-Newton on the Levi-Civita contraction values in range
+coordinates, one restart at a time, each solution snapped to the rank < k
+manifold by ``_truncate_to_rank``.  Both are kept here only as the reference
+for the search over the rank < k manifold that replaced them.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,8 +17,43 @@ from slaterkit import linalg as la
 from slaterkit import mixed, sectors
 from slaterkit import states as st
 from slaterkit import witnesses as wi
-from slaterkit.linalg import as_rng
-from slaterkit.witnesses import RangeSearch, _truncate_to_rank
+from slaterkit.errors import SlaterKitError
+from slaterkit.linalg import RANK_RTOL, as_rng
+
+
+class LoopSearch(NamedTuple):
+    """The loop's tally: ``truncation_rejected`` solved restarts could not be
+    snapped to the rank < k manifold."""
+
+    tried: int
+    solved: int
+    truncation_rejected: int
+    range_rejected: int
+
+
+def _truncate_to_rank(space, k, psi):
+    """Project a sector vector onto the Slater rank <= k-1 manifold."""
+    d = space.dims[0]
+    w = sectors.tensor_from_amps(space.kind, d, 2, psi)
+    try:
+        if space.kind == mixed.ANTISYMMETRIC:
+            form = la.youla_canonical(w)
+        else:
+            form = la.takagi_canonical(w)
+    except SlaterKitError:
+        return None
+    vals = form.values[: k - 1]
+    target = np.zeros((d, d), dtype=complex)
+    if space.kind == mixed.ANTISYMMETRIC:
+        target[2 * np.arange(len(vals)), 2 * np.arange(len(vals)) + 1] = vals
+        target -= target.T
+    else:
+        target[: len(vals), : len(vals)] = np.diag(vals)
+    u = form.transform
+    w_t = u.conj().T @ target @ u.conj()
+    vec = sectors.amps_from_tensor(space.kind, w_t)
+    n = np.linalg.norm(vec)
+    return vec / n if n > 1e-12 else None
 
 
 def _looped_find_in_range(space, k, range_basis, budget, iters, rng):
@@ -41,7 +77,7 @@ def _looped_find_in_range(space, k, range_basis, budget, iters, rng):
     else:
         pattern, free = "paired", d - k
     if free < 0:
-        return None, RangeSearch(0, 0, 0, 0)
+        return None, LoopSearch(0, 0, 0, 0)
 
     def residuals(w):
         spec = EpsilonContractionSpec((w,) * k, pattern, free)
@@ -98,14 +134,14 @@ def _looped_find_in_range(space, k, range_basis, budget, iters, rng):
             continue
         proj_resid = np.linalg.norm(snapped - range_basis @ (range_basis.conj().T @ snapped))
         if proj_resid <= 1e-8:
-            return snapped, RangeSearch(tried, solved, truncated, outside)
+            return snapped, LoopSearch(tried, solved, truncated, outside)
         outside += 1
-    return None, RangeSearch(tried, solved, truncated, outside)
+    return None, LoopSearch(tried, solved, truncated, outside)
 
 
 @pytest.fixture()
 def looped(monkeypatch):
-    """Run an edge decomposition with the restart loop in place of the stacked search."""
+    """Run an edge decomposition with the Gauss-Newton loop in place of the search."""
 
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
@@ -133,17 +169,22 @@ def _half_split():
                                        (0.5, st.maximally_correlated_state("fermion", 2))])
 
 
+def _product_vectors():
+    """The two ``e`` of ``_boson_products``."""
+    rng = np.random.default_rng(6)
+    return [la.haar_vector(3, rng) for _ in range(2)]
+
+
 def _boson_products():
     """Two bosonic product states ``|e, e>`` and the maximally correlated state, d = 3.
 
-    Every restart fails here: with as many contraction values as range
-    coordinates the Jacobian is square and invertible, so the Gauss-Newton
-    step of the homogeneous system is the radial ``c / k`` that renormalizing
-    undoes.
+    Every restart of the loop fails here: with as many contraction values as
+    range coordinates its Jacobian is square and invertible, so the
+    Gauss-Newton step of the homogeneous system is the radial ``c / k`` that
+    renormalizing undoes.  The manifold search finds both product states.
     """
-    rng = np.random.default_rng(6)
     pairs = [(0.3, st.boson_state_from_tensor(np.outer(e, e) / math.sqrt(2)))
-             for e in (la.haar_vector(3, rng) for _ in range(2))]
+             for e in _product_vectors()]
     return mixed.density_from_mixture(pairs + [(0.4, st.maximally_correlated_state("boson", 3))])
 
 
@@ -170,131 +211,91 @@ CASES = {
 }
 
 
+# where the two searches part ways: the loop finds no product state in
+# ``boson-products`` (weight 1.0), and the greedy split of ``class-three`` is
+# not canonical, so another valid rank-2 vector gives another weight
+WEIGHTS = {"boson-products": 0.4, "class-three": None}
+
+
+def _assert_valid(rho, out, k):
+    """``out`` rebuilds ``rho``, and each logged vector has rank < k and lies in
+    the range of what was left before its subtraction."""
+    parts = [(out.weight, out.edge_state), (1 - out.weight, out.lower_class_part)]
+    recon = sum(w * part.matrix for w, part in parts if part is not None)
+    assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
+    sigma = rho.matrix
+    for state, lam in out.subtraction_log:
+        assert st.slater_rank_by_contractions(state) < k
+        evals, evecs = np.linalg.eigh(sigma)
+        basis = evecs[:, evals > RANK_RTOL * evals[-1]]
+        psi = state.flat()
+        assert np.linalg.norm(psi - basis @ (basis.conj().T @ psi)) <= 1e-8
+        sigma = sigma - lam * np.outer(psi, psi.conj())
+
+
 def _assert_same(new, old):
-    assert new.searches == old.searches
     assert abs(new.weight - old.weight) <= 1e-10
     assert len(new.subtraction_log) == len(old.subtraction_log)
     for (s_new, lam_new), (s_old, lam_old) in zip(new.subtraction_log, old.subtraction_log):
         assert abs(lam_new - lam_old) <= 1e-10
         assert abs(abs(np.vdot(s_new.flat(), s_old.flat())) - 1.0) <= 1e-10
-    for part in ("edge_state", "lower_class_part"):
-        a, b = getattr(new, part), getattr(old, part)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_decomposition_matches_the_loop(case, looped):
     make, k, budget, seed = CASES[case]
     rho = make()
-    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = wi.edge_state_decompose(rho, k, budget=budget, seed=new_rng)
-    old = looped(rho, k, budget=budget, seed=old_rng)
-    _assert_same(new, old)
-    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    new = wi.edge_state_decompose(rho, k, budget=budget, seed=np.random.default_rng(seed))
+    old = looped(rho, k, budget=budget, seed=np.random.default_rng(seed))
+    _assert_valid(rho, new, k)
+    _assert_valid(rho, old, k)
+    if case not in WEIGHTS:
+        _assert_same(new, old)
+    elif WEIGHTS[case] is not None:
+        assert abs(new.weight - WEIGHTS[case]) <= 1e-10 and old.weight == 1.0
     assert all(type(n) is int for search in new.searches for n in search)
     # an integer seed takes the same path through a fresh generator
-    _assert_same(wi.edge_state_decompose(rho, k, budget=budget, seed=seed), new)
+    again = wi.edge_state_decompose(rho, k, budget=budget, seed=seed)
+    assert again.searches == new.searches
+    _assert_same(again, new)
 
 
 @pytest.mark.parametrize("rejected", [1, 3, 6])
-def test_winner_inside_a_chunk_matches_the_loop(rejected, monkeypatch):
-    # refusing the first truncations moves the kept restart into the chunks
-    # of 2 and 4, past solved restarts of its own chunk
-    truncate = wi._truncate_to_rank
-
-    def run(search):
-        calls = []
-
-        def reject_first(space, k, psi):
-            calls.append(psi)
-            return None if len(calls) <= rejected else truncate(space, k, psi)
-
-        rng = np.random.default_rng(11)
-        with monkeypatch.context() as patch:
-            patch.setattr(wi, "_find_in_range", search)
-            patch.setattr(wi, "_truncate_to_rank", reject_first)
-            patch.setitem(globals(), "_truncate_to_rank", reject_first)
-            out = wi.edge_state_decompose(_edge_mixture(11), 2, seed=rng)
-        return out, rng.bit_generator.state
-
-    (new, new_state), (old, old_state) = run(wi._find_in_range), run(_looped_find_in_range)
-    _assert_same(new, old)
-    assert new_state == old_state
-    assert new.searches[0].truncation_rejected == rejected
-    assert new.searches[0].tried == new.searches[0].solved == rejected + 1
-
-
-# ---------------------------------------------------------------------------
-# the range polynomial and its size guard
-# ---------------------------------------------------------------------------
-
-SYSTEMS = [(mixed.ANTISYMMETRIC, d, k) for d, ks in ((4, (2,)), (6, (2, 3)), (8, (2, 3)))
-           for k in ks] + [(mixed.SYMMETRIC, d, k) for d in (3, 4) for k in (2, 3)]
-
-
-def _range_mats(kind, d, r, rng):
-    dim = math.comb(d, 2) if kind == mixed.ANTISYMMETRIC else math.comb(d + 1, 2)
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))
-    return np.array([sectors.tensor_from_amps(kind, d, 2, basis[:, j]) for j in range(r)])
-
-
-def _pattern(kind, d, k):
-    return ("single", d - 2 * k) if kind == mixed.ANTISYMMETRIC else ("paired", d - k)
-
-
-def _contract(ops, pattern, free):
-    spec = la.EpsilonContractionSpec(tuple(ops), pattern, free)
-    return np.array(list(la.epsilon_contract(spec).values()))
-
-
-@pytest.mark.parametrize("system", SYSTEMS)
-def test_polynomial_matches_the_contractions(system, monkeypatch):
-    kind, d, k = system
-    rng = np.random.default_rng(10 * d + k)
-    mats = _range_mats(kind, d, 4, rng)
-    pattern, free = _pattern(kind, d, k)
-    c = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    f_ref = np.array([_contract((w,) * k, pattern, free) for w in np.tensordot(c, mats, 1)])
-    j_ref = np.array([np.column_stack([k * _contract((w,) * (k - 1) + (b,), pattern, free)
-                                       for b in mats]) for w in np.tensordot(c, mats, 1)])
-    scale = np.abs(f_ref).max(), np.abs(j_ref).max()
-
-    def check(fill):
-        assert np.abs(fill(c, k) - f_ref).max() <= 1e-12 * scale[0]
-        jac = k * fill(c, k - 1).reshape(3, 4, -1).swapaxes(1, 2)
-        assert np.abs(jac - j_ref).max() <= 1e-12 * scale[1]
-        assert fill(c[:0], k).shape == (0, math.comb(d, free))
-
-    check(wi._range_system(mats, k, pattern, free))
-    # one entry short of T: every row is contracted afresh, and each single
-    # contraction still fits the budget
-    monkeypatch.setattr(la, "_MAX_CONTRACTION_TERMS", math.comb(d, free) * 4 ** k - 1)
-    check(wi._range_system(mats, k, pattern, free))
-
-
-def _counted_contractions(monkeypatch):
+def test_winner_inside_a_chunk_matches_the_loop(rejected, monkeypatch, looped):
+    # refusing the first polished vectors moves the kept restart into the
+    # chunks of 2 and 4, past solved restarts of its own chunk
+    polish = wi._polish
     calls = []
-    contract = la.epsilon_contract
 
-    def counting(spec):
-        calls.append(spec)
-        return contract(spec)
+    def reject_first(chart, kernel, x):
+        calls.append(x)
+        psi = polish(chart, kernel, x)
+        return np.roll(psi, 1) if len(calls) <= rejected else psi
 
-    monkeypatch.setattr(la, "epsilon_contract", counting)
-    return calls
+    rho = _edge_mixture(11)
+    monkeypatch.setattr(wi, "_polish", reject_first)
+    new = wi.edge_state_decompose(rho, 2, seed=11)
+    _assert_valid(rho, new, 2)
+    _assert_same(new, looped(rho, 2, seed=11))
+    assert new.searches[0] == wi.RangeSearch(rejected + 1, rejected + 1, rejected)
 
 
-@pytest.mark.parametrize("case, limit", [("known-split", 3), ("boson-products", 24),
-                                         ("edge-mixture-2", 3)])
-def test_row_wise_guard_gives_the_same_decomposition(case, limit, monkeypatch):
+@pytest.mark.parametrize("case", list(CASES))
+def test_each_subtraction_takes_the_largest_weight(case):
+    # the weight read off the range's eigenpairs is the pseudo-inverse's
+    # 1 / <psi|sigma^+|psi>, and it leaves sigma positive with one rank less
     make, k, budget, seed = CASES[case]
-    rho = make()
-    calls = _counted_contractions(monkeypatch)
-    polynomial = wi.edge_state_decompose(rho, k, budget=budget, seed=seed)
-    n_polynomial = len(calls)
-    monkeypatch.setattr(la, "_MAX_CONTRACTION_TERMS", limit)
-    row_wise = wi.edge_state_decompose(rho, k, budget=budget, seed=seed)
-    assert len(calls) - n_polynomial > n_polynomial
-    _assert_same(row_wise, polynomial)
+    out = wi.edge_state_decompose(make(), k, budget=budget, seed=seed)
+    sigma = make().matrix
+    for state, lam in out.subtraction_log:
+        psi = state.flat()
+        evals = np.linalg.eigvalsh(sigma)
+        cutoff = RANK_RTOL * evals[-1]
+        pinv = np.linalg.pinv(sigma, rcond=RANK_RTOL, hermitian=True)
+        assert abs(lam * np.real(np.vdot(psi, pinv @ psi)) - 1.0) <= 1e-10
+        sigma = sigma - lam * np.outer(psi, psi.conj())
+        rest = np.linalg.eigvalsh(sigma)
+        assert rest[0] >= -1e-10
+        assert np.sum(rest > cutoff) == np.sum(evals > cutoff) - 1
+    # what no subtraction took is the edge part's weight
+    assert abs(np.trace(sigma).real - out.weight) <= 1e-10

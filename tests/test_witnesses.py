@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_range_search_differential import _boson_products, _product_vectors
 
 from slaterkit import linalg as la
 from slaterkit import mixed as mx
@@ -216,33 +217,73 @@ def test_edge_decompose_reports_range_searches():
     assert len(result.searches) == len(result.subtraction_log) + 1
     for search in result.searches[:-1]:
         assert 1 <= search.solved <= search.tried <= 24
-        assert search.solved == search.truncation_rejected + search.range_rejected + 1
-    # the edge part's range holds no Slater determinant: every restart fails
-    # the Gauss-Newton residual test and is counted, not dropped
-    assert result.searches[-1] == wi.RangeSearch(24, 0, 0, 0)
+        assert search.solved == search.range_rejected + 1
+    # the edge part's range is one-dimensional: its one candidate is decided
+    # by its Slater rank, with no restarts
+    assert result.searches[-1] == wi.RangeSearch(0, 0, 0)
 
 
 def test_edge_decompose_counts_rejected_restarts(monkeypatch):
     plain = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
-    truncate = wi._truncate_to_rank
+    polish = wi._polish
     calls = []
 
-    def reject_first_two(space, k, psi):
-        calls.append(psi)
-        if len(calls) == 1:
-            return None  # as if the canonical form failed
-        snapped = truncate(space, k, psi)
-        if len(calls) == 2:
-            return np.roll(snapped, 1)  # a vector outside the range
-        return snapped
+    def reject_first(chart, kernel, x):
+        calls.append(x)
+        psi = polish(chart, kernel, x)
+        return np.roll(psi, 1) if len(calls) == 1 else psi  # a vector outside the range
 
-    monkeypatch.setattr(wi, "_truncate_to_rank", reject_first_two)
+    monkeypatch.setattr(wi, "_polish", reject_first)
     result = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
     first = result.searches[0]
-    assert first.truncation_rejected == 1 and first.range_rejected == 1
-    assert first.solved == 3 and first.tried >= 3
+    assert first.range_rejected == 1
+    assert first.solved == 2 and first.tried >= 2
     assert result.searches[0].tried > plain.searches[0].tried
     assert abs(result.weight - 0.5) < 0.05
+
+
+def test_edge_decompose_finds_bosonic_product_states():
+    # both product states are subtracted and the edge part is the maximally
+    # correlated state (seed 6 would start the search at the first ``e``)
+    rho = _boson_products()
+    result = wi.edge_state_decompose(rho, 2, seed=0)
+    assert abs(result.weight - 0.4) < 1e-10
+    assert len(result.subtraction_log) == 2
+    for state, _ in result.subtraction_log:
+        assert st.slater_rank_by_contractions(state) == 1
+    mc = st.maximally_correlated_state("boson", 3).flat()
+    assert np.real(np.vdot(mc, result.edge_state.matrix @ mc)) > 1 - 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-6])
+def test_polish_moves_a_nearby_chart_point_onto_the_range(scale):
+    # the range has as many dimensions as the chart has coordinates, so an
+    # unconstrained Gauss-Newton step would be radial and change nothing
+    rho, e = _boson_products(), _product_vectors()[0]
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    basis = evecs[:, evals > la.RANK_RTOL * evals[-1]]
+    kernel = np.eye(rho.space.dim) - basis @ basis.conj().T
+    chart = wi._SectorChart(rho.space, 2)
+    x = np.concatenate([e.real, e.imag])
+    x += scale * np.random.default_rng(1).standard_normal(x.size)
+    start = chart.sector_vectors(x[None])[0]
+    psi = wi._polish(chart, kernel, x)
+    assert np.linalg.norm(kernel @ start) > 1e-3 * scale * np.linalg.norm(start)
+    assert np.linalg.norm(kernel @ psi) <= 1e-14
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["fermion", "boson"])
+def test_edge_decompose_decides_a_pure_state_without_restarts(kind):
+    det = (st.fermion_state(4, 2, {(0, 2): 1.0}) if kind == "fermion"
+           else st.boson_state_from_tensor(np.diag([1.0, 0.0, 0.0]) / np.sqrt(2)))
+    mc = st.maximally_correlated_state(kind, 2 if kind == "fermion" else 3)
+    lower = wi.edge_state_decompose(mx.density_from_pure(det), 2, seed=0)
+    assert lower.weight == 0.0 and lower.edge_state is None
+    assert lower.searches == [wi.RangeSearch(0, 0, 0)]
+    edge = wi.edge_state_decompose(mx.density_from_pure(mc), 2, seed=0)
+    assert edge.weight == 1.0 and not edge.subtraction_log
+    assert edge.searches == [wi.RangeSearch(0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
