@@ -34,10 +34,17 @@ def _complex_list(values) -> list:
     return [[float(np.real(z)), float(np.imag(z))] for z in values]
 
 
+def _load(path: str, expected, message: str):
+    """The object in ``path``; a ValidationError with ``message`` unless it
+    is an instance of ``expected``."""
+    obj = io.load_any(path)
+    if not isinstance(obj, expected):
+        raise ValidationError(message)
+    return obj
+
+
 def _report_rank(path: str, args) -> dict:
-    state = io.load_any(path)
-    if not isinstance(state, states.PureState):
-        raise ValidationError("rank expects a pure-state file")
+    state = _load(path, states.PureState, "rank expects a pure-state file")
     tol = args.tol if args.tol is not None else RANK_RTOL
     if state.kind == states.BIPARTITE:
         result = states.schmidt_decompose(state, rank_rtol=tol)
@@ -61,35 +68,27 @@ def _report_rank(path: str, args) -> dict:
 
 
 def _report_concurrence(path: str, args) -> dict:
-    state = io.load_any(path)
-    if not isinstance(state, states.PureState):
-        raise ValidationError("concurrence expects a pure-state file")
+    state = _load(path, states.PureState, "concurrence expects a pure-state file")
     return {"concurrence": states.concurrence_pure(state),
             "magic_coefficients": _complex_list(states.magic_basis_coeffs(state))}
 
 
 def _report_mixed_concurrence(path: str, args) -> dict:
-    rho = io.load_any(path)
-    if not isinstance(rho, mixed.DensityMatrix):
-        raise ValidationError("mixed-concurrence expects a density-matrix file")
+    rho = _load(path, mixed.DensityMatrix, "mixed-concurrence expects a density-matrix file")
     lam = mixed.concurrence_lambdas(rho)
     return {"concurrence": mixed.wootters_concurrence(rho),
             "lambdas": list(map(float, lam))}
 
 
 def _report_slater1(path: str, args) -> dict:
-    rho = io.load_any(path)
-    if not isinstance(rho, mixed.DensityMatrix):
-        raise ValidationError("slater1 expects a density-matrix file")
+    rho = _load(path, mixed.DensityMatrix, "slater1 expects a density-matrix file")
     result = mixed.slater_number_one_test(rho)
     return {"is_class_1": result.is_class_1,
             "c_values": list(map(float, result.c_values))}
 
 
 def _report_ppt(path: str, args) -> dict:
-    rho = io.load_any(path)
-    if not isinstance(rho, mixed.DensityMatrix):
-        raise ValidationError("ppt expects a density-matrix file")
+    rho = _load(path, mixed.DensityMatrix, "ppt expects a density-matrix file")
     pt = mixed.partial_transpose(rho, args.cut)
     min_eig = float(np.linalg.eigvalsh(pt)[0])
     report = {"cut": args.cut, "min_eigenvalue": min_eig, "ppt": bool(min_eig >= -1e-9)}
@@ -108,9 +107,7 @@ def _report_ppt(path: str, args) -> dict:
 
 
 def _report_modes(path: str, args) -> dict:
-    state = io.load_any(path)
-    if not isinstance(state, states.PureState):
-        raise ValidationError("modes expects a pure-state file")
+    state = _load(path, states.PureState, "modes expects a pure-state file")
     occ = modes.fock_to_qubits(state)
     cut = [int(x) for x in args.cut.split(",") if x != ""]
     return {"cut": cut,
@@ -143,22 +140,19 @@ def _cmd_witness(args) -> int:
             print(text)
         return 0
     if args.witness_cmd == "eval":
-        w = io.load_any(args.witness)
-        if not isinstance(w, witnesses.WitnessOperator):
-            raise ValidationError("witness eval expects an operator file first")
-        rho = io.load_any(args.state)
+        w = _load(args.witness, witnesses.WitnessOperator,
+                  "witness eval expects an operator file first")
+        rho = _load(args.state, (states.PureState, mixed.DensityMatrix),
+                    "witness eval expects a state or density file second")
         if isinstance(rho, states.PureState):
             rho = mixed.density_from_pure(rho)
-        if not isinstance(rho, mixed.DensityMatrix):
-            raise ValidationError("witness eval expects a state or density file second")
         result = witnesses.witness_value(w, rho)
         print(io.dump({"value": result.value, "detected": result.detected},
                       None, args.pretty))
         return 0
     if args.witness_cmd == "optimize":
-        w = io.load_any(args.witness)
-        if not isinstance(w, witnesses.WitnessOperator):
-            raise ValidationError("witness optimize expects an operator file")
+        w = _load(args.witness, witnesses.WitnessOperator,
+                  "witness optimize expects an operator file")
         outcome = witnesses.witness_optimize(w, budget=args.budget, seed=args.seed)
         def plain(v):
             if isinstance(v, (bool, int, np.integer)):

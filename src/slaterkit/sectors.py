@@ -66,19 +66,10 @@ def embedding_isometry(kind: str, d: int, n: int) -> np.ndarray:
     ordered tuple, so ``E.conj().T @ E == 1`` and ``E @ E.conj().T`` is
     the sector projector.
     """
-    tuples = sector_tuples(kind, d, n)
-    e = np.zeros((d ** n, len(tuples)), dtype=complex)
-    for col, t in enumerate(tuples):
-        for perm in set(itertools.permutations(t)):
-            flat = 0
-            for i in perm:
-                flat = flat * d + i
-            if kind == ANTISYMMETRIC:
-                e[flat, col] = perm_sign(perm)
-            else:
-                e[flat, col] = 1.0
-        e[:, col] /= np.linalg.norm(e[:, col])
-    return read_only(e)
+    positions, sources, coeffs = _expansion_table(kind, d, n)
+    e = np.zeros((d ** n, sector_dim(kind, d, n)), dtype=complex)
+    e[positions, sources] = np.sign(coeffs)
+    return read_only(e / np.linalg.norm(e, axis=0))
 
 
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:

@@ -50,9 +50,6 @@ BIPARTITE = "bipartite"
 FERMION = "fermion"
 BOSON = "boson"
 
-#: sector dimensions of the three canonical systems
-SYSTEM_DIMS = {"qubits": 4, "fermions": 6, "bosons": 3}
-
 _NORM_ATOL = 1e-6
 
 
@@ -190,9 +187,37 @@ def raw_state(kind: str, particles: int, dim, amps) -> PureState:
 # canonical systems: magic bases and dualisation
 # ---------------------------------------------------------------------------
 
-#: the three canonical systems by the (kind, particles, dim) of their states
-_CANONICAL_SYSTEMS = {(BIPARTITE, 2, (2, 2)): "qubits", (FERMION, 2, 4): "fermions",
-                      (BOSON, 2, 2): "bosons"}
+_S = 1.0 / math.sqrt(2.0)
+
+#: the three canonical systems: the (kind, particles, dim) of their states
+#: and the columns of their magic bases in sector coordinates
+_SYSTEMS = {
+    # product basis order (00, 01, 10, 11)
+    "qubits": ((BIPARTITE, 2, (2, 2)), (
+        (0, _S, -_S, 0),
+        (_S, 0, 0, _S),
+        (0, 1j * _S, 1j * _S, 0),
+        (1j * _S, 0, 0, -1j * _S),
+    )),
+    # pair basis order ((01), (02), (03), (12), (13), (23))
+    "fermions": ((FERMION, 2, 4), (
+        (_S, 0, 0, 0, 0, _S),
+        (0, _S, 0, 0, -_S, 0),
+        (0, 0, _S, _S, 0, 0),
+        (1j * _S, 0, 0, 0, 0, -1j * _S),
+        (0, 1j * _S, 0, 0, 1j * _S, 0),
+        (0, 0, 1j * _S, -1j * _S, 0, 0),
+    )),
+    # basis order ((00), (01), (11))
+    "bosons": ((BOSON, 2, 2), (
+        (_S, 0, _S),
+        (1j * _S, 0, -1j * _S),
+        (0, 1j, 0),
+    )),
+}
+
+#: sector dimensions of the three canonical systems
+SYSTEM_DIMS = {system: len(cols) for system, (_, cols) in _SYSTEMS.items()}
 
 
 def canonical_system(state: PureState) -> str:
@@ -203,10 +228,10 @@ def canonical_system(state: PureState) -> str:
 def canonical_system_of(kind: str, particles: int, dim) -> str:
     """The canonical system of states with this kind, particle number and
     single-particle dimension (``(d_A, d_B)`` when bipartite), or raise."""
-    system = _CANONICAL_SYSTEMS.get((kind, particles, dim))
-    if system is None:
-        raise UnsupportedSystemError(f"no dualisation for kind={kind}, N={particles}, dim={dim}")
-    return system
+    for system, (signature, _) in _SYSTEMS.items():
+        if signature == (kind, particles, dim):
+            return system
+    raise UnsupportedSystemError(f"no dualisation for kind={kind}, N={particles}, dim={dim}")
 
 
 @lru_cache(maxsize=None)
@@ -216,35 +241,9 @@ def magic_basis(system: str) -> np.ndarray:
     The magic states are (pseudo-)eigenstates of the dualisation operator:
     in this basis dualisation acts as plain complex conjugation.
     """
-    s = 1.0 / math.sqrt(2.0)
-    if system == "qubits":
-        # product basis order (00, 01, 10, 11)
-        cols = [
-            [0, s, -s, 0],
-            [s, 0, 0, s],
-            [0, 1j * s, 1j * s, 0],
-            [1j * s, 0, 0, -1j * s],
-        ]
-    elif system == "fermions":
-        # pair basis order ((01), (02), (03), (12), (13), (23))
-        cols = [
-            [s, 0, 0, 0, 0, s],
-            [0, s, 0, 0, -s, 0],
-            [0, 0, s, s, 0, 0],
-            [1j * s, 0, 0, 0, 0, -1j * s],
-            [0, 1j * s, 0, 0, 1j * s, 0],
-            [0, 0, 1j * s, -1j * s, 0, 0],
-        ]
-    elif system == "bosons":
-        # basis order ((00), (01), (11))
-        cols = [
-            [s, 0, s],
-            [1j * s, 0, -1j * s],
-            [0, 1j, 0],
-        ]
-    else:
+    if system not in _SYSTEMS:
         raise UnsupportedSystemError(f"unknown system {system!r}")
-    return read_only(np.array(cols, dtype=complex).T)
+    return read_only(np.array(_SYSTEMS[system][1], dtype=complex).T)
 
 
 @lru_cache(maxsize=None)
@@ -257,46 +256,28 @@ def spin_multiplet_basis() -> np.ndarray:
     coordinates, with the singlet phase fixed so that dualisation acts
     in this basis as the spin time-reversal matrix times conjugation.
     """
-    s = 1.0 / math.sqrt(2.0)
     cols = [
         [1, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
-        [0, 0, s, s, 0, 0],
+        [0, 0, _S, _S, 0, 0],
         [0, 0, 0, 0, 1, 0],
         [0, 0, 0, 0, 0, 1],
-        [0, 0, 1j * s, -1j * s, 0, 0],
+        [0, 0, 1j * _S, -1j * _S, 0, 0],
     ]
     return read_only(np.array(cols, dtype=complex).T)
 
 
 @lru_cache(maxsize=None)
 def dual_unitary(system: str) -> np.ndarray:
-    """Linear part ``U_D`` of the dualisation ``D = U_D K`` in sector coordinates."""
-    if system == "qubits":
-        m = np.array([
-            [0, 0, 0, 1],
-            [0, 0, -1, 0],
-            [0, -1, 0, 0],
-            [1, 0, 0, 0],
-        ])
-    elif system == "fermions":
-        m = np.array([
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, -1, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, -1, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-        ])
-    elif system == "bosons":
-        m = np.array([
-            [0, 0, 1],
-            [0, -1, 0],
-            [1, 0, 0],
-        ])
-    else:
-        raise UnsupportedSystemError(f"unknown system {system!r}")
-    return read_only(m.astype(complex))
+    """Linear part ``U_D`` of the dualisation ``D = U_D K`` in sector coordinates.
+
+    In the magic basis ``B`` dualisation is plain conjugation, so
+    ``U_D conj(B) = B`` and ``U_D = B B^T``.  For the three canonical bases
+    ``B B^T`` lies within 2.2e-16 of a signed permutation, which rounding
+    (with ``+ 0.0`` against negative zeros) makes exact.
+    """
+    b = magic_basis(system)
+    return read_only((np.round((b @ b.T).real) + 0.0).astype(complex))
 
 
 def dual_state(state: PureState) -> PureState:
@@ -687,11 +668,8 @@ def maximally_correlated_state(kind: str, big_k: int) -> PureState:
 def magic_state(system: str, index: int) -> PureState:
     """The ``index``-th magic-basis state as a PureState."""
     col = magic_basis(system)[:, index]
-    if system == "qubits":
-        return bipartite_state(col.reshape(2, 2))
-    if system == "fermions":
-        return fermion_state(4, 2, col)
-    return boson_state(2, 2, col)
+    kind, particles, dim = _SYSTEMS[system][0]
+    return _validated(kind, particles, dim, col.reshape(dim) if kind == BIPARTITE else col)
 
 
 def apply_single_particle(state: PureState, u) -> PureState:

@@ -289,6 +289,14 @@ def infimum_details(operator, k: int, space: mixed.StateSpace, budget: int = 64,
 # subtraction and edge decomposition
 # ---------------------------------------------------------------------------
 
+def _range_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a positive matrix above ``RANK_RTOL`` times the largest,
+    and the orthonormal range basis of their eigenvectors."""
+    evals, evecs = np.linalg.eigh(matrix)
+    keep = evals > RANK_RTOL * evals[-1]
+    return evals[keep], evecs[:, keep]
+
+
 @dataclass(frozen=True)
 class SubtractionResult:
     lambda_max: float
@@ -307,14 +315,12 @@ def subtract_pure_projector(rho: mixed.DensityMatrix, psi: states.PureState,
         raise SpaceMismatchError("state and density matrix live in different spaces")
     v = psi.flat()
     v = v / np.linalg.norm(v)
-    spec = mixed.subnormalized_spectrum(rho)
-    basis, _ = np.linalg.qr(spec.vectors)
-    resid = float(np.linalg.norm(v - basis @ (basis.conj().T @ v)))
+    evals, basis = _range_split(rho.matrix)
+    coords = basis.conj().T @ v
+    resid = float(np.linalg.norm(v - basis @ coords))
     if resid > range_tol:
         raise NotInRangeError(f"range-membership residual {resid:.3e} exceeds {range_tol:.1e}")
-    pinv = np.linalg.pinv(rho.matrix, rcond=RANK_RTOL, hermitian=True)
-    lam = 1.0 / float(np.real(np.vdot(v, pinv @ v)))
-    lam = min(lam, 1.0)
+    lam = min(1.0 / float(np.sum(np.abs(coords) ** 2 / evals)), 1.0)
     if lam >= 1.0 - 1e-9:
         return SubtractionResult(1.0, None)
     rem = (rho.matrix - lam * np.outer(v, v.conj())) / (1.0 - lam)
@@ -434,15 +440,13 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
             sigma = None
             break
         # a positive trace keeps at least the largest eigenvalue
-        evals, evecs = np.linalg.eigh(sigma)
-        keep = evals > RANK_RTOL * evals[-1]
-        basis = evecs[:, keep]
+        evals, basis = _range_split(sigma)
         psi, search = _find_in_range(space, k, basis, budget, iters, rng)
         searches.append(search)
         if psi is None:
             break
         # 1 / <psi|sigma^+|psi>, the pseudo-inverse taken on the kept range
-        lam = 1.0 / float(np.sum(np.abs(basis.conj().T @ psi) ** 2 / evals[keep]))
+        lam = 1.0 / float(np.sum(np.abs(basis.conj().T @ psi) ** 2 / evals))
         lam = min(lam, trace)
         sigma = sigma - lam * np.outer(psi, psi.conj())
         sigma = 0.5 * (sigma + sigma.conj().T)
@@ -485,9 +489,7 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     """
     space = delta.space
     dim = space.dim
-    evals, evecs = np.linalg.eigh(delta.matrix)
-    keep = evals > RANK_RTOL * evals[-1]
-    range_basis = evecs[:, keep]
+    _, range_basis = _range_split(delta.matrix)
     p = np.eye(dim, dtype=complex) - range_basis @ range_basis.conj().T
     eps, dispersion, _ = infimum_details(p, k, space, budget, iters, seed)
     if eps <= 1e-9:
@@ -499,12 +501,12 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     else:
         c_matrix = np.asarray(c_operator, dtype=complex)
         require_hermitian(c_matrix)
-        if np.linalg.eigvalsh(c_matrix)[0] < -TOL_SYM:
-            raise ValidationError("C must be positive semidefinite")
+    c_evals = np.linalg.eigvalsh(c_matrix)
+    if c_evals[0] < -TOL_SYM:
+        raise ValidationError("C must be positive semidefinite")
     if float(np.trace(c_matrix @ delta.matrix).real) <= 0.0:
         raise ValidationError("Tr(delta C) must be positive")
-    c_sup = float(np.linalg.eigvalsh(c_matrix)[-1])
-    w = p - (eps / c_sup) * c_matrix
+    w = p - (eps / float(c_evals[-1])) * c_matrix
     out = witness_operator(space, w, k)
     if not witness_value(out, delta).detected:
         raise NumericalFailureError("constructed witness does not detect its edge state")
@@ -583,13 +585,11 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
         "tangent_samples": len(tangent),
     }
     if tangent:
-        stack = np.array(tangent)
-        svals = np.linalg.svd(stack, compute_uv=False)
+        _, svals, vh = np.linalg.svd(np.array(tangent))
         span_dim = int(np.count_nonzero(svals > 1e-6 * svals[0]))
         diagnostics["tangent_span_dim"] = span_dim
         if span_dim == dim:
             return OptimizedWitness(w, True, 0.0, diagnostics)
-        _, _, vh = np.linalg.svd(stack)
         comp = vh[span_dim:].conj().T  # orthonormal basis of the complement
         p_c = comp @ comp.conj().T
         chart = _SectorChart(space, k)

@@ -98,6 +98,67 @@ def test_rank_command_multiparticle_certificates(tmp_path, capsys):
     assert cert["one_body_ratio"] > cert["tolerance"]
 
 
+@pytest.mark.parametrize("kind, d", [("fermion", 6), ("boson", 3)])
+def test_rank_command_two_particle_states(tmp_path, capsys, kind, d):
+    gen = np.random.default_rng(8)
+    elementary = (st.fermion_state(d, 2, {(0, 1): 1.0}) if kind == "fermion"
+                  else st.boson_state(d, 2, {(0, 0): 1.0}))
+    rotated = st.apply_single_particle(elementary, la.haar_unitary(d, gen))
+    for state, rank in ((rotated, 1), (st.random_pure_state(kind, d, 2, gen), 3)):
+        path = write(tmp_path, "s.json", skio.pure_state_to_dict(state))
+        code, report = run(capsys, "rank", path)
+        assert code == 0 and report["rank_claim"] == report["decomposition_rank"] == rank
+        assert len(report["canonical_values"]) == rank
+
+
+def test_rank_batch_runs_each_file_with_its_derived_seed(tmp_path, capsys, monkeypatch):
+    gen = np.random.default_rng(9)
+    for i in range(3):
+        state = st.random_pure_state("fermion", 6, 3, gen)
+        write(tmp_path, f"w{i}.json", skio.pure_state_to_dict(state))
+    write(tmp_path, "pair.json", skio.pure_state_to_dict(st.random_pure_state("boson", 3, 2, gen)))
+    seeds = []
+    rank_one = st.multiparticle_rank_one
+
+    def recording(state, rng=0, **kwargs):
+        seeds.append(rng)
+        return rank_one(state, rng=rng, **kwargs)
+
+    monkeypatch.setattr(st, "multiparticle_rank_one", recording)
+    code, first = run(capsys, "rank", str(tmp_path), "--batch", "--seed", "5")
+    assert code == 0 and len(first) == 4
+    assert seeds == [cli._derived_seed(5, f"w{i}.json") for i in range(3)]
+    assert run(capsys, "rank", str(tmp_path), "--batch", "--seed", "5") == (0, first)
+    for name, report in first.items():
+        seed = str(cli._derived_seed(5, name))
+        assert run(capsys, "rank", str(tmp_path / name), "--seed", seed) == (0, report)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "{density}"], "rank expects a pure-state file"),
+    (["concurrence", "{density}"], "concurrence expects a pure-state file"),
+    (["mixed-concurrence", "{pure}"], "mixed-concurrence expects a density-matrix file"),
+    (["slater1", "{pure}"], "slater1 expects a density-matrix file"),
+    (["ppt", "{pure}"], "ppt expects a density-matrix file"),
+    (["modes", "{density}", "--cut", "0"], "modes expects a pure-state file"),
+    (["kak", "{pure}"], "kak expects an operator file"),
+    (["witness", "eval", "{pure}", "{density}"], "witness eval expects an operator file first"),
+    (["witness", "eval", "{operator}", "{operator}"],
+     "witness eval expects a state or density file second"),
+    (["witness", "optimize", "{density}"], "witness optimize expects an operator file"),
+])
+def test_wrong_input_type_exits_with_input_error(tmp_path, capsys, argv, message):
+    mc = st.maximally_correlated_state("fermion", 2)
+    files = {"pure": write(tmp_path, "pure.json", skio.pure_state_to_dict(mc)),
+             "density": write(tmp_path, "rho.json", skio.density_to_dict(mx.density_from_pure(mc))),
+             "operator": write(tmp_path, "w.json",
+                               skio.witness_to_dict(wi.optimal_witness_example(2, 2, "fermion")))}
+    code = cli.main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"slaterkit: ValidationError: {message}\n"
+
+
 def test_concurrence_and_exit_codes(tmp_path, bell_file, capsys):
     code, report = run(capsys, "concurrence", bell_file)
     assert code == 0 and abs(report["concurrence"] - 1.0) < 1e-12

@@ -1,5 +1,7 @@
 """Pure-state decompositions, rank criteria, dualisation and measures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,22 @@ def test_multiparticle_three_fermion_certificate():
     assert st.verify_rank_certificate(state, verdict)
 
 
+@pytest.mark.parametrize("kind, d", [("fermion", 6), ("boson", 3)])
+def test_verify_contraction_certificates(kind, d):
+    gen = np.random.default_rng(5)
+    test = st.two_fermion_rank_below if kind == "fermion" else st.two_boson_rank_below
+    elementary = (st.fermion_state(d, 2, {(0, 1): 1.0}) if kind == "fermion"
+                  else st.boson_state(d, 2, {(0, 0): 1.0}))
+    low = st.apply_single_particle(elementary, la.haar_unitary(d, gen))
+    for state, threshold, claim, flipped in (
+            (low, 2, "rank_lt_2", "rank_ge_2"),
+            (st.random_pure_state(kind, d, 2, gen), 3, "rank_ge_3", "rank_lt_3")):
+        verdict = test(state, threshold)
+        assert verdict.claim == claim and verdict.certificate["kind"] == "contraction"
+        assert st.verify_rank_certificate(state, verdict)
+        assert not st.verify_rank_certificate(state, st.RankVerdict(flipped, verdict.certificate))
+
+
 def four_fermion_example(x=0.6, y=0.6, z=np.sqrt(1 - 0.72)):
     return st.fermion_state(8, 4, {(0, 1, 2, 3): x, (0, 1, 4, 5): y, (2, 3, 4, 5): z})
 
@@ -397,6 +415,50 @@ def test_spin_multiplet_basis_time_reversal():
         [0, 0, 0, 0, 0, 1],
     ])
     assert np.max(np.abs(d_mult - expected)) < 1e-12
+
+
+def test_dual_unitary_matches_the_literal_tables():
+    literal = {
+        "qubits": [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+        "fermions": [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0],
+                     [0, 0, 1, 0, 0, 0], [0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+        "bosons": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+    }
+    assert list(literal) == list(st.SYSTEM_DIMS)
+    for system, table in literal.items():
+        expected = np.array(table).astype(complex)
+        ud = st.dual_unitary(system)
+        assert np.array_equal(ud, expected)
+        # no negative zeros either: the entries match bit for bit
+        assert ud.tobytes() == expected.tobytes()
+    with pytest.raises(UnsupportedSystemError):
+        st.dual_unitary("qutrits")
+
+
+def test_magic_states_match_the_state_constructors():
+    for system, build in (("qubits", lambda c: st.bipartite_state(c.reshape(2, 2))),
+                          ("fermions", lambda c: st.fermion_state(4, 2, c)),
+                          ("bosons", lambda c: st.boson_state(2, 2, c))):
+        for i in range(st.SYSTEM_DIMS[system]):
+            state, expected = st.magic_state(system, i), build(st.magic_basis(system)[:, i])
+            assert (state.kind, state.particles, state.dim) == (
+                expected.kind, expected.particles, expected.dim)
+            assert np.array_equal(state.amps, expected.amps)
+            assert st.canonical_system(state) == system
+
+
+@pytest.mark.parametrize("kind", [sectors.ANTISYMMETRIC, sectors.SYMMETRIC])
+def test_embedding_isometry_matches_a_walk_over_permutations(kind):
+    for d in range(2, 6):
+        for n in range(1, 4):
+            tuples = sectors.sector_tuples(kind, d, n)
+            e = np.zeros((d ** n, len(tuples)), dtype=complex)
+            for col, t in enumerate(tuples):
+                for perm in set(itertools.permutations(t)):
+                    flat = int(np.ravel_multi_index(perm, (d,) * n))
+                    e[flat, col] = la.perm_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
+                e[:, col] /= np.linalg.norm(e[:, col])
+            assert np.array_equal(sectors.embedding_isometry(kind, d, n), e)
 
 
 def test_cached_bases_are_read_only():

@@ -140,6 +140,9 @@ def test_subtract_random_rank3():
     result = wi.subtract_pure_projector(rho, psi)
     assert result.remainder.rank() == 2
     assert np.linalg.eigvalsh(result.remainder.matrix)[0] >= -1e-10
+    v = psi.flat() / np.linalg.norm(psi.flat())
+    pinv = np.linalg.pinv(rho.matrix, rcond=la.RANK_RTOL, hermitian=True)
+    assert abs(result.lambda_max - 1.0 / np.vdot(v, pinv @ v).real) < 1e-12
 
 
 def test_subtract_not_in_range():
@@ -221,6 +224,19 @@ def test_edge_decompose_reports_range_searches():
     # the edge part's range is one-dimensional: its one candidate is decided
     # by its Slater rank, with no restarts
     assert result.searches[-1] == wi.RangeSearch(0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, d", [("boson", 3), ("fermion", 6)])
+def test_edge_decompose_exhausts_its_range_search_budget(kind, d, seed):
+    # a generic two-dimensional range holds no product vector or Slater
+    # determinant, so all four restarts run without a solution
+    gen = np.random.default_rng(seed)
+    rho = mx.density_from_mixture([(0.5, st.random_pure_state(kind, d, 2, gen)) for _ in range(2)])
+    result = wi.edge_state_decompose(rho, 2, budget=4, seed=0)
+    assert result.weight == 1.0 and result.subtraction_log == [] and result.lower_class_part is None
+    assert result.searches == [wi.RangeSearch(4, 0, 0)]
+    assert np.max(np.abs(result.edge_state.matrix - rho.matrix)) < 1e-12
 
 
 def test_edge_decompose_counts_rejected_restarts(monkeypatch):
