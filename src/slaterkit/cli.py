@@ -89,9 +89,8 @@ def _report_slater1(path: str, args) -> dict:
 
 def _report_ppt(path: str, args) -> dict:
     rho = _load(path, mixed.DensityMatrix, "ppt expects a density-matrix file")
-    pt = mixed.partial_transpose(rho, args.cut)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
-    report = {"cut": args.cut, "min_eigenvalue": min_eig, "ppt": bool(min_eig >= -1e-9)}
+    min_eig = float(np.linalg.eigvalsh(mixed.partial_transpose(rho))[0])
+    report = {"min_eigenvalue": min_eig, "ppt": bool(min_eig >= -1e-9)}
     if rho.space.kind == mixed.SYMMETRIC:
         try:
             sep = mixed.bosonic_ppt_separability(rho)
@@ -109,7 +108,10 @@ def _report_ppt(path: str, args) -> dict:
 def _report_modes(path: str, args) -> dict:
     state = _load(path, states.PureState, "modes expects a pure-state file")
     occ = modes.fock_to_qubits(state)
-    cut = [int(x) for x in args.cut.split(",") if x != ""]
+    try:
+        cut = [int(x) for x in args.cut.split(",") if x != ""]
+    except ValueError as exc:
+        raise ValidationError(f"--cut expects comma-separated mode indices, got {args.cut!r}") from exc
     return {"cut": cut,
             "entropy": modes.mode_bipartition_entropy(occ, cut),
             "sectors": list(occ.sectors_present())}
@@ -244,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("concurrence", help="pure-state concurrence"))
     add_common(sub.add_parser("mixed-concurrence", help="mixed-state concurrence"))
     add_common(sub.add_parser("slater1", help="Slater-number-one spectral test"))
-    ppt = sub.add_parser("ppt", help="partial transpose test (plus bosonic separability)")
-    add_common(ppt)
-    ppt.add_argument("--cut", choices=("A", "B"), default="A")
+    add_common(sub.add_parser("ppt", help="partial transpose test (plus bosonic separability)"))
     mo = sub.add_parser("modes", help="mode-occupation mapping and mode-cut entropy")
     add_common(mo)
     mo.add_argument("--cut", required=True, help="comma-separated left mode indices")

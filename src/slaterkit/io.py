@@ -30,7 +30,7 @@ def _matrix_to_json(m: np.ndarray) -> list:
 def _matrix_from_json(rows) -> np.ndarray:
     try:
         return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
 
@@ -47,14 +47,15 @@ def _space_from_json(obj) -> mixed.StateSpace:
     kind = obj["kind"]
     if kind == "bipartite":
         dims = obj.get("dims")
-        if not (isinstance(dims, list) and len(dims) == 2):
-            raise ValidationError("bipartite space needs 'dims': [d_A, d_B]")
-        return mixed.bipartite_space(int(dims[0]), int(dims[1]))
+        if not (isinstance(dims, list) and len(dims) == 2
+                and all(isinstance(n, int) and n > 0 for n in dims)):
+            raise ValidationError("bipartite space needs 'dims': [d_A, d_B], positive integers")
+        return mixed.bipartite_space(*dims)
     if kind in (mixed.ANTISYMMETRIC, mixed.SYMMETRIC):
-        d = obj.get("single_particle_dim")
-        if d is None:
-            raise ValidationError("sector space needs 'single_particle_dim'")
-        return mixed.StateSpace(kind, (int(d),), int(obj.get("particles", 2)))
+        d, n = obj.get("single_particle_dim"), obj.get("particles", 2)
+        if not all(isinstance(x, int) and x > 0 for x in (d, n)):
+            raise ValidationError("sector space needs 'single_particle_dim' and 'particles' > 0")
+        return mixed.StateSpace(kind, (d,), n)
     raise ValidationError(f"unknown space kind {kind!r}")
 
 
@@ -88,19 +89,22 @@ def pure_state_from_dict(obj: dict) -> states.PureState:
 
     if kind == "bipartite":
         dims = obj.get("dims")
-        if not (isinstance(dims, list) and len(dims) == 2):
-            raise ValidationError("bipartite state needs 'dims': [d_A, d_B]")
-        psi = np.zeros((int(dims[0]), int(dims[1])), dtype=complex)
-        for (i, j), a in entries():
-            psi[i, j] = a
+        if not (isinstance(dims, list) and len(dims) == 2
+                and all(isinstance(n, int) and n > 0 for n in dims)):
+            raise ValidationError("bipartite state needs 'dims': [d_A, d_B], positive integers")
+        psi = np.zeros(dims, dtype=complex)
+        for t, a in entries():
+            if len(t) != 2 or not (0 <= t[0] < dims[0] and 0 <= t[1] < dims[1]):
+                raise ValidationError(f"indices {list(t)} are not two indices inside 'dims' {dims}")
+            psi[t] = a
         return states.bipartite_state(psi)
     if kind in (states.FERMION, states.BOSON):
         d = obj.get("single_particle_dim")
         n = obj.get("particles")
-        if d is None or n is None:
-            raise ValidationError("need 'single_particle_dim' and 'particles'")
+        if not all(isinstance(x, int) and x >= 0 for x in (d, n)):
+            raise ValidationError("need 'single_particle_dim' and 'particles', non-negative integers")
         build = states.fermion_state if kind == states.FERMION else states.boson_state
-        return build(int(d), int(n), dict(entries()))
+        return build(d, n, dict(entries()))
     raise ValidationError(f"unknown pure-state kind {kind!r}")
 
 
@@ -120,13 +124,12 @@ def witness_to_dict(w: witnesses.WitnessOperator) -> dict:
             "matrix": _matrix_to_json(w.matrix)}
 
 
-def witness_from_dict(obj: dict, validate: bool = True) -> witnesses.WitnessOperator:
+def witness_from_dict(obj: dict) -> witnesses.WitnessOperator:
     space = _space_from_json(obj.get("space"))
     k = obj.get("slater_class")
-    if k is None:
-        raise ValidationError("operator file needs 'slater_class'")
-    return witnesses.witness_operator(space, _matrix_from_json(obj.get("matrix")),
-                                      int(k), validate=validate)
+    if not isinstance(k, int):
+        raise ValidationError("operator file needs an integer 'slater_class'")
+    return witnesses.witness_operator(space, _matrix_from_json(obj.get("matrix")), k)
 
 
 def unitary_from_dict(obj: dict) -> tuple[np.ndarray, mixed.StateSpace]:

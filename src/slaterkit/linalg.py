@@ -64,16 +64,16 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def require_antisymmetric(w: np.ndarray, tol: float = TOL_SYM) -> None:
+def require_antisymmetric(w: np.ndarray) -> None:
     dev = max_abs(w + w.T)
-    if dev > tol:
-        raise NotAntisymmetricError(f"max |w + w^T| = {dev:.3e} exceeds tol {tol:.1e}")
+    if dev > TOL_SYM:
+        raise NotAntisymmetricError(f"max |w + w^T| = {dev:.3e} exceeds tol {TOL_SYM:.1e}")
 
 
-def require_symmetric(v: np.ndarray, tol: float = TOL_SYM) -> None:
+def require_symmetric(v: np.ndarray) -> None:
     dev = max_abs(v - v.T)
-    if dev > tol:
-        raise NotSymmetricError(f"max |v - v^T| = {dev:.3e} exceeds tol {tol:.1e}")
+    if dev > TOL_SYM:
+        raise NotSymmetricError(f"max |v - v^T| = {dev:.3e} exceeds tol {TOL_SYM:.1e}")
 
 
 def require_hermitian(h: np.ndarray, tol: float = TOL_SYM) -> None:
@@ -82,10 +82,10 @@ def require_hermitian(h: np.ndarray, tol: float = TOL_SYM) -> None:
         raise ValidationError(f"max |h - h^dag| = {dev:.3e} exceeds tol {tol:.1e}")
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-9) -> None:
+def require_unitary(u: np.ndarray) -> None:
     dev = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
-    if dev > tol:
-        raise ValidationError(f"max |u u^dag - 1| = {dev:.3e} exceeds tol {tol:.1e}")
+    if dev > 1e-9:
+        raise ValidationError(f"max |u u^dag - 1| = {dev:.3e} exceeds tol 1.0e-09")
 
 
 def singular_values(m) -> np.ndarray:
@@ -99,6 +99,15 @@ def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def _range_split(matrix: np.ndarray, rtol: float = RANK_RTOL):
+    """Eigenvalues of a positive matrix above ``rtol`` times the largest
+    (ascending), the orthonormal range basis of their eigenvectors, and the
+    kernel basis of the rest."""
+    evals, evecs = np.linalg.eigh(matrix)
+    keep = evals > rtol * max(evals[-1], 0.0)
+    return evals[keep], evecs[:, keep], evecs[:, ~keep]
 
 
 def perm_sign(seq) -> int:
@@ -193,7 +202,7 @@ def _orthonormal_complement(used: np.ndarray, dim: int) -> np.ndarray:
     return evecs[:, keep]
 
 
-def youla_canonical(w, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
+def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
     """Canonical form of a complex antisymmetric matrix under congruence.
 
     Finds a unitary ``U`` with ``U @ w @ U.T = diag[Z_1, ..., Z_r, 0]``,
@@ -206,12 +215,12 @@ def youla_canonical(w, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> Co
     Raises
     ------
     NotAntisymmetricError
-        If ``max|w + w^T|`` exceeds ``tol``.
+        If ``max|w + w^T|`` exceeds ``TOL_SYM``.
     NumericalFailureError
         If the reconstruction residual exceeds the tolerance.
     """
     w = as_complex_matrix(w)
-    require_antisymmetric(w, tol)
+    require_antisymmetric(w)
     n = w.shape[0]
     if n == 0:
         return CongruenceCanonicalForm(np.eye(0, dtype=complex), np.array([]), 0.0)
@@ -288,12 +297,12 @@ def youla_canonical(w, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> Co
     return CongruenceCanonicalForm(u_out, values, residual)
 
 
-def _symmetric_unitary_factor(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_unitary_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric unitary as ``m = O diag(e^{i theta}) O.T``.
 
     ``m`` unitary symmetric implies real and imaginary parts are commuting
     real symmetric matrices; they are jointly diagonalized by a real
-    orthogonal ``O``.
+    orthogonal ``O``, to an off-diagonal residual of at most 1e-8.
     """
     x = np.ascontiguousarray(m.real)
     y = np.ascontiguousarray(m.imag)
@@ -314,7 +323,7 @@ def _symmetric_unitary_factor(m: np.ndarray, tol: float) -> tuple[np.ndarray, np
             start = stop
         diag = o.T @ m @ o
         off = max_abs(diag - np.diag(np.diagonal(diag)))
-        if off <= tol:
+        if off <= 1e-8:
             theta = np.angle(np.diagonal(diag))
             return o, theta
         last_err = off
@@ -323,7 +332,7 @@ def _symmetric_unitary_factor(m: np.ndarray, tol: float) -> tuple[np.ndarray, np
     )
 
 
-def takagi_canonical(v, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
+def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
     """Canonical form of a complex symmetric matrix under congruence.
 
     Finds a unitary ``U`` with ``U @ v @ U.T = diag(z_1, ..., z_r, 0, ...)``,
@@ -335,7 +344,7 @@ def takagi_canonical(v, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> C
     NotSymmetricError, NumericalFailureError
     """
     v = as_complex_matrix(v)
-    require_symmetric(v, tol)
+    require_symmetric(v)
     n = v.shape[0]
     if n == 0:
         return CongruenceCanonicalForm(np.eye(0, dtype=complex), np.array([]), 0.0)
@@ -352,7 +361,7 @@ def takagi_canonical(v, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> C
         sub = vecs[:, group]
         zc = float(np.mean(z[group]))
         bil = sub.T @ v @ sub
-        o, theta = _symmetric_unitary_factor(bil / zc, tol=1e-8)
+        o, theta = _symmetric_unitary_factor(bil / zc)
         block = sub @ (o * np.exp(-0.5j * theta))
         column_blocks.append(block)
 
@@ -388,7 +397,7 @@ def takagi_canonical(v, tol: float = TOL_SYM, rank_rtol: float = RANK_RTOL) -> C
 # Pfaffian
 # ---------------------------------------------------------------------------
 
-def pfaffian(w, tol: float = TOL_SYM) -> complex:
+def pfaffian(w) -> complex:
     """Pfaffian of an even-dimensional antisymmetric matrix.
 
     Uses Parlett-Reid skew-symmetric tridiagonalization with partial
@@ -403,7 +412,7 @@ def pfaffian(w, tol: float = TOL_SYM) -> complex:
     n = w.shape[0]
     if n % 2:
         raise OddDimensionError(f"Pfaffian requires even dimension, got {n}")
-    require_antisymmetric(w, tol)
+    require_antisymmetric(w)
     if n == 0:
         return 1.0 + 0j
 

@@ -52,8 +52,8 @@ def from_magic_basis(op, system: str) -> np.ndarray:
     return b @ op @ b.conj().T
 
 
-def is_dualisation_invariant(u, system: str, tol: float = 1e-9) -> bool:
-    """Whether a unitary commutes with the dualisation.
+def is_dualisation_invariant(u, system: str) -> bool:
+    """Whether a unitary commutes with the dualisation (to 1e-9).
 
     Equivalent to its magic-basis representation being real orthogonal;
     lifted special-unitary single-particle transformations qualify, any
@@ -63,8 +63,8 @@ def is_dualisation_invariant(u, system: str, tol: float = 1e-9) -> bool:
     _check_system(u, system)
     require_unitary(u)
     r = to_magic_basis(u, system)
-    return bool(max_abs(r @ r.T - np.eye(r.shape[0])) <= tol
-                and max_abs(r.imag) <= tol)
+    return bool(max_abs(r @ r.T - np.eye(r.shape[0])) <= 1e-9
+                and max_abs(r.imag) <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class KakFactors:
     residual: float
 
 
-def kak_decompose(u, system: str, tol: float = 1e-8) -> KakFactors:
+def kak_decompose(u, system: str) -> KakFactors:
     """Split a sector unitary into local factors and a diagonal phase core.
 
     In the magic basis, ``m = r r^T`` is a complex symmetric unitary
@@ -94,14 +94,14 @@ def kak_decompose(u, system: str, tol: float = 1e-8) -> KakFactors:
     ------
     NumericalFailureError
         On pathological degeneracy of the joint diagonalization or a
-        reconstruction residual above ``tol``.
+        reconstruction residual above 1e-8.
     """
     u = np.asarray(u, dtype=complex)
     dim = _check_system(u, system)
     require_unitary(u)
     r = to_magic_basis(u, system)
     m = r @ r.T
-    o, theta = _symmetric_unitary_factor(m, tol=1e-8)
+    o, theta = _symmetric_unitary_factor(m)
     phases = 0.5 * theta
     if np.linalg.det(o) < 0:
         o = o.copy()
@@ -124,7 +124,7 @@ def kak_decompose(u, system: str, tol: float = 1e-8) -> KakFactors:
         v2[0, :] = -v2[0, :]
     recon = v1 @ np.diag(ud) @ v2
     residual = max_abs(recon - r)
-    if residual > tol:
+    if residual > 1e-8:
         raise NumericalFailureError(f"KAK reconstruction residual {residual:.3e}")
     b = magic_basis(system)
     to_sector = lambda x: b @ x @ b.conj().T  # noqa: E731

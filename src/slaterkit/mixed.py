@@ -24,6 +24,7 @@ from .linalg import (
     RANK_RTOL,
     TOL_SYM,
     _lbfgs,
+    _range_split,
     as_rng,
     max_abs,
     takagi_canonical,
@@ -77,10 +78,8 @@ class DensityMatrix:
     space: StateSpace
     matrix: np.ndarray
 
-    def rank(self, rtol: float = RANK_RTOL) -> int:
-        evals = np.linalg.eigvalsh(self.matrix)
-        top = evals[-1]
-        return int(np.count_nonzero(evals > rtol * top)) if top > 0 else 0
+    def rank(self) -> int:
+        return len(_range_split(self.matrix)[0])
 
 
 def density_matrix(space: StateSpace, matrix) -> DensityMatrix:
@@ -166,19 +165,15 @@ class SubnormalizedSpectrum:
 
 
 def subnormalized_spectrum(rho: DensityMatrix, rtol: float = RANK_RTOL) -> SubnormalizedSpectrum:
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
-    keep = evals > rtol * max(evals[0], 0.0)
-    lam = evals[keep]
-    vecs = evecs[:, keep] * np.sqrt(lam)
-    return SubnormalizedSpectrum(vecs, lam)
+    lam, basis, _ = _range_split(rho.matrix, rtol)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    return SubnormalizedSpectrum(basis[:, order] * np.sqrt(lam), lam)
 
 
-def _dual_overlap(rho: DensityMatrix, system: str, rtol: float = RANK_RTOL) -> np.ndarray:
+def _dual_overlap(rho: DensityMatrix, system: str) -> np.ndarray:
     """Symmetrized bilinear overlaps ``V^T U_D^dag V`` of the subnormalized spectrum ``V``."""
-    v = subnormalized_spectrum(rho, rtol).vectors
+    v = subnormalized_spectrum(rho).vectors
     c = v.T @ states.dual_unitary(system).conj().T @ v
     return 0.5 * (c + c.T)
 
@@ -194,24 +189,24 @@ def dualised_density(rho: DensityMatrix) -> np.ndarray:
     return ud @ rho.matrix.conj() @ ud.conj().T
 
 
-def wootters_concurrence(rho: DensityMatrix, atol: float = 1e-9) -> float:
+def wootters_concurrence(rho: DensityMatrix) -> float:
     """Closed-form concurrence ``max(0, l1 - sum_{i>1} l_i)``.
 
     The ``l_i`` are the square roots of the (always real, non-negative)
     eigenvalues of ``rho @ dualised(rho)``, in descending order.  Zero
     exactly on states of correlation class one.
     """
-    lam = concurrence_lambdas(rho, atol)
+    lam = concurrence_lambdas(rho)
     return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
-def concurrence_lambdas(rho: DensityMatrix, atol: float = 1e-9) -> np.ndarray:
+def concurrence_lambdas(rho: DensityMatrix) -> np.ndarray:
     system = canonical_system_of_space(rho.space)
     raw = np.linalg.eigvals(rho.matrix @ dualised_density(rho))
-    if np.max(np.abs(raw.imag)) > atol:
-        raise ValidationError(f"spectrum of rho rho~ not real within {atol}")
-    if np.min(raw.real) < -atol:
-        raise ValidationError(f"spectrum of rho rho~ not non-negative within {atol}")
+    if np.max(np.abs(raw.imag)) > 1e-9:
+        raise ValidationError("spectrum of rho rho~ not real within 1e-09")
+    if np.min(raw.real) < -1e-9:
+        raise ValidationError("spectrum of rho rho~ not non-negative within 1e-09")
     # the nonzero values are exactly the singular values of the bilinear
     # overlap matrix over the subnormalized spectrum; unlike the product
     # spectrum this carries no sqrt-of-noise on the zero modes
@@ -225,22 +220,22 @@ class SlaterNumberOneResult:
     c_values: np.ndarray
 
 
-def slater_number_one_test(rho: DensityMatrix, rtol: float = RANK_RTOL) -> SlaterNumberOneResult:
+def slater_number_one_test(rho: DensityMatrix) -> SlaterNumberOneResult:
     """Spectral class-1 criterion for two fermions (d=4) or two bosons (d=2).
 
     Builds the complex symmetric matrix of pairwise bilinear overlaps
-    ``C_ij = <dual(Psi_i)|Psi_j>`` over the subnormalized spectrum,
-    diagonalizes it by unitary congruence, and declares Slater number one
-    iff the largest ``|c_i|`` does not exceed the sum of the others.
+    ``C_ij = <dual(Psi_i)|Psi_j>`` over the subnormalized spectrum, takes
+    its values under unitary congruence (the Takagi values of a complex
+    symmetric matrix are its singular values), and declares Slater number
+    one iff the largest ``|c_i|`` does not exceed the sum of the others.
     """
     system = canonical_system_of_space(rho.space)
     if system == "qubits":
         raise UnsupportedSystemError("class-1 spectral test covers the two exchange sectors")
-    c = _dual_overlap(rho, system, rtol)
+    c = _dual_overlap(rho, system)
     if len(c) == 0:
         return SlaterNumberOneResult(True, np.array([]))
-    form = takagi_canonical(c)
-    values = np.pad(form.values, (0, len(c) - len(form.values)))
+    values = np.linalg.svd(c, compute_uv=False)
     is_one = bool(values[0] <= values[1:].sum() + 1e-10)
     return SlaterNumberOneResult(is_one, values)
 
@@ -278,9 +273,10 @@ def partial_transpose(rho: DensityMatrix, cut: str = "A") -> np.ndarray:
     return partial_transpose_matrix(embed_full(rho), rho.space.full_dims, cut)
 
 
-def is_ppt(rho: DensityMatrix, cut: str = "A", tol: float = 1e-9) -> bool:
-    """Whether the partial transpose has no eigenvalue below ``-tol``."""
-    return bool(np.linalg.eigvalsh(partial_transpose(rho, cut))[0] >= -tol)
+def is_ppt(rho: DensityMatrix) -> bool:
+    """Whether the partial transpose has no eigenvalue below -1e-9 (either
+    cut: ``PT_B(rho)`` is the transpose of ``PT_A(rho)``)."""
+    return bool(np.linalg.eigvalsh(partial_transpose(rho))[0] >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +289,7 @@ class ProductVectorsResult:
     diagnostics: list = field(default_factory=list)
 
 
-def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
-                             range_tol: float = 1e-6) -> ProductVectorsResult:
+def product_vectors_in_range(rho: DensityMatrix) -> ProductVectorsResult:
     """Solve for the product vectors ``|e, e>`` in the range of a rank-4
     two-boson state with three modes.
 
@@ -314,7 +309,8 @@ def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
     ac))`` of the larger modulus.  No affine chart is chosen, so a vector
     with ``e_0 = 0`` is found like any other; generically there are
     exactly four.  Each candidate off either conic adds a ``"discarded
-    ..."`` line to the diagnostics.
+    ..."`` line to the diagnostics.  Every vector must lie in the range
+    (``RANK_RTOL`` cut) to a residual of 1e-6.
 
     Raises
     ------
@@ -325,13 +321,11 @@ def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
     """
     if rho.space.kind != SYMMETRIC or rho.space.dims != (3,) or rho.space.particles != 2:
         raise UnsupportedSystemError("product-vector recovery expects a two-boson state with d=3")
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    in_kernel = evals <= rank_rtol * evals[-1]
-    if np.count_nonzero(in_kernel) != 2:
+    _, basis, kernel = _range_split(rho.matrix)
+    if kernel.shape[1] != 2:
         raise ValidationError(
-            f"expected rank 4 (kernel dimension 2), found kernel {np.count_nonzero(in_kernel)}")
-    q1, q2 = (sectors.tensor_from_amps(SYMMETRIC, 3, 2, phi.conj())
-              for phi in evecs[:, in_kernel].T)
+            f"expected rank 4 (kernel dimension 2), found kernel {kernel.shape[1]}")
+    q1, q2 = (sectors.tensor_from_amps(SYMMETRIC, 3, 2, phi.conj()) for phi in kernel.T)
 
     samples = np.exp(0.5j * np.pi * np.arange(4))
     cubic = np.fft.fft(np.linalg.det(q1 + samples[:, None, None] * q2)) / 4
@@ -341,11 +335,11 @@ def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
     members = [(q1 + l * q2, q2) for l in np.roots(cubic[::-1])] + [(q2, q1)]
     svals = [np.linalg.svd(conic, compute_uv=False) for conic, _ in members]
     best = int(np.argmin([s[2] / s[1] if s[1] else np.inf for s in svals]))
-    if svals[best][1] <= rank_rtol * svals[best][0]:
+    if svals[best][1] <= RANK_RTOL * svals[best][0]:
         raise DegenerateSystemError(
             "the pencil has no member of rank two; repeated product vectors")
     conic, other = members[best]
-    form = takagi_canonical(conic, rank_rtol=rank_rtol)
+    form = takagi_canonical(conic)
     (z1, z2), (a1, a2) = np.sqrt(form.values[:2]), form.transform[:2].conj()
 
     diagnostics, found = [], []
@@ -371,12 +365,11 @@ def product_vectors_in_range(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
             [f"found {len(found)} product vectors, expected 4", *diagnostics]))
 
     # verify range membership
-    basis = evecs[:, ~in_kernel]
     checked = []
     for e in found:
         pair = _symmetric_pair_vector(e)
         resid = np.linalg.norm(pair - basis @ (basis.conj().T @ pair))
-        if resid > range_tol:
+        if resid > 1e-6:
             raise DegenerateSystemError(f"recovered vector leaves the range (residual {resid:.2e})")
         checked.append(_phase_fixed(e))
     return ProductVectorsResult(checked, diagnostics)
@@ -404,8 +397,7 @@ class SeparabilityResult:
     diagnostics: list = field(default_factory=list)
 
 
-def bosonic_ppt_separability(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
-                             ppt_tol: float = 1e-9) -> SeparabilityResult:
+def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
     """Separability decision for low-rank bosonic states with positive
     partial transpose.
 
@@ -416,21 +408,22 @@ def bosonic_ppt_separability(rho: DensityMatrix, rank_rtol: float = RANK_RTOL,
     space = rho.space
     if space.kind != SYMMETRIC:
         raise UnsupportedSystemError("separability theorems cover symmetric sectors")
-    if not is_ppt(rho, "A", ppt_tol):
+    if not is_ppt(rho):
         return SeparabilityResult("not_ppt")
-    r = rho.rank(rank_rtol)
+    lam, basis, _ = _range_split(rho.matrix)
+    r = len(lam)
 
     if space.dims == (3,) and space.particles == 2:
         if r <= 3:
             return SeparabilityResult("separable", diagnostics=[f"PPT with rank {r} <= 3"])
         if r == 4:
             try:
-                found = product_vectors_in_range(rho, rank_rtol)
+                found = product_vectors_in_range(rho)
             except DegenerateSystemError as exc:
                 return SeparabilityResult("inconclusive", diagnostics=[str(exc)])
             pairs = np.column_stack([_symmetric_pair_vector(e) for e in found.vectors])
-            pinv = np.linalg.pinv(rho.matrix, rcond=rank_rtol)
-            gram = pairs.conj().T @ pinv @ pairs
+            coords = basis.conj().T @ pairs
+            gram = (coords.conj().T / lam) @ coords
             off = max_abs(gram - np.diag(np.diagonal(gram)))
             if off > 1e-7 * max_abs(gram):
                 return SeparabilityResult("inconclusive", diagnostics=[

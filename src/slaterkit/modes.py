@@ -26,16 +26,16 @@ class OccupationState:
     modes: int
     amplitudes: np.ndarray  # dense, length 2**modes, big-endian bit order
 
-    def sectors_present(self, tol: float = 1e-12) -> tuple[int, ...]:
-        """Particle numbers carrying any amplitude weight."""
+    def sectors_present(self) -> tuple[int, ...]:
+        """Particle numbers carrying an amplitude above 1e-12."""
         weights = {}
-        for idx in np.nonzero(np.abs(self.amplitudes) > tol)[0]:
+        for idx in np.nonzero(np.abs(self.amplitudes) > 1e-12)[0]:
             weights[bin(int(idx)).count("1")] = True
         return tuple(sorted(weights))
 
-    def bitstring_amplitudes(self, tol: float = 1e-12) -> dict[str, complex]:
+    def bitstring_amplitudes(self) -> dict[str, complex]:
         out = {}
-        for idx in np.nonzero(np.abs(self.amplitudes) > tol)[0]:
+        for idx in np.nonzero(np.abs(self.amplitudes) > 1e-12)[0]:
             out[format(int(idx), f"0{self.modes}b")] = complex(self.amplitudes[idx])
         return out
 

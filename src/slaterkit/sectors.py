@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import perm_sign, read_only
+from .linalg import TOL_SYM, perm_sign, read_only
 
 ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
@@ -152,8 +152,8 @@ def amps_from_tensor(kind: str, tensor: np.ndarray) -> np.ndarray:
     return tensor.ravel()[flats] * factors
 
 
-def check_tensor_symmetry(kind: str, tensor: np.ndarray, tol: float) -> None:
-    """Verify total (anti)symmetry of a coefficient tensor."""
+def check_tensor_symmetry(kind: str, tensor: np.ndarray) -> None:
+    """Verify total (anti)symmetry of a coefficient tensor (to ``TOL_SYM``, relative)."""
     tensor = np.asarray(tensor)
     n = tensor.ndim
     scale = max(1.0, float(np.max(np.abs(tensor))) if tensor.size else 1.0)
@@ -163,7 +163,7 @@ def check_tensor_symmetry(kind: str, tensor: np.ndarray, tol: float) -> None:
             dev = np.max(np.abs(tensor + swapped))
         else:
             dev = np.max(np.abs(tensor - swapped))
-        if dev > tol * scale:
+        if dev > TOL_SYM * scale:
             raise ValidationError(
                 f"coefficient tensor is not {kind} (deviation {dev:.3e})"
             )

@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     CONTRACT_RTOL,
     RANK_RTOL,
-    TOL_SYM,
     EpsilonContractionSpec,
     as_rng,
     epsilon_contract,
@@ -154,26 +153,26 @@ def boson_state(d: int, particles: int, amplitudes) -> PureState:
     return _validated(BOSON, particles, d, amps)
 
 
-def fermion_state_from_tensor(w, tol: float = TOL_SYM) -> PureState:
+def fermion_state_from_tensor(w) -> PureState:
     """Validated fermionic state from a totally antisymmetric tensor.
 
     Normalization convention: ``sum |w|^2 = 1/N!`` over all orderings
     (up to the usual 1e-6 slack, after which the state is renormalized).
     """
     w = np.asarray(w, dtype=complex)
-    sectors.check_tensor_symmetry(sectors.ANTISYMMETRIC, w, tol)
+    sectors.check_tensor_symmetry(sectors.ANTISYMMETRIC, w)
     amps = sectors.amps_from_tensor(sectors.ANTISYMMETRIC, w)
     return _validated(FERMION, w.ndim, w.shape[0], amps)
 
 
-def boson_state_from_tensor(v, tol: float = TOL_SYM) -> PureState:
+def boson_state_from_tensor(v) -> PureState:
     """Validated bosonic state from a totally symmetric tensor.
 
     Normalization uses the multiplicity-aware inner product
     ``<v|v> = N! sum |v|^2`` (for N=2: ``2 sum |v_ij|^2 = 1``).
     """
     v = np.asarray(v, dtype=complex)
-    sectors.check_tensor_symmetry(sectors.SYMMETRIC, v, tol)
+    sectors.check_tensor_symmetry(sectors.SYMMETRIC, v)
     amps = sectors.amps_from_tensor(sectors.SYMMETRIC, v)
     return _validated(BOSON, v.ndim, v.shape[0], amps)
 
@@ -477,13 +476,13 @@ def project_reduce(state: PureState, a) -> PureState:
     return PureState(state.kind, state.particles - 1, state.dim, amps)
 
 
-def _probe_vectors(d: int, n_random: int, rng) -> list[np.ndarray]:
+def _probe_vectors(d: int, rng) -> list[np.ndarray]:
     probes = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     for i, j in itertools.combinations(range(d), 2):
         v = np.zeros(d, dtype=complex)
         v[i] = v[j] = 1.0 / math.sqrt(2.0)
         probes.append(v)
-    probes.extend(haar_vector(d, rng) for _ in range(n_random))
+    probes.extend(haar_vector(d, rng) for _ in range(32))
     return probes
 
 
@@ -512,8 +511,7 @@ def _one_body_test(state: PureState, rtol: float) -> tuple[bool, dict]:
     }
 
 
-def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
-                           rtol: float = CONTRACT_RTOL) -> RankVerdict:
+def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL) -> RankVerdict:
     """Decide whether an N-particle state (N >= 3) has Slater rank one.
 
     The claim is exact up to ``rtol``.  By Coleman's theorem an N-fermion
@@ -526,8 +524,8 @@ def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
 
     The probe set only supplies certificates.  For a ``rank_ge_2`` state,
     particles are projected out recursively along the probes (all basis
-    vectors, all normalized pairwise sums, plus ``n_random`` seeded Haar
-    vectors) until the two-particle criteria apply, and the first chain
+    vectors, all normalized pairwise sums, plus 32 seeded Haar vectors)
+    until the two-particle criteria apply, and the first chain
     whose reduction has Slater rank two is returned.  The ``rank_one``
     path draws nothing from ``rng``.
 
@@ -549,7 +547,7 @@ def multiparticle_rank_one(state: PureState, n_random: int = 32, rng=0,
     rank_one, certificate = _one_body_test(state, rtol)
     if rank_one:
         return RankVerdict("rank_one", certificate)
-    probes = _probe_vectors(state.dim, n_random, as_rng(rng))
+    probes = _probe_vectors(state.dim, as_rng(rng))
     rank_below = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
 
     def violating_chain(st: PureState, chain: tuple) -> tuple | None:
@@ -704,15 +702,14 @@ def random_pure_state(kind: str, d, particles: int, rng) -> PureState:
     return PureState(kind, particles, d, amps)
 
 
-def random_slater_rank_state(kind: str, d: int, rank: int, rng,
-                             min_weight: float = 0.15) -> PureState:
+def random_slater_rank_state(kind: str, d: int, rank: int, rng) -> PureState:
     """Haar-rotated two-particle state with a prescribed Slater rank.
 
-    Canonical occupation weights are sampled away from zero so the rank
-    is numerically unambiguous.
+    Canonical occupation weights are sampled at least 0.15 away from zero
+    (before normalization) so the rank is numerically unambiguous.
     """
     rng = as_rng(rng)
-    weights = np.abs(rng.standard_normal(rank)) + min_weight
+    weights = np.abs(rng.standard_normal(rank)) + 0.15
     weights /= np.linalg.norm(weights)
     phases = np.exp(2j * np.pi * rng.random(rank))
     if kind == FERMION:

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSystemError,
     ValidationError,
 )
-from .linalg import RANK_RTOL, TOL_SYM, _lbfgs, as_rng, require_hermitian
+from .linalg import TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian
 
 #: sampled non-negativity threshold for witness validation
 WITNESS_SAMPLE_TOL = -1e-8
@@ -84,13 +84,12 @@ def sample_rank_bounded(space: mixed.StateSpace, rank: int, n: int, rng) -> np.n
 
 
 def witness_operator(space: mixed.StateSpace, matrix, slater_class: int,
-                     validate: bool = True, n_samples: int = _BATTERY_SIZE,
-                     seed: int = _BATTERY_SEED) -> WitnessOperator:
+                     validate: bool = True) -> WitnessOperator:
     """Validated witness operator.
 
     Validation checks hermiticity and runs the seeded non-negativity
-    battery: ``Tr(W sigma) >= -1e-8`` on ``n_samples`` random pure
-    states of Slater rank below ``slater_class``.
+    battery: ``Tr(W sigma) >= -1e-8`` on ``_BATTERY_SIZE`` random pure
+    states of Slater rank below ``slater_class``, drawn from ``_BATTERY_SEED``.
     """
     if space.kind not in (mixed.ANTISYMMETRIC, mixed.SYMMETRIC) or space.particles != 2:
         raise UnsupportedSystemError("witnesses act on two-particle exchange sectors")
@@ -100,7 +99,7 @@ def witness_operator(space: mixed.StateSpace, matrix, slater_class: int,
     require_hermitian(m, TOL_SYM)
     m = 0.5 * (m + m.conj().T)
     if validate:
-        vecs = sample_rank_bounded(space, slater_class - 1, n_samples, seed)
+        vecs = sample_rank_bounded(space, slater_class - 1, _BATTERY_SIZE, _BATTERY_SEED)
         vals = np.einsum("ni,ij,nj->n", vecs.conj(), m, vecs).real
         worst = float(vals.min())
         if worst < WITNESS_SAMPLE_TOL:
@@ -289,37 +288,28 @@ def infimum_details(operator, k: int, space: mixed.StateSpace, budget: int = 64,
 # subtraction and edge decomposition
 # ---------------------------------------------------------------------------
 
-def _range_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a positive matrix above ``RANK_RTOL`` times the largest,
-    and the orthonormal range basis of their eigenvectors."""
-    evals, evecs = np.linalg.eigh(matrix)
-    keep = evals > RANK_RTOL * evals[-1]
-    return evals[keep], evecs[:, keep]
-
-
 @dataclass(frozen=True)
 class SubtractionResult:
     lambda_max: float
     remainder: mixed.DensityMatrix | None
 
 
-def subtract_pure_projector(rho: mixed.DensityMatrix, psi: states.PureState,
-                            range_tol: float = 1e-7) -> SubtractionResult:
+def subtract_pure_projector(rho: mixed.DensityMatrix, psi: states.PureState) -> SubtractionResult:
     """Largest projector weight that keeps ``rho - lambda |psi><psi|`` positive.
 
     ``lambda_max = 1 / <psi|rho^+|psi>`` with the pseudo-inverse taken on
-    the range; the remainder is renormalized.  A full subtraction
-    (``lambda_max == 1``) returns no remainder.
+    the range (``psi`` must lie in it to 1e-7); the remainder is
+    renormalized.  A full subtraction (``lambda_max == 1``) returns none.
     """
     if mixed.space_of_state(psi) != rho.space:
         raise SpaceMismatchError("state and density matrix live in different spaces")
     v = psi.flat()
     v = v / np.linalg.norm(v)
-    evals, basis = _range_split(rho.matrix)
+    evals, basis, _ = _range_split(rho.matrix)
     coords = basis.conj().T @ v
     resid = float(np.linalg.norm(v - basis @ coords))
-    if resid > range_tol:
-        raise NotInRangeError(f"range-membership residual {resid:.3e} exceeds {range_tol:.1e}")
+    if resid > 1e-7:
+        raise NotInRangeError(f"range-membership residual {resid:.3e} exceeds 1.0e-07")
     lam = min(1.0 / float(np.sum(np.abs(coords) ** 2 / evals)), 1.0)
     if lam >= 1.0 - 1e-9:
         return SubtractionResult(1.0, None)
@@ -414,11 +404,11 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
 
 
 def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
-                         iters: int = 400, seed=0) -> EdgeDecomposition:
+                         seed=0) -> EdgeDecomposition:
     """Greedy convex split of a state into a class-(k-1) part and a k-edge part.
 
     Repeatedly finds Slater rank < k vectors in the range, by a seeded
-    search over the rank < k manifold with ``budget`` restarts
+    search over the rank < k manifold with ``budget`` restarts of 400 steps
     (``_find_in_range``), and removes them with the maximal positive weight;
     when no candidate is found within the restart budget, the remainder
     is reported as the edge part.  An exhausted remainder (weight below
@@ -440,8 +430,8 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
             sigma = None
             break
         # a positive trace keeps at least the largest eigenvalue
-        evals, basis = _range_split(sigma)
-        psi, search = _find_in_range(space, k, basis, budget, iters, rng)
+        evals, basis, _ = _range_split(sigma)
+        psi, search = _find_in_range(space, k, basis, budget, 400, rng)
         searches.append(search)
         if psi is None:
             break
@@ -474,12 +464,13 @@ def _clip_psd(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
-                      budget: int = 64, iters: int = 400, seed=0) -> WitnessOperator:
+                      budget: int = 64, seed=0) -> WitnessOperator:
     """Witness ``W = P - (eps/c) C`` detecting a given k-edge state.
 
     ``P`` projects onto the kernel of ``delta``, ``eps`` is the searched
-    infimum of ``<psi|P|psi>`` over rank < k states and ``c`` the largest
-    eigenvalue of the positive operator ``C`` (identity by default).
+    infimum of ``<psi|P|psi>`` over rank < k states (``budget`` restarts of
+    400 steps) and ``c`` the largest eigenvalue of the positive operator
+    ``C`` (identity by default).
 
     Raises
     ------
@@ -489,9 +480,9 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     """
     space = delta.space
     dim = space.dim
-    _, range_basis = _range_split(delta.matrix)
+    _, range_basis, _ = _range_split(delta.matrix)
     p = np.eye(dim, dtype=complex) - range_basis @ range_basis.conj().T
-    eps, dispersion, _ = infimum_details(p, k, space, budget, iters, seed)
+    eps, dispersion, _ = infimum_details(p, k, space, budget, 400, seed)
     if eps <= 1e-9:
         raise NotAnEdgeStateError(
             f"kernel projector has vanishing infimum ({eps:.3e}); a rank<{k} vector"
@@ -522,12 +513,13 @@ class CanonicalWitnessForm:
 
 
 def canonical_witness_form(w: WitnessOperator, check_budget: int = 16,
-                           iters: int = 300, seed=0) -> CanonicalWitnessForm:
+                           seed=0) -> CanonicalWitnessForm:
     """Shift ``W = W~ - eps 1`` with ``W~ >= 0``.
 
     ``eps`` is minus the smallest eigenvalue of ``W`` (zero for an
     already positive operator).  Verification searches the rank < k
-    manifold and confirms ``eps <= inf <psi|W~|psi>`` within tolerance.
+    manifold (``check_budget`` restarts of 300 steps) and confirms
+    ``eps <= inf <psi|W~|psi>`` within tolerance.
     """
     eps = max(0.0, -float(np.linalg.eigvalsh(w.matrix)[0]))
     w_tilde = w.matrix + eps * np.eye(w.space.dim)
@@ -535,7 +527,7 @@ def canonical_witness_form(w: WitnessOperator, check_budget: int = 16,
     verified = True
     if eps > 0.0:
         inf_check = infimum_over_rank(w_tilde, w.slater_class, w.space,
-                                      budget=check_budget, iters=iters, seed=seed)
+                                      budget=check_budget, iters=300, seed=seed)
         verified = bool(eps <= inf_check + 1e-6)
     return CanonicalWitnessForm(w_tilde, eps, inf_check, verified)
 
@@ -617,20 +609,18 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
 # positive maps from witnesses
 # ---------------------------------------------------------------------------
 
-def embed_witness_full(w: WitnessOperator, complement: float = 1.0) -> np.ndarray:
+def embed_witness_full(w: WitnessOperator) -> np.ndarray:
     """Witness on the full tensor space.
 
-    The orthogonal complement of the exchange sector carries
-    ``complement`` times the identity; the default identity extension
-    keeps the canonical example's partial transpose positive and leaves
-    expectations on sector states unchanged.
+    The orthogonal complement of the exchange sector carries the identity;
+    this extension keeps the canonical example's partial transpose positive
+    and leaves expectations on sector states unchanged.
     """
     d = w.space.dims[0]
-    return sectors.embed_operator(w.space.kind, d, 2, w.matrix, complement=complement)
+    return sectors.embed_operator(w.space.kind, d, 2, w.matrix, complement=1.0)
 
 
-def jamiolkowski_map_apply(w: WitnessOperator, rho_ac: mixed.DensityMatrix,
-                           complement: float = 1.0) -> np.ndarray:
+def jamiolkowski_map_apply(w: WitnessOperator, rho_ac: mixed.DensityMatrix) -> np.ndarray:
     """Apply the positive map associated with a witness: ``Tr_A(W rho^T_A)``.
 
     ``rho_ac`` lives on a bipartite space whose first factor matches the
@@ -643,7 +633,7 @@ def jamiolkowski_map_apply(w: WitnessOperator, rho_ac: mixed.DensityMatrix,
         raise SpaceMismatchError(
             f"expected a bipartite state with first factor {d}, got {rho_ac.space}")
     dc = rho_ac.space.dims[1]
-    w_full = embed_witness_full(w, complement)
+    w_full = embed_witness_full(w)
     rho_ta = mixed.partial_transpose(rho_ac, "A")
     t = w_full.reshape(d, d, d, d)
     r4 = rho_ta.reshape(d, dc, d, dc)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +292,63 @@ def test_batch_mode(tmp_path, capsys):
         st.fermion_state(6, 2, {(0, 1): 1.0})))
     code, report = run(capsys, "concurrence", str(tmp_path), "--batch")
     assert code == 4 and "error" in report["c.json"]
+
+
+def _bipartite_document(dims, indices):
+    return {"type": "pure", "kind": "bipartite", "dims": dims,
+            "amplitudes": [{"indices": indices, "re": 1.0, "im": 0.0}]}
+
+
+MALFORMED = {
+    "index-past-dims": _bipartite_document([2, 2], [5, 0]),
+    "three-indices": _bipartite_document([2, 2], [0, 0, 1]),
+    "negative-dims": _bipartite_document([-1, 2], [0, 0]),
+    "negative-index": _bipartite_document([2, 2], [-1, 0]),
+    "ragged-matrix": {"type": "density", "space": {"kind": "bipartite", "dims": [2, 1]},
+                      "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+    "negative-particles": {"type": "pure", "kind": "fermion", "single_particle_dim": 4,
+                           "particles": -1, "amplitudes": []},
+    "text-space-dims": {"type": "density", "space": {"kind": "bipartite", "dims": ["x", 1]},
+                        "matrix": [[[1, 0]]]},
+    "negative-space-particles": {"type": "density", "matrix": [[[1, 0]]], "space": {
+        "kind": "symmetric", "single_particle_dim": 2, "particles": -1}},
+    "text-slater-class": {"type": "operator", "slater_class": "x", "matrix": [[[1, 0]]],
+                          "space": {"kind": "antisymmetric", "single_particle_dim": 4}},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_with_a_validation_error(name, tmp_path, capsys):
+    path = write(tmp_path, "bad.json", MALFORMED[name])
+    code = cli.main(["concurrence", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith("slaterkit: ValidationError: ")
+
+
+def test_modes_rejects_a_cut_that_is_not_mode_indices(tmp_path, capsys):
+    state = st.fermion_state(4, 2, {(0, 1): 1.0})
+    path = write(tmp_path, "det.json", skio.pure_state_to_dict(state))
+    assert cli.main(["modes", path, "--cut", "a"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("slaterkit: ValidationError: --cut")
+
+
+def test_batch_reports_a_malformed_file_next_to_a_good_one(bell_file, tmp_path, capsys):
+    write(tmp_path, "bad.json", MALFORMED["index-past-dims"])
+    code, report = run(capsys, "concurrence", str(tmp_path), "--batch")
+    assert code == cli.EXIT_INPUT
+    assert report["bad.json"]["error_type"] == "ValidationError"
+    assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("slaterkit ")]
+    assert len(lines) == 10
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_cli_and_a_manifold_search_load_no_scipy():

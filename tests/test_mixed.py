@@ -66,6 +66,20 @@ def test_subnormalized_spectrum_contract():
 # closed-form concurrence
 # ---------------------------------------------------------------------------
 
+def test_positive_matrices_are_cut_at_rank_rtol():
+    # one split serves the rank, the spectrum and the witness searches: a value
+    # 10x above RANK_RTOL (relative to the largest) stays, one 2x below goes
+    gen = np.random.default_rng(1)
+    u = la.haar_unitary(4, gen)
+    rho = mx.density_matrix(mx.bipartite_space(2, 2),
+                            (u * [1.0, 10 * la.RANK_RTOL, 0.5 * la.RANK_RTOL, 0.0]) @ u.conj().T
+                            / (1.0 + 10.5 * la.RANK_RTOL))
+    values, basis, kernel = la._range_split(rho.matrix)
+    assert basis.shape == (4, 2) and kernel.shape == (4, 2)
+    assert np.allclose(values * (1.0 + 10.5 * la.RANK_RTOL), [10 * la.RANK_RTOL, 1.0])
+    assert rho.rank() == mx.subnormalized_spectrum(rho).rank == 2
+
+
 def test_wootters_pure_reductions():
     bell = st.bipartite_state(np.array([[0, 1], [1, 0]]) / np.sqrt(2))
     assert abs(mx.wootters_concurrence(mx.density_from_pure(bell)) - 1.0) < 1e-10
@@ -146,6 +160,27 @@ def test_slater1_cross_check_with_wootters():
             assert verdict.is_class_1 == (closed < 1e-9)
 
 
+@pytest.mark.parametrize("kind, d", (("fermion", 4), ("boson", 2)))
+def test_slater1_reads_the_concurrence_spectrum(kind, d):
+    # the Takagi values of the overlap matrix are its singular values, the
+    # nonzero part of the closed-form concurrence spectrum
+    gen = np.random.default_rng(31)
+    dim = sectors.sector_dim(sectors.ANTISYMMETRIC if kind == "fermion" else sectors.SYMMETRIC, d, 2)
+    verdicts = set()
+    for rank in range(1, dim + 1):
+        for _ in range(4):
+            # generic mixtures and mixtures of uncorrelated states
+            members = ([st.random_pure_state(kind, d, 2, gen) for _ in range(rank)],
+                       [st.random_slater_rank_state(kind, d, 1, gen) for _ in range(rank)])
+            for group in members:
+                rho = mx.density_from_mixture(zip(gen.dirichlet(np.ones(rank)), group))
+                result = mx.slater_number_one_test(rho)
+                assert result.is_class_1 == (mx.wootters_concurrence(rho) <= 1e-10)
+                assert np.array_equal(result.c_values, mx.concurrence_lambdas(rho)[:rho.rank()])
+                verdicts.add(result.is_class_1)
+    assert verdicts == {True, False}
+
+
 def test_slater1_invariance():
     gen = np.random.default_rng(6)
     rho = random_mixture("boson", 2, 3, gen)
@@ -189,6 +224,21 @@ def test_partial_transpose_involution_and_structure():
     # B-cut is the transpose of the A-cut
     ptb = mx.partial_transpose(rho, "B")
     assert np.max(np.abs(ptb - pt.T)) < 1e-14
+
+
+@pytest.mark.parametrize("space", (
+    mx.bipartite_space(2, 2), mx.bipartite_space(2, 3), mx.antisymmetric_space(4),
+    mx.symmetric_space(2), mx.symmetric_space(3), mx.symmetric_space(2, 3)),
+    ids=("2x2", "2x3", "fermions-d4", "bosons-d2", "bosons-d3", "three-bosons-d2"))
+def test_partial_transpose_spectrum_is_the_same_at_either_cut(space):
+    # why is_ppt takes no cut: PT_B(rho) is the transpose of PT_A(rho)
+    gen = np.random.default_rng(32)
+    for rank in (1, 2, space.dim):
+        g = gen.standard_normal((space.dim, rank)) + 1j * gen.standard_normal((space.dim, rank))
+        m = g @ g.conj().T
+        rho = mx.density_matrix(space, m / np.trace(m).real)
+        spectra = [np.linalg.eigvalsh(mx.partial_transpose(rho, cut)) for cut in ("A", "B")]
+        assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12
 
 
 def test_partial_transpose_sector_embedding_is_isometric():
