@@ -12,6 +12,7 @@ so write-then-read reproduces amplitudes bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -34,6 +35,17 @@ def _matrix_from_json(rows) -> np.ndarray:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
 
+def _integers(values, message: str, low: float = -math.inf,
+              count: int | None = None) -> tuple[int, ...]:
+    """A JSON list of ``count`` (any number if None) integers, each at least
+    ``low``: floats and booleans do not count (``0.9`` and ``true`` are no
+    index)."""
+    if not (isinstance(values, list) and count in (None, len(values)) and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= low for v in values)):
+        raise ValidationError(message)
+    return tuple(values)
+
+
 def _space_to_json(space: mixed.StateSpace) -> dict:
     if space.kind == mixed.BIPARTITE:
         return {"kind": "bipartite", "dims": list(space.dims)}
@@ -46,15 +58,11 @@ def _space_from_json(obj) -> mixed.StateSpace:
         raise ValidationError("space tag must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "bipartite":
-        dims = obj.get("dims")
-        if not (isinstance(dims, list) and len(dims) == 2
-                and all(isinstance(n, int) and n > 0 for n in dims)):
-            raise ValidationError("bipartite space needs 'dims': [d_A, d_B], positive integers")
-        return mixed.bipartite_space(*dims)
+        return mixed.bipartite_space(*_integers(
+            obj.get("dims"), "bipartite space needs 'dims': [d_A, d_B], positive integers", 1, 2))
     if kind in (mixed.ANTISYMMETRIC, mixed.SYMMETRIC):
-        d, n = obj.get("single_particle_dim"), obj.get("particles", 2)
-        if not all(isinstance(x, int) and x > 0 for x in (d, n)):
-            raise ValidationError("sector space needs 'single_particle_dim' and 'particles' > 0")
+        d, n = _integers([obj.get("single_particle_dim"), obj.get("particles", 2)],
+                         "sector space needs 'single_particle_dim' and 'particles' > 0", 1)
         return mixed.StateSpace(kind, (d,), n)
     raise ValidationError(f"unknown space kind {kind!r}")
 
@@ -80,31 +88,33 @@ def pure_state_from_dict(obj: dict) -> states.PureState:
     if not isinstance(raw, list):
         raise ValidationError("'amplitudes' must be a list")
 
-    def entries():
+    def entries() -> dict:
+        amps = {}
         for item in raw:
             try:
-                yield tuple(int(i) for i in item["indices"]), complex(item["re"], item["im"])
+                t = _integers(item["indices"], f"'indices' of {item!r} must be integers >= 0", 0)
+                a = complex(item["re"], item["im"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed amplitude entry {item!r}") from exc
+            if t in amps:
+                raise ValidationError(f"indices {list(t)} are listed twice")
+            amps[t] = a
+        return amps
 
     if kind == "bipartite":
-        dims = obj.get("dims")
-        if not (isinstance(dims, list) and len(dims) == 2
-                and all(isinstance(n, int) and n > 0 for n in dims)):
-            raise ValidationError("bipartite state needs 'dims': [d_A, d_B], positive integers")
+        dims = _integers(obj.get("dims"),
+                         "bipartite state needs 'dims': [d_A, d_B], positive integers", 1, 2)
         psi = np.zeros(dims, dtype=complex)
-        for t, a in entries():
-            if len(t) != 2 or not (0 <= t[0] < dims[0] and 0 <= t[1] < dims[1]):
-                raise ValidationError(f"indices {list(t)} are not two indices inside 'dims' {dims}")
+        for t, a in entries().items():
+            if len(t) != 2 or not (t[0] < dims[0] and t[1] < dims[1]):
+                raise ValidationError(f"indices {list(t)} are not two indices inside 'dims' {list(dims)}")
             psi[t] = a
         return states.bipartite_state(psi)
     if kind in (states.FERMION, states.BOSON):
-        d = obj.get("single_particle_dim")
-        n = obj.get("particles")
-        if not all(isinstance(x, int) and x >= 0 for x in (d, n)):
-            raise ValidationError("need 'single_particle_dim' and 'particles', non-negative integers")
+        d, n = _integers([obj.get("single_particle_dim"), obj.get("particles")],
+                         "need 'single_particle_dim' and 'particles', non-negative integers", 0)
         build = states.fermion_state if kind == states.FERMION else states.boson_state
-        return build(d, n, dict(entries()))
+        return build(d, n, entries())
     raise ValidationError(f"unknown pure-state kind {kind!r}")
 
 
@@ -126,9 +136,7 @@ def witness_to_dict(w: witnesses.WitnessOperator) -> dict:
 
 def witness_from_dict(obj: dict) -> witnesses.WitnessOperator:
     space = _space_from_json(obj.get("space"))
-    k = obj.get("slater_class")
-    if not isinstance(k, int):
-        raise ValidationError("operator file needs an integer 'slater_class'")
+    (k,) = _integers([obj.get("slater_class")], "operator file needs an integer 'slater_class'")
     return witnesses.witness_operator(space, _matrix_from_json(obj.get("matrix")), k)
 
 

@@ -6,6 +6,12 @@ matrices with Levi-Civita tensors, and seeded Haar sampling.  Everything
 here is a pure function of its inputs; randomness enters only through an
 explicitly passed generator.
 
+One stacked Parlett-Reid kernel evaluates every Pfaffian: that of a single
+matrix and those of the principal minors a contraction reduces to.  A
+contraction over ``n x n`` minors of a ``d x d`` operand costs
+``C(d, n) n^3`` operations (``n = 2k`` Pfaffians for fermions, ``n = k``
+determinants for bosons) and is refused above 20 million.
+
 Conventions
 -----------
 A congruence canonical form is a unitary ``U`` such that ``U @ m @ U.T``
@@ -397,11 +403,41 @@ def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm
 # Pfaffian
 # ---------------------------------------------------------------------------
 
+def _pfaffians(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a stack ``(m, n, n)`` of antisymmetric matrices, even
+    ``n >= 2``, by Parlett-Reid skew tridiagonalization with partial pivoting,
+    O(m n^3) (Wimmer, ACM TOMS 38, 30 (2012), Algorithm 923).
+
+    Each step pivots the largest entry of the first column into row 1,
+    multiplies in ``a[:, 0, 1]`` and reduces the stack to its updated
+    trailing block; the last 2 x 2 block needs no pivot search.  Each matrix
+    picks its own pivot, and only the matrices that need a swap swap (which
+    flips the sign of their Pfaffian).  A matrix whose pivot column is zero
+    has Pf = 0 and takes no division.  The input stack is not modified.
+    """
+    a = np.array(a, dtype=complex)
+    pf = np.ones(len(a), dtype=complex)
+    for _ in range(a.shape[-1] // 2 - 1):
+        kp = 1 + np.abs(a[:, 1:, 0]).argmax(axis=1)
+        flip = kp != 1
+        swap = np.flatnonzero(flip)
+        if swap.size:
+            p = kp[swap]
+            a[swap, 1], a[swap, p] = a[swap, p], a[swap, 1]
+            a[swap, :, 1], a[swap, :, p] = a[swap, :, p], a[swap, :, 1]
+        piv = a[:, 0, 1]
+        pf *= np.where(flip, -piv, piv)
+        tau = a[:, 0, 2:] / np.where(piv == 0, 1, piv)[:, None]
+        outer = tau[:, :, None] * a[:, None, 2:, 1]
+        a = a[:, 2:, 2:] + (outer - outer.transpose(0, 2, 1))
+    return pf * a[:, 0, 1]
+
+
 def pfaffian(w) -> complex:
     """Pfaffian of an even-dimensional antisymmetric matrix.
 
-    Uses Parlett-Reid skew-symmetric tridiagonalization with partial
-    pivoting, O(n^3).  Satisfies ``pfaffian(w)**2 == det(w)`` and
+    The one-matrix case of the stacked Parlett-Reid kernel, O(n^3).
+    Satisfies ``pfaffian(w)**2 == det(w)`` and
     ``pfaffian(Q w Q^T) == det(Q) pfaffian(w)``.
 
     Raises
@@ -415,24 +451,7 @@ def pfaffian(w) -> complex:
     require_antisymmetric(w)
     if n == 0:
         return 1.0 + 0j
-
-    a = w.copy()
-    pf = 1.0 + 0j
-    for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if kp != k + 1:
-            a[[k + 1, kp], :] = a[[kp, k + 1], :]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            pf = -pf
-        piv = a[k, k + 1]
-        if piv == 0:
-            return 0j
-        pf *= piv
-        if k + 2 < n:
-            tau = a[k, k + 2:] / piv
-            col = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(pf)
+    return complex(_pfaffians(w[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -476,48 +495,6 @@ def _minor_index(d: int, size: int):
 
 
 @lru_cache(maxsize=None)
-def _matching_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Perfect matchings of ``range(n)``: flat positions ``a * n + b`` of
-    their pairs ``a < b``, shape ``(n // 2, (n-1)!!)``, and their real signs.
-
-    Expansion along the first element: pairing 0 with ``j`` contributes
-    ``(-1)**(j - 1)`` times the sign of a matching of the other elements.
-    The contraction guard admits ``n <= 16``, so the cached positions are
-    int16 and the signs real, a quarter and a half of intp and complex.
-    """
-    if n == 0:
-        return read_only(np.zeros((0, 1), dtype=np.int16)), read_only(np.ones(1))
-    sub, sub_signs = _matching_table(n - 2)
-    rows, cols = divmod(sub, max(n - 2, 1))
-    blocks, signs = [], []
-    for j in range(1, n):
-        others = np.array([x for x in range(1, n) if x != j], dtype=np.int16)
-        blocks.append(np.vstack([np.full((1, sub.shape[1]), j, dtype=np.int16),
-                                 others[rows] * n + others[cols]]))
-        signs.append(sub_signs if j % 2 else -sub_signs)
-    return read_only(np.hstack(blocks)), read_only(np.concatenate(signs))
-
-
-#: complex products held at once by the Pfaffian kernel
-_PFAFFIAN_CHUNK = 1 << 20
-
-
-def _pfaffians(minors: np.ndarray, n: int) -> np.ndarray:
-    """Pfaffians of row-major flattened ``n x n`` antisymmetric matrices,
-    one per row, by the perfect-matching expansion."""
-    flat, signs = _matching_table(n)
-    step = max(1, _PFAFFIAN_CHUNK // len(signs))
-    parts = []
-    for start in range(0, len(minors), step):
-        block = minors[start:start + step]
-        prod = block.take(flat[0], axis=1)
-        for column in flat[1:]:
-            prod *= block.take(column, axis=1)
-        parts.append(prod.dot(signs))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-@lru_cache(maxsize=None)
 def _fourier_nodes(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Polarization of a degree-k form ``P`` at operands of multiplicities ``m_i``.
 
@@ -545,9 +522,11 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
     weighted sum over ``prod(m_i + 1)`` combinations of the operands
     (multiplicities ``m_i``) evaluated in the same stack.
 
-    The cost per combination is ``C(d, 2k) * (2k-1)!!`` matching products
-    (single) or ``C(d, k)`` LU factorizations of ``k x k`` minors, about
-    ``C(d, k) * k**3`` operations (paired).
+    The cost per combination is one O(n^3) elimination per ``n x n``
+    minor, counted as ``C(d, n) * n**3`` operations: ``n = 2k`` Parlett-Reid
+    Pfaffians (single) or ``n = k`` LU determinants (paired).  At the
+    20 million limit, full rank scans run for fermions up to ``d = 16`` and
+    for bosons up to ``d = 17``.
 
     Raises
     ------
@@ -580,7 +559,6 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
         for m in ops:
             require_antisymmetric(m)
         size = 2 * n_ops
-        n_terms = math.comb(d, size) * math.prod(range(size - 1, 0, -2))
     elif spec.pattern == "paired":
         if n_ops + spec.free_count != d:
             raise ArityMismatchError(
@@ -589,9 +567,9 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
         for m in ops:
             require_symmetric(m)
         size = n_ops
-        n_terms = math.comb(d, size) * size ** 3
     else:
         raise ValidationError(f"unknown pattern {spec.pattern!r}")
+    n_terms = math.comb(d, size) * size ** 3
     if n_terms > _MAX_CONTRACTION_TERMS:
         raise ValidationError(f"contraction would expand to {n_terms} terms")
 
@@ -601,12 +579,12 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
     else:
         nodes, weights = _fourier_nodes(tuple(count for _, count in groups.values()))
         flat = nodes.dot(np.array(ops).reshape(len(ops), d * d))
-    minors = flat.take(positions, axis=1).reshape(-1, size * size)
+    minors = flat.take(positions, axis=1).reshape(-1, size, size)
     if spec.pattern == "single":
-        minor_values = _pfaffians(minors, size).reshape(len(flat), -1)
+        minor_values = _pfaffians(minors).reshape(len(flat), -1)
         factor = 2 ** n_ops * math.factorial(n_ops) * signs
     else:
-        minor_values = np.linalg.det(minors.reshape(-1, size, size)).reshape(len(flat), -1)
+        minor_values = np.linalg.det(minors).reshape(len(flat), -1)
         factor = math.factorial(n_ops)
     values = (minor_values[0] if len(ops) == 1 else weights.dot(minor_values)) * factor
     return dict(zip(free_tuples, values.tolist()))

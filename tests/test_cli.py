@@ -299,6 +299,12 @@ def _bipartite_document(dims, indices):
             "amplitudes": [{"indices": indices, "re": 1.0, "im": 0.0}]}
 
 
+def _fermion_document(indices):
+    """Two fermions in four modes, amplitude 1 on each listed mode pair."""
+    return {"type": "pure", "kind": "fermion", "single_particle_dim": 4, "particles": 2,
+            "amplitudes": [{"indices": t, "re": 1.0, "im": 0.0} for t in indices]}
+
+
 MALFORMED = {
     "index-past-dims": _bipartite_document([2, 2], [5, 0]),
     "three-indices": _bipartite_document([2, 2], [0, 0, 1]),
@@ -314,6 +320,16 @@ MALFORMED = {
         "kind": "symmetric", "single_particle_dim": 2, "particles": -1}},
     "text-slater-class": {"type": "operator", "slater_class": "x", "matrix": [[[1, 0]]],
                           "space": {"kind": "antisymmetric", "single_particle_dim": 4}},
+    "boolean-slater-class": {"type": "operator", "slater_class": True, "matrix": [[[1, 0]]],
+                             "space": {"kind": "antisymmetric", "single_particle_dim": 4}},
+    "repeated-fermion-indices": _fermion_document([[0, 1], [0, 1]]),
+    "repeated-bipartite-indices": {**_bipartite_document([2, 2], [0, 1]), "amplitudes": [
+        {"indices": [0, 1], "re": 1.0, "im": 0.0}, {"indices": [0, 1], "re": 1.0, "im": 0.0}]},
+    "float-indices": _fermion_document([[0.9, 1.7]]),
+    "boolean-dims": _bipartite_document([True, True], [0, 0]),
+    "float-particles": {**_fermion_document([[0, 1]]), "particles": 2.0},
+    "float-space-dim": {"type": "density", "matrix": [[[1, 0]]], "space": {
+        "kind": "symmetric", "single_particle_dim": 2.0, "particles": 2}},
 }
 
 
@@ -335,9 +351,12 @@ def test_modes_rejects_a_cut_that_is_not_mode_indices(tmp_path, capsys):
 
 def test_batch_reports_a_malformed_file_next_to_a_good_one(bell_file, tmp_path, capsys):
     write(tmp_path, "bad.json", MALFORMED["index-past-dims"])
+    write(tmp_path, "twice.json", MALFORMED["repeated-fermion-indices"])
     code, report = run(capsys, "concurrence", str(tmp_path), "--batch")
     assert code == cli.EXIT_INPUT
     assert report["bad.json"]["error_type"] == "ValidationError"
+    assert report["twice.json"]["error_type"] == "ValidationError"
+    assert "listed twice" in report["twice.json"]["error"]
     assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
 
 

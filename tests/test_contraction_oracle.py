@@ -8,7 +8,9 @@ independent oracle for small dimensions.
 
 import itertools
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +137,12 @@ def test_full_contractions_at_large_dimension_match_pfaffian_and_determinant():
         start = time.perf_counter()
         assert st.slater_rank_by_contractions(state) == upper
         assert time.perf_counter() - start < 1.0
+    # d = 16, no timing bound: a rank-8 state and a rotated rank-5 state
+    large = (st.random_pure_state("fermion", 16, 2, gen),
+             st.random_slater_rank_state("fermion", 16, 5, gen))
+    ranks = [st.slater_decompose_two_particle(state).rank for state in large]
+    assert ranks == [8, 5]
+    assert [st.slater_rank_by_contractions(state) for state in large] == ranks
     w, v = fermion.matrix(), boson.matrix()
     full_w = la.epsilon_contract(la.EpsilonContractionSpec((w,) * 6, "single", 0))[()]
     expect_w = 2 ** 6 * math.factorial(6) * la.pfaffian(w)
@@ -146,19 +154,45 @@ def test_full_contractions_at_large_dimension_match_pfaffian_and_determinant():
 
 def test_term_guard_counts_the_work_on_the_minors():
     gen = np.random.default_rng(5)
-    # C(18, 14) * 13!! = 413,513,100 matching products: refused before any work
+    # C(18, 10) * 10**3 = 43,758,000 Parlett-Reid operations: refused before any work
     w = _random(18, gen, -1)
     with pytest.raises(ValidationError):
-        la.epsilon_contract(la.EpsilonContractionSpec((w,) * 7, "single", 4))
+        la.epsilon_contract(la.EpsilonContractionSpec((w,) * 5, "single", 8))
+    # C(18, 14) * 14**3 = 8,396,640 operations: admitted
+    values = la.epsilon_contract(la.EpsilonContractionSpec((w,) * 7, "single", 4))
+    assert len(values) == math.comb(18, 4)
     # C(18, 9) * 9**3 = 35,441,980 LU operations
     v = _random(18, gen, 1)
     with pytest.raises(ValidationError):
         la.epsilon_contract(la.EpsilonContractionSpec((v,) * 9, "paired", 9))
 
 
+def test_readme_scan_limits_match_the_guard():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"fermions up to d = (\d+) and for bosons up to d = (\d+)",
+                       " ".join(readme.split()))
+    assert stated, "README no longer states the scan limits"
+    gen = np.random.default_rng(17)
+    fermion_d, boson_d = int(stated[1]), int(stated[2])
+    # (kind, stated d, next d, costliest threshold, minor size per operand)
+    for kind, d, next_d, costliest, per_operand in (("fermion", fermion_d, fermion_d + 2, 5, 2),
+                                                    ("boson", boson_d, boson_d + 1, 10, 1)):
+        cost = {k: math.comb(d, per_operand * k) * (per_operand * k) ** 3
+                for k in range(1, d // per_operand + 1)}
+        assert max(cost, key=cost.get) == costliest
+        state = st.random_pure_state(kind, d, 2, gen)
+        rank_below = st.two_fermion_rank_below if kind == "fermion" else st.two_boson_rank_below
+        assert rank_below(state, costliest).claim == f"rank_ge_{costliest}"
+        pattern, sign = ("single", -1) if kind == "fermion" else ("paired", 1)
+        spec = la.EpsilonContractionSpec((_random(next_d, gen, sign),) * costliest, pattern,
+                                         next_d - per_operand * costliest)
+        with pytest.raises(ValidationError, match="would expand"):
+            la.epsilon_contract(spec)
+
+
 def test_minor_index_tables_are_read_only():
     free_tuples, positions, signs = la._minor_index(6, 4)
     assert len(free_tuples) == 15
-    for table in (positions, signs) + la._matching_table(4):
+    for table in (positions, signs):
         with pytest.raises(ValueError):
             table[0] = 0

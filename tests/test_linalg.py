@@ -267,14 +267,6 @@ def test_epsilon_paired_matches_dense_sum():
         assert abs(value - dense[a, a]) < 1e-10 * max(1.0, np.abs(dense).max())
 
 
-def test_matching_table_is_compact():
-    # 11!! = 10395 matchings of 12 elements, 6 pairs each
-    positions, signs = la._matching_table(12)
-    assert positions.shape == (6, 10395) and positions.dtype == np.int16
-    assert signs.dtype == np.float64 and set(np.unique(signs)) == {-1.0, 1.0}
-    assert positions.nbytes + signs.nbytes == 6 * 10395 * 2 + 10395 * 8
-
-
 def test_epsilon_arity_checks():
     w = slater_pair_matrix({(0, 1): 1.0}, 4)
     with pytest.raises(ArityMismatchError):
