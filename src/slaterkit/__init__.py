@@ -57,7 +57,6 @@ from .mixed import (
     density_matrix,
     is_ppt,
     partial_transpose,
-    product_vectors_in_range,
     slater_number_one_test,
     symmetric_space,
     wootters_concurrence,

@@ -10,7 +10,9 @@ One stacked Parlett-Reid kernel evaluates every Pfaffian: that of a single
 matrix and those of the principal minors a contraction reduces to.  A
 contraction over ``n x n`` minors of a ``d x d`` operand costs
 ``C(d, n) n^3`` operations (``n = 2k`` Pfaffians for fermions, ``n = k``
-determinants for bosons) and is refused above 20 million.
+determinants for bosons), times the ``prod(m_i + 1)`` operand
+combinations when operands of multiplicities ``m_i`` differ, and is
+refused above 20 million.
 
 Conventions
 -----------
@@ -524,9 +526,10 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
 
     The cost per combination is one O(n^3) elimination per ``n x n``
     minor, counted as ``C(d, n) * n**3`` operations: ``n = 2k`` Parlett-Reid
-    Pfaffians (single) or ``n = k`` LU determinants (paired).  At the
-    20 million limit, full rank scans run for fermions up to ``d = 16`` and
-    for bosons up to ``d = 17``.
+    Pfaffians (single) or ``n = k`` LU determinants (paired); distinct
+    operands multiply it by the ``prod(m_i + 1)`` combinations.  At the
+    20 million limit, full rank scans (equal operands) run for fermions up
+    to ``d = 16`` and for bosons up to ``d = 17``.
 
     Raises
     ------
@@ -570,6 +573,8 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
     else:
         raise ValidationError(f"unknown pattern {spec.pattern!r}")
     n_terms = math.comb(d, size) * size ** 3
+    if len(ops) > 1:
+        n_terms *= math.prod(count + 1 for _, count in groups.values())
     if n_terms > _MAX_CONTRACTION_TERMS:
         raise ValidationError(f"contraction would expand to {n_terms} terms")
 

@@ -2,8 +2,9 @@
 
 Covers the closed-form concurrence of the three canonical systems, the
 class-1 (Slater number one) spectral test, partial transposition with
-sector embedding, recovery of product vectors in the range of low-rank
-bosonic states, the resulting separability decisions, and a convex-roof
+sector embedding, separability decisions for bosonic PPT states (by
+theorem, or by subtracting the product vectors ``|e, e>`` that the range
+search of ``witnesses.edge_state_decompose`` finds), and a convex-roof
 minimization used as a numerical oracle for the closed forms.
 """
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import sectors, states
 from .errors import (
-    DegenerateSystemError,
     NotAStateError,
     UnsupportedSystemError,
     ValidationError,
@@ -280,115 +280,14 @@ def is_ppt(rho: DensityMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# product vectors in the range of low-rank symmetric states
+# bosonic separability from PPT
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductVectorsResult:
-    vectors: list
-    diagnostics: list = field(default_factory=list)
-
-
-def product_vectors_in_range(rho: DensityMatrix) -> ProductVectorsResult:
-    """Solve for the product vectors ``|e, e>`` in the range of a rank-4
-    two-boson state with three modes.
-
-    Each kernel vector ``phi_i`` gives the complex symmetric form
-    ``Q_i = tensor_from_amps(conj(phi_i))``, with ``e^T Q_i e`` proportional
-    to ``<phi_i|e, e>``, so the product vectors are the common projective
-    zeros of two conics.  They are found by the pencil method
-    (Richter-Gebert, *Perspectives on Projective Geometry*, ch. 11): the
-    cubic ``det(Q_1 + l Q_2)`` is read off four roots-of-unity samples,
-    and of the members at its roots and ``Q_2`` itself (a root at
-    infinity) the one with the smallest ``s[2] / s[1]`` is taken as the
-    rank-2 conic ``C``.  ``takagi_canonical`` writes ``C``
-    as ``z_1 a_1 a_1^T + z_2 a_2 a_2^T``, the product of the two lines
-    ``sqrt(z_1) a_1 +- i sqrt(z_2) a_2``.  On each line the other conic is
-    a binary quadratic ``a t_0^2 + 2 b t_0 t_1 + c t_1^2`` with the
-    homogeneous roots ``(q : a)`` and ``(c : q)``, ``q = -(b +- sqrt(b^2 -
-    ac))`` of the larger modulus.  No affine chart is chosen, so a vector
-    with ``e_0 = 0`` is found like any other; generically there are
-    exactly four.  Each candidate off either conic adds a ``"discarded
-    ..."`` line to the diagnostics.  Every vector must lie in the range
-    (``RANK_RTOL`` cut) to a residual of 1e-6.
-
-    Raises
-    ------
-    DegenerateSystemError
-        If the pencil is degenerate (its determinant vanishes identically
-        or its best member has rank one), a vector repeats, fewer than four
-        candidates survive, or a vector leaves the range.
-    """
-    if rho.space.kind != SYMMETRIC or rho.space.dims != (3,) or rho.space.particles != 2:
-        raise UnsupportedSystemError("product-vector recovery expects a two-boson state with d=3")
-    _, basis, kernel = _range_split(rho.matrix)
-    if kernel.shape[1] != 2:
-        raise ValidationError(
-            f"expected rank 4 (kernel dimension 2), found kernel {kernel.shape[1]}")
-    q1, q2 = (sectors.tensor_from_amps(SYMMETRIC, 3, 2, phi.conj()) for phi in kernel.T)
-
-    samples = np.exp(0.5j * np.pi * np.arange(4))
-    cubic = np.fft.fft(np.linalg.det(q1 + samples[:, None, None] * q2)) / 4
-    if np.all(np.abs(cubic) <= 1e-12):
-        raise DegenerateSystemError(
-            "pencil determinant vanishes identically; infinite solution family")
-    members = [(q1 + l * q2, q2) for l in np.roots(cubic[::-1])] + [(q2, q1)]
-    svals = [np.linalg.svd(conic, compute_uv=False) for conic, _ in members]
-    best = int(np.argmin([s[2] / s[1] if s[1] else np.inf for s in svals]))
-    if svals[best][1] <= RANK_RTOL * svals[best][0]:
-        raise DegenerateSystemError(
-            "the pencil has no member of rank two; repeated product vectors")
-    conic, other = members[best]
-    form = takagi_canonical(conic)
-    (z1, z2), (a1, a2) = np.sqrt(form.values[:2]), form.transform[:2].conj()
-
-    diagnostics, found = [], []
-    for line in (z1 * a1 + 1j * z2 * a2, z1 * a1 - 1j * z2 * a2):
-        on_line = np.linalg.svd(line[None, :])[2][1:].conj().T
-        (a, b), (_, c) = on_line.T @ other @ on_line
-        root = np.sqrt(b * b - a * c)
-        q = -(b + root) if (np.conj(b) * root).real >= 0 else root - b
-        if q == 0:
-            raise DegenerateSystemError("a line touches the other conic; repeated product vectors")
-        for t in ((q, a), (c, q)):
-            e = on_line @ np.array(t)
-            e = e / np.linalg.norm(e)
-            resid = max(abs(e @ q1 @ e), abs(e @ q2 @ e))
-            if resid > 1e-8:
-                diagnostics.append(f"discarded candidate off the conics (residual {resid:.2e})")
-                continue
-            if any(abs(np.vdot(u, e)) > 1.0 - 1e-8 for u in found):
-                raise DegenerateSystemError("repeated product vectors; solution set is deficient")
-            found.append(e)
-    if len(found) < 4:
-        raise DegenerateSystemError("; ".join(
-            [f"found {len(found)} product vectors, expected 4", *diagnostics]))
-
-    # verify range membership
-    checked = []
-    for e in found:
-        pair = _symmetric_pair_vector(e)
-        resid = np.linalg.norm(pair - basis @ (basis.conj().T @ pair))
-        if resid > 1e-6:
-            raise DegenerateSystemError(f"recovered vector leaves the range (residual {resid:.2e})")
-        checked.append(_phase_fixed(e))
-    return ProductVectorsResult(checked, diagnostics)
-
 
 def _symmetric_pair_vector(e: np.ndarray) -> np.ndarray:
     """Sector coordinates of the normalized product state ``|e, e>``."""
     pair = sectors.amps_from_tensor(SYMMETRIC, np.outer(e, e))
     return pair / np.linalg.norm(pair)
 
-
-def _phase_fixed(e: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(e)))
-    return e * np.exp(-1j * np.angle(e[j]))
-
-
-# ---------------------------------------------------------------------------
-# bosonic separability from PPT
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SeparabilityResult:
@@ -398,47 +297,53 @@ class SeparabilityResult:
 
 
 def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
-    """Separability decision for low-rank bosonic states with positive
-    partial transpose.
+    """Separability decision for bosonic states with positive partial
+    transpose.
 
-    Supported spaces: two bosons with three modes (rank up to 4, with an
-    explicit product decomposition recovered at rank 4), and N-boson
-    qubit states (rank up to 4 for N=3, up to N beyond).
+    Two bosons, any ``d``: on 2x2 PPT implies separable (Horodecki,
+    Horodecki & Horodecki, PLA 223, 1 (1996)), and so does rank <= d
+    (Horodecki, Lewenstein, Vidal & Cirac, PRA 62, 032310 (2000)).  Above
+    that rank ``witnesses.edge_state_decompose(rho, 2)`` subtracts product
+    vectors ``|e, e>`` found in the range; an exhausted split whose
+    ``(weight, e)`` pairs rebuild ``rho`` within 1e-8 is the decomposition,
+    and anything else is ``inconclusive`` with the edge weight and the
+    range searches' tallies.  N-boson qubit states: rank up to 4 for N=3,
+    up to N beyond.
     """
     space = rho.space
     if space.kind != SYMMETRIC:
         raise UnsupportedSystemError("separability theorems cover symmetric sectors")
     if not is_ppt(rho):
         return SeparabilityResult("not_ppt")
-    lam, basis, _ = _range_split(rho.matrix)
-    r = len(lam)
+    r = rho.rank()
 
-    if space.dims == (3,) and space.particles == 2:
-        if r <= 3:
-            return SeparabilityResult("separable", diagnostics=[f"PPT with rank {r} <= 3"])
-        if r == 4:
-            try:
-                found = product_vectors_in_range(rho)
-            except DegenerateSystemError as exc:
-                return SeparabilityResult("inconclusive", diagnostics=[str(exc)])
-            pairs = np.column_stack([_symmetric_pair_vector(e) for e in found.vectors])
-            coords = basis.conj().T @ pairs
-            gram = (coords.conj().T / lam) @ coords
-            off = max_abs(gram - np.diag(np.diagonal(gram)))
-            if off > 1e-7 * max_abs(gram):
-                return SeparabilityResult("inconclusive", diagnostics=[
-                    f"range-inverse overlap matrix not diagonal (off {off:.2e})",
-                    *found.diagnostics,
-                ])
-            weights = 1.0 / np.diagonal(gram).real
-            recon = pairs @ np.diag(weights) @ pairs.conj().T
-            err = max_abs(recon - rho.matrix)
-            if err > 1e-8:
-                return SeparabilityResult("inconclusive", diagnostics=[
-                    f"decomposition reconstruction error {err:.2e}", *found.diagnostics])
-            decomposition = [(float(w), e) for w, e in zip(weights, found.vectors)]
-            return SeparabilityResult("separable", decomposition, found.diagnostics)
-        return SeparabilityResult("inconclusive", diagnostics=[f"rank {r} > 4"])
+    if space.particles == 2:
+        d = space.dims[0]
+        if d == 2:
+            return SeparabilityResult("separable", diagnostics=[
+                "PPT on 2x2 (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996))"])
+        if r <= d:
+            return SeparabilityResult("separable", diagnostics=[
+                f"PPT with rank {r} <= {d} (Horodecki, Lewenstein, Vidal & Cirac,"
+                " PRA 62, 032310 (2000))"])
+        from . import witnesses
+
+        split = witnesses.edge_state_decompose(rho, 2)
+        diagnostics = [f"edge weight {split.weight:.3g} after {len(split.subtraction_log)}"
+                       " subtractions",
+                       *(f"range search: {s.tried} tried, {s.solved} solved,"
+                         f" {s.range_rejected} range-rejected" for s in split.searches)]
+        if split.weight:
+            return SeparabilityResult("inconclusive", diagnostics=diagnostics)
+        decomposition = [(lam, takagi_canonical(psi.matrix()).transform[0].conj())
+                         for psi, lam in split.subtraction_log]
+        pairs = np.column_stack([_symmetric_pair_vector(e) for _, e in decomposition])
+        weights = [w for w, _ in decomposition]
+        err = max_abs((pairs * weights) @ pairs.conj().T - rho.matrix)
+        if err > 1e-8:
+            return SeparabilityResult("inconclusive", diagnostics=[
+                f"decomposition reconstruction error {err:.2e}", *diagnostics])
+        return SeparabilityResult("separable", decomposition, diagnostics)
 
     if space.dims == (2,) and space.particles >= 3:
         n = space.particles

@@ -201,6 +201,21 @@ def test_ppt_command(tmp_path, capsys):
     code, report = run(capsys, "ppt", path2)
     assert code == 0 and report["separability"] == "separable"
 
+    # above the rank theorem the decomposition comes from the range search
+    vectors = [la.haar_vector(4, gen) for _ in range(5)]
+    pairs = [(w, st.boson_state(4, 2, mx._symmetric_pair_vector(e)))
+             for w, e in zip(gen.dirichlet(np.ones(5)), vectors)]
+    rho = mx.density_from_mixture(pairs)
+    path3 = write(tmp_path, "bos4.json", skio.density_to_dict(rho))
+    code, report = run(capsys, "ppt", path3)
+    assert code == 0 and report["separability"] == "separable"
+    items = report["decomposition"]
+    assert len(items) == 5
+    found = [mx._symmetric_pair_vector(np.array([complex(*z) for z in item["vector"]]))
+             for item in items]
+    recon = sum(item["weight"] * np.outer(v, v.conj()) for item, v in zip(items, found))
+    assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
+
 
 def test_witness_pipeline(tmp_path, capsys):
     code, _ = run(capsys, "witness", "make", "--K", "2", "--k", "2", "--kind", "fermion",

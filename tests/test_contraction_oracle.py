@@ -167,6 +167,18 @@ def test_term_guard_counts_the_work_on_the_minors():
         la.epsilon_contract(la.EpsilonContractionSpec((v,) * 9, "paired", 9))
 
 
+def test_term_guard_counts_every_operand_combination():
+    gen = np.random.default_rng(6)
+    # C(14, 10) * 10**3 = 1,001,000 per combination: one for equal operands
+    w = _random(14, gen, -1)
+    values = la.epsilon_contract(la.EpsilonContractionSpec((w,) * 5, "single", 4))
+    assert len(values) == math.comb(14, 4)
+    # five distinct operands stack 2**5 combinations: 32,032,000, refused
+    distinct = tuple(_random(14, gen, -1) for _ in range(5))
+    with pytest.raises(ValidationError, match="32032000 terms"):
+        la.epsilon_contract(la.EpsilonContractionSpec(distinct, "single", 4))
+
+
 def test_readme_scan_limits_match_the_guard():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     stated = re.search(r"fermions up to d = (\d+) and for bosons up to d = (\d+)",

@@ -8,7 +8,6 @@ from slaterkit import mixed as mx
 from slaterkit import sectors
 from slaterkit import states as st
 from slaterkit.errors import (
-    DegenerateSystemError,
     NotAStateError,
     UnsupportedSystemError,
     ValidationError,
@@ -258,30 +257,6 @@ def product_mixture(vectors, weights):
     return mx.density_from_mixture([(w, boson_pair(e)) for w, e in zip(weights, vectors)])
 
 
-def test_product_vectors_recovery():
-    gen = np.random.default_rng(10)
-    vectors = [la.haar_vector(3, gen) for _ in range(4)]
-    rho = product_mixture(vectors, gen.dirichlet(np.ones(4)))
-    found = mx.product_vectors_in_range(rho)
-    assert len(found.vectors) == 4
-    for e in vectors:
-        best = max(abs(np.vdot(e, f)) for f in found.vectors)
-        assert best > 1 - 1e-6
-
-
-def test_product_vectors_projective_root():
-    # e_0 = 0 puts the vector at infinity of the chart e = (1, z1, z2);
-    # the pencil works projectively and finds it like the other three
-    gen = np.random.default_rng(11)
-    special = np.array([0.0, 1.0, 0.4 + 0.3j]) / np.sqrt(1.25)
-    vectors = [special] + [la.haar_vector(3, gen) for _ in range(3)]
-    rho = product_mixture(vectors, np.ones(4) / 4)
-    found = mx.product_vectors_in_range(rho)
-    assert len(found.vectors) == 4 and found.diagnostics == []
-    for e in vectors:
-        assert max(abs(np.vdot(e, f)) for f in found.vectors) > 1 - 1e-10
-
-
 @pytest.mark.parametrize("n_at_infinity", (1, 2))
 @pytest.mark.parametrize("seed", (20, 21, 22))
 def test_bosonic_separability_vectors_with_vanishing_first_mode(n_at_infinity, seed):
@@ -300,23 +275,18 @@ def test_bosonic_separability_vectors_with_vanishing_first_mode(n_at_infinity, s
         assert max(abs(np.vdot(e, f)) for _, f in result.decomposition) > 1 - 1e-10
 
 
-def test_product_vectors_degenerate_pencil():
+def test_bosonic_separability_three_vectors_on_a_line():
     # |e, e> for three vectors on one line span every |e, e> on that line,
-    # so both kernel conics contain it and det(Q1 + l Q2) vanishes
+    # so the range holds a whole curve of product vectors; the greedy
+    # subtraction stalls and reports why instead of raising
     gen = np.random.default_rng(7)
     u, v, w = (la.haar_vector(3, gen) for _ in range(3))
     rho = product_mixture([u, v, u + 0.7j * v, w], np.ones(4) / 4)
     assert rho.rank() == 4
-    with pytest.raises(DegenerateSystemError):
-        mx.product_vectors_in_range(rho)
-    assert mx.bosonic_ppt_separability(rho).verdict == "inconclusive"
-
-
-def test_product_vectors_rank_precondition():
-    gen = np.random.default_rng(12)
-    rho = product_mixture([la.haar_vector(3, gen) for _ in range(3)], np.ones(3) / 3)
-    with pytest.raises(ValidationError):
-        mx.product_vectors_in_range(rho)
+    result = mx.bosonic_ppt_separability(rho)
+    assert result.verdict == "inconclusive" and result.decomposition is None
+    assert result.diagnostics[0].startswith("edge weight")
+    assert any(line.startswith("range search:") for line in result.diagnostics)
 
 
 def test_bosonic_separability_rank3():
@@ -341,6 +311,64 @@ def test_bosonic_separability_rank4_decomposition():
 def test_bosonic_separability_entangled_state():
     mc = st.maximally_correlated_state("boson", 3)
     assert mx.bosonic_ppt_separability(mx.density_from_pure(mc)).verdict == "not_ppt"
+
+
+def test_bosonic_separability_two_modes_by_theorem():
+    gen = np.random.default_rng(18)
+    rho = product_mixture([la.haar_vector(2, gen) for _ in range(3)], gen.dirichlet(np.ones(3)))
+    assert rho.rank() == 3
+    result = mx.bosonic_ppt_separability(rho)
+    assert result.verdict == "separable" and result.decomposition is None
+    assert "PLA 223, 1 (1996)" in result.diagnostics[0]
+
+
+def _assert_certified(result, rho):
+    """A ``separable`` verdict carries a decomposition rebuilding ``rho``
+    within 1e-8 or names the theorem that decides it."""
+    if result.verdict != "separable":
+        return
+    if result.decomposition is None:
+        assert "(Horodecki" in result.diagnostics[0]
+        return
+    pair = mx._symmetric_pair_vector
+    recon = sum(w * np.outer(pair(e), pair(e).conj()) for w, e in result.decomposition)
+    assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
+
+
+@pytest.mark.parametrize("d,rank", ((4, 5), (4, 6), (5, 6)))
+@pytest.mark.parametrize("seed", range(8))
+def test_bosonic_separability_above_the_rank_theorem(d, rank, seed):
+    gen = np.random.default_rng(100 * d + 10 * rank + seed)
+    vectors = [la.haar_vector(d, gen) for _ in range(rank)]
+    rho = product_mixture(vectors, gen.dirichlet(np.ones(rank)))
+    result = mx.bosonic_ppt_separability(rho)
+    assert result.verdict == "separable" and len(result.decomposition) == rank
+    _assert_certified(result, rho)
+    for e in vectors:
+        assert max(abs(np.vdot(e, f)) for _, f in result.decomposition) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bosonic_separability_is_sound_at_rank_8(seed):
+    gen = np.random.default_rng(seed)
+    rho = product_mixture([la.haar_vector(4, gen) for _ in range(8)], gen.dirichlet(np.ones(8)))
+    result = mx.bosonic_ppt_separability(rho)
+    assert result.verdict in ("separable", "inconclusive")
+    _assert_certified(result, rho)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_bosonic_separability_is_sound_on_noisy_correlated_states(d):
+    mc = st.maximally_correlated_state("boson", d).flat()
+    dim = d * (d + 1) // 2
+    verdicts = []
+    for p in (0.05, 0.15, 0.3):
+        rho = mx.density_matrix(mx.symmetric_space(d),
+                                p * np.outer(mc, mc.conj()) + (1 - p) * np.eye(dim) / dim)
+        result = mx.bosonic_ppt_separability(rho)
+        _assert_certified(result, rho)
+        verdicts.append(result.verdict)
+    assert verdicts[-1] == "not_ppt" and "not_ppt" not in verdicts[:2]
 
 
 def qubit_product_state(e, n):

@@ -1,15 +1,19 @@
-"""Differential test: the projective conic pencil against the affine resultant.
+"""Differential test: the range search of ``bosonic_ppt_separability``
+against the affine resultant.
 
-``_pair_overlap_poly`` through ``_resultant_product_vectors`` below are the
-former ``mixed.product_vectors_in_range``: it eliminated ``z2`` from the two
-kernel quadrics in the affine chart ``e = (1, z1, z2)`` by a Sylvester
-resultant, took the quartic's companion roots and polished them by damped
-Newton.  It cannot represent a vector with ``e_0 = 0``, so it is kept here
-only as the reference on generic mixtures, where both solvers must return
-the same four vectors.
+``_pair_overlap_poly`` through ``_resultant_product_vectors`` below are an
+earlier ``mixed.product_vectors_in_range``: it eliminated ``z2`` from the
+two kernel quadrics of a rank-4 two-boson state with d = 3 in the affine
+chart ``e = (1, z1, z2)`` by a Sylvester resultant, took the quartic's
+companion roots and polished them by damped Newton.  It cannot represent a
+vector with ``e_0 = 0``, so it is kept here only as the reference on
+generic mixtures, where the decomposition that ``bosonic_ppt_separability``
+builds from ``witnesses.edge_state_decompose`` must hold the same four
+vectors and rebuild the state.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -21,14 +25,18 @@ from slaterkit import sectors
 from slaterkit import states as st
 from slaterkit.errors import DegenerateSystemError, UnsupportedSystemError, ValidationError
 from slaterkit.linalg import RANK_RTOL
-from slaterkit.mixed import (
-    SYMMETRIC,
-    DensityMatrix,
-    ProductVectorsResult,
-    _phase_fixed,
-    _symmetric_pair_vector,
-    subnormalized_spectrum,
-)
+from slaterkit.mixed import SYMMETRIC, DensityMatrix, _symmetric_pair_vector, subnormalized_spectrum
+
+
+@dataclass(frozen=True)
+class ProductVectorsResult:
+    vectors: list
+    diagnostics: list = field(default_factory=list)
+
+
+def _phase_fixed(e: np.ndarray) -> np.ndarray:
+    j = int(np.argmax(np.abs(e)))
+    return e * np.exp(-1j * np.angle(e[j]))
 
 
 def _pair_overlap_poly(phi: np.ndarray):
@@ -216,14 +224,18 @@ def _generic_mixture(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_pencil_matches_resultant_on_generic_mixtures(seed):
+def test_range_search_matches_resultant_on_generic_mixtures(seed):
     vectors, rho = _generic_mixture(1000 + seed)
-    new = mx.product_vectors_in_range(rho)
+    result = mx.bosonic_ppt_separability(rho)
     old = _resultant_product_vectors(rho)
-    for found in (new, old):
-        assert len(found.vectors) == 4
-        assert not any(line.startswith("discarded") for line in found.diagnostics)
-    for f in new.vectors:
+    assert len(old.vectors) == 4
+    assert not any(line.startswith("discarded") for line in old.diagnostics)
+    assert result.verdict == "separable" and len(result.decomposition) == 4
+    new = [e for _, e in result.decomposition]
+    for f in new:
         assert max(abs(np.vdot(f, g)) for g in old.vectors) >= 1 - 1e-10
     for e in vectors:
-        assert max(abs(np.vdot(e, f)) for f in new.vectors) >= 1 - 1e-10
+        assert max(abs(np.vdot(e, f)) for f in new) >= 1 - 1e-10
+    recon = sum(w * np.outer(_symmetric_pair_vector(e), _symmetric_pair_vector(e).conj())
+                for w, e in result.decomposition)
+    assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
