@@ -13,7 +13,6 @@ from . import linalg, magic, mixed, modes, sectors, states, witnesses
 from .errors import (
     ArityMismatchError,
     BadPartitionError,
-    DegenerateSystemError,
     DimensionMismatchError,
     DimensionNotEvenError,
     NotAnEdgeStateError,

@@ -30,10 +30,6 @@ EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _complex_list(values) -> list:
-    return [[float(np.real(z)), float(np.imag(z))] for z in values]
-
-
 def _load(path: str, expected, message: str):
     """The object in ``path``; a ValidationError with ``message`` unless it
     is an instance of ``expected``."""
@@ -46,6 +42,8 @@ def _load(path: str, expected, message: str):
 def _report_rank(path: str, args) -> dict:
     state = _load(path, states.PureState, "rank expects a pure-state file")
     tol = args.tol if args.tol is not None else RANK_RTOL
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"--tol must lie strictly between 0 and 1, got {tol}")
     if state.kind == states.BIPARTITE:
         result = states.schmidt_decompose(state, rank_rtol=tol)
         return {"rank_claim": result.rank, "values": list(map(float, result.values)),
@@ -62,7 +60,7 @@ def _report_rank(path: str, args) -> dict:
     cert = {"kind": found["kind"], "n_probes": found["n_probes"],
             "one_body_ratio": found["ratio"], "tolerance": found["tolerance"]}
     if found["probes"]:
-        cert["probes"] = [_complex_list(p) for p in found["probes"]]
+        cert["probes"] = [io._complex_list(p) for p in found["probes"]]
     return {"rank_claim": verdict.claim, "certificate": cert,
             "tolerances": {"contract_rtol": tol}}
 
@@ -70,7 +68,7 @@ def _report_rank(path: str, args) -> dict:
 def _report_concurrence(path: str, args) -> dict:
     state = _load(path, states.PureState, "concurrence expects a pure-state file")
     return {"concurrence": states.concurrence_pure(state),
-            "magic_coefficients": _complex_list(states.magic_basis_coeffs(state))}
+            "magic_coefficients": io._complex_list(states.magic_basis_coeffs(state))}
 
 
 def _report_mixed_concurrence(path: str, args) -> dict:
@@ -90,14 +88,14 @@ def _report_slater1(path: str, args) -> dict:
 def _report_ppt(path: str, args) -> dict:
     rho = _load(path, mixed.DensityMatrix, "ppt expects a density-matrix file")
     min_eig = float(np.linalg.eigvalsh(mixed.partial_transpose(rho))[0])
-    report = {"min_eigenvalue": min_eig, "ppt": bool(min_eig >= -1e-9)}
+    report = {"min_eigenvalue": min_eig, "ppt": bool(min_eig >= mixed.PPT_MIN_EIGENVALUE)}
     if rho.space.kind == mixed.SYMMETRIC:
         try:
             sep = mixed.bosonic_ppt_separability(rho)
             report["separability"] = sep.verdict
             if sep.decomposition is not None:
                 report["decomposition"] = [
-                    {"weight": w, "vector": _complex_list(e)} for w, e in sep.decomposition]
+                    {"weight": w, "vector": io._complex_list(e)} for w, e in sep.decomposition]
             if sep.diagnostics:
                 report["diagnostics"] = list(sep.diagnostics)
         except UnsupportedSystemError:

@@ -77,7 +77,3 @@ class UnsupportedSystemError(SlaterKitError):
 
 class NumericalFailureError(SlaterKitError):
     """A numerical routine exceeded its reconstruction or accuracy tolerance."""
-
-
-class DegenerateSystemError(NumericalFailureError):
-    """A polynomial system is non-generic (deficient or infinite solution set)."""

@@ -16,16 +16,17 @@ import math
 
 import numpy as np
 
-from . import mixed, states, witnesses
+from . import mixed, sectors, states, witnesses
 from .errors import ValidationError
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _complex_list(values) -> list:
+    """Complex numbers as ``[re, im]`` pairs."""
+    return [[float(np.real(z)), float(np.imag(z))] for z in values]
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    return [_complex_list(row) for row in np.asarray(m, dtype=complex)]
 
 
 def _matrix_from_json(rows) -> np.ndarray:
@@ -74,7 +75,6 @@ def pure_state_to_dict(state: states.PureState) -> dict:
                 for i in range(psi.shape[0]) for j in range(psi.shape[1]) if psi[i, j] != 0]
         return {"type": "pure", "kind": "bipartite", "dims": list(state.dim),
                 "amplitudes": amps}
-    from . import sectors
     tuples = sectors.sector_tuples(state.sector_kind, state.dim, state.particles)
     amps = [{"indices": list(t), "re": float(a.real), "im": float(a.imag)}
             for t, a in zip(tuples, state.amps) if a != 0]
@@ -148,13 +148,17 @@ def unitary_from_dict(obj: dict) -> tuple[np.ndarray, mixed.StateSpace]:
     return m, space
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or a NaN / Infinity literal
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{path}: expected a JSON object with a 'type' field")
@@ -177,6 +181,9 @@ def load_any(path: str):
 def dump(obj: dict, path: str | None, pretty: bool = False) -> str:
     text = json.dumps(obj, indent=2 if pretty else None, sort_keys=False)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
     return text

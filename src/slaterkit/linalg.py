@@ -14,6 +14,10 @@ determinants for bosons), times the ``prod(m_i + 1)`` operand
 combinations when operands of multiplicities ``m_i`` differ, and is
 refused above 20 million.
 
+Both congruence forms run one skeleton: the SVD, the ``RANK_RTOL`` cut, the
+gap clusters, the kernel columns and the ``TOL_RECON`` residual check.  They
+differ in how a cluster is split, and in their ordering and phase rules.
+
 Conventions
 -----------
 A congruence canonical form is a unitary ``U`` such that ``U @ m @ U.T``
@@ -68,8 +72,10 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def max_abs(m) -> float:
+    """Largest entry modulus (0 if empty); ``inf`` if an entry is NaN, which fails every gate."""
     m = np.asarray(m)
-    return float(np.abs(m).max()) if m.size else 0.0
+    peak = float(np.abs(m).max()) if m.size else 0.0
+    return peak if math.isfinite(peak) else math.inf
 
 
 def require_antisymmetric(w: np.ndarray) -> None:
@@ -158,6 +164,8 @@ def as_rng(seed) -> np.random.Generator:
     """Pass generators through, turn ints/None into a fresh generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -200,14 +208,53 @@ def _cluster_by_gap(z: np.ndarray, atol: float) -> list[list[int]]:
     return groups
 
 
-def _orthonormal_complement(used: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the columns of ``used``."""
-    if used.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    proj = np.eye(dim, dtype=complex) - used @ used.conj().T
-    evals, evecs = np.linalg.eigh(proj)
-    keep = evals > 0.5
-    return evecs[:, keep]
+def _congruence_columns(m: np.ndarray, rank_rtol: float, cluster_columns):
+    """Columns ``sub @ cluster_columns(sub.T @ m @ sub, z)`` for each gap cluster
+    of right-singular vectors ``sub`` of ``m`` (singular values ``z > rank_rtol *
+    z_max``), then the kernel columns; the number of such ``z``; ``z_max``."""
+    # right-singular vectors span the eigenspaces of m^dag m with singular
+    # values accurate to machine epsilon (sqrt of Gram eigenvalues is not)
+    _, z, vh = np.linalg.svd(m)
+    vecs = vh.conj().T
+    nonzero = int(np.count_nonzero(z > rank_rtol * z[0]))
+    cluster_atol = max(TOL_RECON, 1e3 * np.finfo(float).eps) * max(z[0], 1.0)
+    blocks = []
+    for group in _cluster_by_gap(z[:nonzero], cluster_atol):
+        sub = vecs[:, group]
+        blocks.append(sub @ cluster_columns(sub.T @ m @ sub, z[group]))
+    kernel = vecs[:, nonzero:]
+    return (np.column_stack(blocks + [kernel]) if blocks else kernel), nonzero, z[0]
+
+
+def _checked_form(m, phi, values, target, smax: float, name: str) -> CongruenceCanonicalForm:
+    """The form ``U = phi.T``, unless ``U @ m @ U.T`` misses ``target`` by
+    more than ``TOL_RECON`` (relative above unit scale)."""
+    u_out = phi.T
+    residual = max_abs(u_out @ m @ u_out.T - target)
+    if residual > TOL_RECON * max(1.0, smax):
+        raise NumericalFailureError(f"{name} reconstruction residual {residual:.3e}")
+    return CongruenceCanonicalForm(u_out, values, residual)
+
+
+def _youla_pairs(bil: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Pairs ``(u, -conj(bil @ u))``, orthonormalized, with the first ``u`` the
+    first basis vector and each later one drawn from the complement of the
+    columns already used."""
+    m2 = len(z)
+    if m2 % 2:
+        raise NumericalFailureError(f"odd-sized singular cluster of size {m2} at z ~ {z[0]:.3e}")
+    pairs: list[np.ndarray] = []
+    u = np.eye(m2, dtype=complex)[:, 0]
+    while True:
+        partner = -np.conj(bil @ u)
+        # numerically re-orthogonalize against everything already used
+        for c in itertools.chain(pairs, [u]):
+            partner = partner - c * (c.conj() @ partner)
+        pairs.extend([u, partner / np.linalg.norm(partner)])
+        used = np.column_stack(pairs)
+        if len(pairs) == m2:
+            return used
+        u = _range_split(np.eye(m2, dtype=complex) - used @ used.conj().T)[1][:, 0]
 
 
 def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
@@ -233,52 +280,15 @@ def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
     if n == 0:
         return CongruenceCanonicalForm(np.eye(0, dtype=complex), np.array([]), 0.0)
 
-    # right-singular vectors span the eigenspaces of w^dag w with singular
-    # values accurate to machine epsilon (sqrt of Gram eigenvalues is not)
-    _, z, vh = np.linalg.svd(w)
-    vecs = vh.conj().T
-    smax = z[0]
-    thr = rank_rtol * smax
-    cluster_atol = max(TOL_RECON, 1e3 * np.finfo(float).eps) * max(smax, 1.0)
-
-    nonzero = [i for i in range(n) if z[i] > thr]
-    column_blocks: list[np.ndarray] = []
-    for group in _cluster_by_gap(z[: len(nonzero)], cluster_atol):
-        m2 = len(group)
-        if m2 % 2:
-            raise NumericalFailureError(
-                f"odd-sized singular cluster of size {m2} at z ~ {z[group[0]]:.3e}"
-            )
-        sub = vecs[:, group]
-        bil = sub.T @ w @ sub  # antisymmetric, bil @ bil^dag ~ z^2 * 1
-        pairs: list[np.ndarray] = []
-        used = np.zeros((m2, 0), dtype=complex)
-        while used.shape[1] < m2:
-            rem = _orthonormal_complement(used, m2)
-            u = rem[:, 0]
-            partner = -np.conj(bil @ u)
-            # numerically re-orthogonalize against everything already used
-            for c in itertools.chain(pairs, [u]):
-                partner = partner - c * (c.conj() @ partner)
-            partner = partner / np.linalg.norm(partner)
-            pairs.extend([u, partner])
-            used = np.column_stack([used, u, partner])
-        column_blocks.append(sub @ np.column_stack(pairs))
-
-    kernel = vecs[:, len(nonzero):]
-    phi = np.column_stack(column_blocks + [kernel]) if column_blocks else kernel
-
-    r = len(nonzero) // 2
-    probe = phi.T @ w @ phi
-    values = np.array([probe[2 * i, 2 * i + 1].real for i in range(r)])
+    phi, nonzero, smax = _congruence_columns(w, rank_rtol, _youla_pairs)
+    r = nonzero // 2
+    values = (phi.T @ w @ phi).diagonal(1)[: 2 * r : 2].real.copy()
     # near-degenerate merged clusters can come out marginally unordered
     perm = np.argsort(-values, kind="stable")
     if not np.array_equal(perm, np.arange(r)):
         cols = np.arange(n)
-        for slot, src in enumerate(perm):
-            cols[2 * slot], cols[2 * slot + 1] = 2 * src, 2 * src + 1
-        phi = phi[:, cols]
-        values = values[perm]
+        cols[: 2 * r] = np.column_stack([2 * perm, 2 * perm + 1]).ravel()
+        phi, values = phi[:, cols], values[perm]
     # deterministic phases: opposite rotations inside a pair leave the
     # canonical block invariant, kernel columns carry a free phase
     for i in range(r):
@@ -293,16 +303,10 @@ def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
         if abs(ph) > 0:
             phi[:, j] = c / (ph / abs(ph))
 
-    u_out = phi.T
-    canon = u_out @ w @ u_out.T
     target = np.zeros((n, n), dtype=complex)
     for i, zi in enumerate(values):
-        target[2 * i, 2 * i + 1] = zi
-        target[2 * i + 1, 2 * i] = -zi
-    residual = max_abs(canon - target)
-    if residual > TOL_RECON * max(1.0, smax):
-        raise NumericalFailureError(f"Youla reconstruction residual {residual:.3e}")
-    return CongruenceCanonicalForm(u_out, values, residual)
+        target[2 * i, 2 * i + 1], target[2 * i + 1, 2 * i] = zi, -zi
+    return _checked_form(w, phi, values, target, smax, "Youla")
 
 
 def _symmetric_unitary_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,6 +344,12 @@ def _symmetric_unitary_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _takagi_columns(bil: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``O diag(e^{-i theta / 2})`` for ``bil / mean(z) = O diag(e^{i theta}) O.T``."""
+    o, theta = _symmetric_unitary_factor(bil / float(np.mean(z)))
+    return o * np.exp(-0.5j * theta)
+
+
 def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
     """Canonical form of a complex symmetric matrix under congruence.
 
@@ -357,33 +367,13 @@ def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm
     if n == 0:
         return CongruenceCanonicalForm(np.eye(0, dtype=complex), np.array([]), 0.0)
 
-    _, z, vh = np.linalg.svd(v)
-    vecs = vh.conj().T
-    smax = z[0]
-    thr = rank_rtol * smax
-    cluster_atol = max(TOL_RECON, 1e3 * np.finfo(float).eps) * max(smax, 1.0)
-
-    nonzero = [i for i in range(n) if z[i] > thr]
-    column_blocks: list[np.ndarray] = []
-    for group in _cluster_by_gap(z[: len(nonzero)], cluster_atol):
-        sub = vecs[:, group]
-        zc = float(np.mean(z[group]))
-        bil = sub.T @ v @ sub
-        o, theta = _symmetric_unitary_factor(bil / zc)
-        block = sub @ (o * np.exp(-0.5j * theta))
-        column_blocks.append(block)
-
-    kernel = vecs[:, len(nonzero):]
-    phi = np.column_stack(column_blocks + [kernel]) if column_blocks else kernel
-    probe = phi.T @ v @ phi
-    values = np.diagonal(probe)[: len(nonzero)].real.copy()
-
+    phi, nonzero, smax = _congruence_columns(v, rank_rtol, _takagi_columns)
+    values = (phi.T @ v @ phi).diagonal()[:nonzero].real.copy()
     perm = np.argsort(-values, kind="stable")
-    if not np.array_equal(perm, np.arange(len(values))):
+    if not np.array_equal(perm, np.arange(nonzero)):
         cols = np.arange(n)
-        cols[: len(values)] = perm
-        phi = phi[:, cols]
-        values = values[perm]
+        cols[:nonzero] = perm
+        phi, values = phi[:, cols], values[perm]
     # sign normalization: flipping a column leaves the diagonal invariant
     for j in range(n):
         c = phi[:, j]
@@ -391,14 +381,9 @@ def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm
         if ph.real < 0 or (ph.real == 0 and ph.imag < 0):
             phi[:, j] = -c
 
-    u_out = phi.T
-    canon = u_out @ v @ u_out.T
     target = np.zeros((n, n), dtype=complex)
-    target[: len(values), : len(values)] = np.diag(values)
-    residual = max_abs(canon - target)
-    if residual > TOL_RECON * max(1.0, smax):
-        raise NumericalFailureError(f"Takagi reconstruction residual {residual:.3e}")
-    return CongruenceCanonicalForm(u_out, values, residual)
+    target[:nonzero, :nonzero] = np.diag(values)
+    return _checked_form(v, phi, values, target, smax, "Takagi")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ for the three canonical systems these coincide with the lifted
 single-particle ("local") transformations.  Any unitary on the full
 sector then factors as ``U = V1 @ Ud @ V2`` with ``V1, V2`` in that
 invariance group and ``Ud`` diagonal in the magic basis, splitting the
-correlation-changing content of ``U`` into ``dim - 1`` phases.
+correlation-changing content of ``U`` into ``dim - 1`` phases.  The magic
+bases come from ``states``; the group dimensions follow from ``dim`` alone.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ import numpy as np
 from .errors import NumericalFailureError, UnsupportedSystemError, ValidationError
 from .linalg import _symmetric_unitary_factor, max_abs, require_unitary
 from .states import SYSTEM_DIMS, magic_basis
-
-#: real dimensions of the local group, the phase torus, and the full group
-_DIMENSION_BOOKKEEPING = {
-    "qubits": (6, 3, 15),
-    "fermions": (15, 5, 35),
-    "bosons": (3, 2, 8),
-}
 
 
 def _check_system(op: np.ndarray, system: str) -> int:
@@ -126,12 +120,10 @@ def kak_decompose(u, system: str) -> KakFactors:
     residual = max_abs(recon - r)
     if residual > 1e-8:
         raise NumericalFailureError(f"KAK reconstruction residual {residual:.3e}")
-    b = magic_basis(system)
-    to_sector = lambda x: b @ x @ b.conj().T  # noqa: E731
     factors = KakFactors(
-        v1=to_sector(v1.astype(complex)),
-        ud=to_sector(np.diag(ud)),
-        v2=to_sector(v2),
+        v1=from_magic_basis(v1, system),
+        ud=from_magic_basis(np.diag(ud), system),
+        v2=from_magic_basis(v2, system),
         phases=phases,
         residual=residual,
     )
@@ -142,12 +134,13 @@ def kak_decompose(u, system: str) -> KakFactors:
 
 
 def dimension_bookkeeping(system: str) -> tuple[int, int, int]:
-    """(local group, phase torus, full group) real dimensions.
-
-    The factorization is only possible because
-    ``2 * dim(local) + (d - 1) >= dim(full)`` holds for the three
-    canonical systems; returned for sanity checks.
+    """(local group, phase torus, full group) real dimensions on a sector of
+    dimension ``n`` (``SYSTEM_DIMS``): ``SO(n)`` in the magic basis, the
+    ``n - 1`` phases of a determinant-one diagonal, and ``SU(n)``.  The
+    factorization needs ``2 * dim(local) + (n - 1) >= dim(full)``; returned
+    for sanity checks.
     """
-    if system not in _DIMENSION_BOOKKEEPING:
+    if system not in SYSTEM_DIMS:
         raise UnsupportedSystemError(f"unknown system {system!r}")
-    return _DIMENSION_BOOKKEEPING[system]
+    n = SYSTEM_DIMS[system]
+    return n * (n - 1) // 2, n - 1, n * n - 1

@@ -34,6 +34,9 @@ BIPARTITE = states.BIPARTITE
 ANTISYMMETRIC = sectors.ANTISYMMETRIC
 SYMMETRIC = sectors.SYMMETRIC
 
+#: the partial transpose counts as positive with no eigenvalue below this
+PPT_MIN_EIGENVALUE = -1e-9
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -103,11 +106,9 @@ def density_matrix(space: StateSpace, matrix) -> DensityMatrix:
 
 
 def space_of_state(state: states.PureState) -> StateSpace:
-    if state.kind == states.BIPARTITE:
+    if state.kind == BIPARTITE:
         return bipartite_space(*state.dim)
-    if state.kind == states.FERMION:
-        return antisymmetric_space(state.dim, state.particles)
-    return symmetric_space(state.dim, state.particles)
+    return StateSpace(states.SECTOR_OF_KIND[state.kind], (state.dim,), state.particles)
 
 
 def density_from_pure(state: states.PureState) -> DensityMatrix:
@@ -120,11 +121,7 @@ def density_from_mixture(pairs) -> DensityMatrix:
     """Density matrix of a convex mixture of pure states."""
     pairs = list(pairs)
     space = space_of_state(pairs[0][1])
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for p, psi in pairs:
-        v = psi.flat()
-        v = v / np.linalg.norm(v)
-        m += p * np.outer(v, v.conj())
+    m = sum(p * density_from_pure(psi).matrix for p, psi in pairs)
     return density_matrix(space, m / m.trace())
 
 
@@ -135,17 +132,17 @@ def state_from_sector_vector(space: StateSpace, vec) -> states.PureState:
         raise NotAStateError("zero vector")
     vec = vec / n
     if space.kind == BIPARTITE:
-        return states.PureState(states.BIPARTITE, 2, space.dims, vec.reshape(space.dims))
-    kind = states.FERMION if space.kind == ANTISYMMETRIC else states.BOSON
-    return states.PureState(kind, space.particles, space.dims[0], vec)
+        return states.PureState(BIPARTITE, 2, space.dims, vec.reshape(space.dims))
+    return states.PureState(states.KIND_OF_SECTOR[space.kind], space.particles, space.dims[0],
+                            vec)
 
 
 def canonical_system_of_space(space: StateSpace) -> str:
     """The canonical system of the states in ``space`` (see ``states.canonical_system_of``)."""
     if space.kind == BIPARTITE:
         return states.canonical_system_of(BIPARTITE, 2, space.dims)
-    kind = states.FERMION if space.kind == ANTISYMMETRIC else states.BOSON
-    return states.canonical_system_of(kind, space.particles, space.dims[0])
+    return states.canonical_system_of(states.KIND_OF_SECTOR[space.kind], space.particles,
+                                      space.dims[0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +271,9 @@ def partial_transpose(rho: DensityMatrix, cut: str = "A") -> np.ndarray:
 
 
 def is_ppt(rho: DensityMatrix) -> bool:
-    """Whether the partial transpose has no eigenvalue below -1e-9 (either
-    cut: ``PT_B(rho)`` is the transpose of ``PT_A(rho)``)."""
-    return bool(np.linalg.eigvalsh(partial_transpose(rho))[0] >= -1e-9)
+    """Whether no eigenvalue of the partial transpose is below ``PPT_MIN_EIGENVALUE``
+    (either cut: ``PT_B(rho)`` is the transpose of ``PT_A(rho)``)."""
+    return bool(np.linalg.eigvalsh(partial_transpose(rho))[0] >= PPT_MIN_EIGENVALUE)
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ def mode_bipartition_entropy(state: OccupationState, left_modes) -> float:
     """Von Neumann entropy (bits) across a bipartition of the modes.
 
     ``left_modes`` must be a proper nonempty subset of ``range(modes)``;
-    the entropy comes from the Schmidt values of the reshaped register
-    and is invariant under permutations within each side of the cut.
+    the entropy is ``states.entanglement_entropy`` of the register reshaped
+    across the cut, and is invariant under permutations within each side.
     """
     left = sorted(set(int(k) for k in left_modes))
     if not left or len(left) >= state.modes:
@@ -100,7 +100,4 @@ def mode_bipartition_entropy(state: OccupationState, left_modes) -> float:
     right = [k for k in range(state.modes) if k not in left]
     tensor = state.amplitudes.reshape((2,) * state.modes)
     psi = np.transpose(tensor, axes=left + right).reshape(2 ** len(left), 2 ** len(right))
-    result = states.schmidt_decompose(states.bipartite_state(psi))
-    z2 = result.values ** 2
-    z2 = z2[z2 > 1e-15]
-    return float(-(z2 * np.log2(z2)).sum())
+    return states.entanglement_entropy(states.bipartite_state(psi))

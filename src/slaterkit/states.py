@@ -52,6 +52,18 @@ BOSON = "boson"
 _NORM_ATOL = 1e-6
 
 
+class _ExchangeMap(dict):
+    """Particle kinds to exchange sectors or back; WrongKindError on other keys."""
+
+    def __missing__(self, key):
+        raise WrongKindError(f"{key} states have no exchange sector")
+
+
+#: the exchange sector of each particle kind, and the particle kind of each sector
+SECTOR_OF_KIND = _ExchangeMap({FERMION: sectors.ANTISYMMETRIC, BOSON: sectors.SYMMETRIC})
+KIND_OF_SECTOR = _ExchangeMap({sector: kind for kind, sector in SECTOR_OF_KIND.items()})
+
+
 @dataclass(frozen=True)
 class PureState:
     """Tagged union over the three state families.
@@ -69,11 +81,7 @@ class PureState:
 
     @property
     def sector_kind(self) -> str:
-        if self.kind == FERMION:
-            return sectors.ANTISYMMETRIC
-        if self.kind == BOSON:
-            return sectors.SYMMETRIC
-        raise WrongKindError("bipartite states have no exchange sector")
+        return SECTOR_OF_KIND[self.kind]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -103,7 +111,7 @@ class PureState:
 
 def _validated(kind, particles, dim, amps) -> PureState:
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > _NORM_ATOL:
+    if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_ATOL:
         raise NotAStateError(f"state norm {norm:.8f} is not within {_NORM_ATOL} of 1")
     return PureState(kind, particles, dim, amps / norm)
 
@@ -153,16 +161,20 @@ def boson_state(d: int, particles: int, amplitudes) -> PureState:
     return _validated(BOSON, particles, d, amps)
 
 
+def _state_from_tensor(kind: str, t) -> PureState:
+    t = np.asarray(t, dtype=complex)
+    sector = SECTOR_OF_KIND[kind]
+    sectors.check_tensor_symmetry(sector, t)
+    return _validated(kind, t.ndim, t.shape[0], sectors.amps_from_tensor(sector, t))
+
+
 def fermion_state_from_tensor(w) -> PureState:
     """Validated fermionic state from a totally antisymmetric tensor.
 
     Normalization convention: ``sum |w|^2 = 1/N!`` over all orderings
     (up to the usual 1e-6 slack, after which the state is renormalized).
     """
-    w = np.asarray(w, dtype=complex)
-    sectors.check_tensor_symmetry(sectors.ANTISYMMETRIC, w)
-    amps = sectors.amps_from_tensor(sectors.ANTISYMMETRIC, w)
-    return _validated(FERMION, w.ndim, w.shape[0], amps)
+    return _state_from_tensor(FERMION, w)
 
 
 def boson_state_from_tensor(v) -> PureState:
@@ -171,10 +183,7 @@ def boson_state_from_tensor(v) -> PureState:
     Normalization uses the multiplicity-aware inner product
     ``<v|v> = N! sum |v|^2`` (for N=2: ``2 sum |v_ij|^2 = 1``).
     """
-    v = np.asarray(v, dtype=complex)
-    sectors.check_tensor_symmetry(sectors.SYMMETRIC, v)
-    amps = sectors.amps_from_tensor(sectors.SYMMETRIC, v)
-    return _validated(BOSON, v.ndim, v.shape[0], amps)
+    return _state_from_tensor(BOSON, v)
 
 
 def raw_state(kind: str, particles: int, dim, amps) -> PureState:
@@ -695,8 +704,7 @@ def random_pure_state(kind: str, d, particles: int, rng) -> PureState:
         da, db = d if isinstance(d, (tuple, list)) else (d, d)
         psi = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
         return bipartite_state(psi / np.linalg.norm(psi))
-    skind = sectors.ANTISYMMETRIC if kind == FERMION else sectors.SYMMETRIC
-    dim = sectors.sector_dim(skind, d, particles)
+    dim = sectors.sector_dim(SECTOR_OF_KIND[kind], d, particles)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     amps /= np.linalg.norm(amps)
     return PureState(kind, particles, d, amps)

@@ -117,13 +117,8 @@ def optimal_witness_example(big_k: int, k: int, kind: str) -> WitnessOperator:
     """
     if not 2 <= k <= big_k:
         raise OutOfRangeError(f"need 2 <= k <= K, got k={k}, K={big_k}")
-    if kind == "fermion":
-        space = mixed.antisymmetric_space(2 * big_k)
-    elif kind == "boson":
-        space = mixed.symmetric_space(big_k)
-    else:
-        raise ValidationError("kind must be 'fermion' or 'boson'")
-    psi = states.maximally_correlated_state(kind, big_k).flat()
+    state = states.maximally_correlated_state(kind, big_k)
+    space, psi = mixed.space_of_state(state), state.flat()
     w = np.eye(space.dim, dtype=complex) - (big_k / (k - 1)) * np.outer(psi, psi.conj())
     return witness_operator(space, w, k)
 
@@ -247,9 +242,11 @@ def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
     """Multi-restart minimization of ``<psi|M|psi>`` over the rank-(k-1)
     manifold.  All restarts run as one stacked L-BFGS search; returns their
     minima with states and convergence, sorted by value."""
+    if budget < 1:
+        raise ValidationError(f"budget must be at least 1 restart, got {budget}")
     rng = as_rng(rng)
     chart = _SectorChart(space, k)
-    x0 = rng.standard_normal((max(budget, 0), chart.n_params))
+    x0 = rng.standard_normal((budget, chart.n_params))
     x, f, converged, iterations = _lbfgs(_quadratic_objective(chart, m_matrix), x0, iters)
     psi = chart.sector_vectors(x)
     norms = np.linalg.norm(psi, axis=1)

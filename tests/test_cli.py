@@ -345,6 +345,13 @@ MALFORMED = {
     "float-particles": {**_fermion_document([[0, 1]]), "particles": 2.0},
     "float-space-dim": {"type": "density", "matrix": [[[1, 0]]], "space": {
         "kind": "symmetric", "single_particle_dim": 2.0, "particles": 2}},
+    # NaN and Infinity are no JSON numbers, and NaN would pass every `> tol` gate
+    "nan-amplitude": {**_fermion_document([[0, 1]]), "amplitudes": [
+        {"indices": [0, 1], "re": float("nan"), "im": 0.0}]},
+    "nan-operator-entry": {**skio.witness_to_dict(wi.optimal_witness_example(2, 2, "fermion")),
+                           "matrix": [[[float("nan"), 0.0]] * 6] * 6},
+    "infinite-density-entry": {"type": "density", "matrix": [[[float("inf"), 0]]], "space": {
+        "kind": "bipartite", "dims": [1, 1]}},
 }
 
 
@@ -357,6 +364,30 @@ def test_malformed_input_exits_with_a_validation_error(name, tmp_path, capsys):
     assert captured.err.startswith("slaterkit: ValidationError: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "{correlated}", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["witness", "optimize", "{witness}", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["witness", "optimize", "{witness}", "--budget", "0"], "budget must be at least 1 restart"),
+    (["rank", "{correlated}", "--tol", "nan"], "--tol must lie strictly between 0 and 1"),
+    (["rank", "{correlated}", "--tol", "-1"], "--tol must lie strictly between 0 and 1"),
+    (["rank", "{correlated}", "--tol", "1"], "--tol must lie strictly between 0 and 1"),
+    (["witness", "make", "--K", "2", "--k", "2", "--kind", "boson", "-o", "{unwritable}"],
+     "cannot write"),
+    (["witness", "optimize", "{witness}", "-o", "{unwritable}"], "cannot write"),
+])
+def test_bad_options_and_unwritable_outputs_exit_with_a_validation_error(
+        tmp_path, capsys, argv, message):
+    correlated = st.fermion_state(6, 3, {(0, 1, 2): 0.8, (2, 4, 5): 0.6})
+    files = {"correlated": write(tmp_path, "w3.json", skio.pure_state_to_dict(correlated)),
+             "witness": write(tmp_path, "w.json",
+                              skio.witness_to_dict(wi.optimal_witness_example(3, 2, "boson"))),
+             "unwritable": str(tmp_path / "missing" / "out.json")}
+    code = cli.main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"slaterkit: ValidationError: {message}")
+
+
 def test_modes_rejects_a_cut_that_is_not_mode_indices(tmp_path, capsys):
     state = st.fermion_state(4, 2, {(0, 1): 1.0})
     path = write(tmp_path, "det.json", skio.pure_state_to_dict(state))
@@ -367,11 +398,14 @@ def test_modes_rejects_a_cut_that_is_not_mode_indices(tmp_path, capsys):
 def test_batch_reports_a_malformed_file_next_to_a_good_one(bell_file, tmp_path, capsys):
     write(tmp_path, "bad.json", MALFORMED["index-past-dims"])
     write(tmp_path, "twice.json", MALFORMED["repeated-fermion-indices"])
+    (tmp_path / "latin1.json").write_bytes(b'{"type": "pure", "kind": "\xe9"}')
     code, report = run(capsys, "concurrence", str(tmp_path), "--batch")
     assert code == cli.EXIT_INPUT
     assert report["bad.json"]["error_type"] == "ValidationError"
     assert report["twice.json"]["error_type"] == "ValidationError"
     assert "listed twice" in report["twice.json"]["error"]
+    assert report["latin1.json"]["error_type"] == "ValidationError"
+    assert "utf-8" in report["latin1.json"]["error"]
     assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
 
 

@@ -1,5 +1,5 @@
-"""Source rules for the package: no runtime gate may vanish under ``python -O``
-and no handler may swallow every error."""
+"""Source rules for the package: no runtime gate may vanish under ``python -O``,
+no handler may swallow every error, and every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,20 @@ import slaterkit
 
 SOURCES = sorted(Path(slaterkit.__file__).parent.glob("*.py"))
 _CATCH_ALL = {"Exception", "BaseException"}
+#: imports allowed inside a function, as (function, imported module): ``mixed``
+#: imports ``witnesses`` at call time because ``witnesses`` imports ``mixed``
+_LOCAL_IMPORTS = {("bosonic_ppt_separability", "witnesses")}
+
+
+def _local_imports(tree: ast.AST) -> list[str]:
+    owner = {}  # each import inside a function, and the innermost function around it
+    for func in ast.walk(tree):  # breadth first, so inner functions come later
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    owner[node] = func.name
+    return [f"line {node.lineno}: import inside {name}" for node, name in owner.items()
+            if not {(name, alias.name) for alias in node.names} <= _LOCAL_IMPORTS]
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -30,6 +44,11 @@ def test_no_assert_or_catch_all_except(path):
     assert _violations(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert _local_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_the_rules_flag_their_targets():
     code = ("assert x\n"
             "try:\n    pass\nexcept:\n    pass\n"
@@ -37,4 +56,10 @@ def test_the_rules_flag_their_targets():
             "try:\n    pass\nexcept (ValueError, BaseException):\n    pass\n"
             "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert len(_violations(ast.parse(code))) == 4
+    code = ("import numpy\n"
+            "def f():\n    from . import sectors\n"
+            "def g():\n    def h():\n        import json\n"
+            "def bosonic_ppt_separability():\n    from . import witnesses\n"
+            "def bosonic_ppt_separability():\n    from . import sectors, witnesses\n")
+    assert len(_local_imports(ast.parse(code))) == 3
     assert len(SOURCES) > 5

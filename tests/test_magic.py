@@ -119,9 +119,13 @@ def test_kak_factors_preserve_concurrence():
 
 
 def test_dimension_bookkeeping():
+    assert [mg.dimension_bookkeeping(s) for s in ("qubits", "fermions", "bosons")] == [
+        (6, 3, 15), (15, 5, 35), (3, 2, 8)]
     for system in st.SYSTEM_DIMS:
         local, torus, full = mg.dimension_bookkeeping(system)
         assert 2 * local + torus >= full
+    with pytest.raises(UnsupportedSystemError):
+        mg.dimension_bookkeeping("anyons")
 
 
 def test_kak_input_validation():
@@ -131,3 +135,5 @@ def test_kak_input_validation():
         mg.kak_decompose(np.eye(5), "qubits")
     with pytest.raises(ValidationError):
         mg.kak_decompose(np.diag([2.0, 1, 1, 1]), "qubits")  # not unitary
+    with pytest.raises(ValidationError):
+        mg.kak_decompose(np.diag([np.nan, 1, 1, 1]), "qubits")

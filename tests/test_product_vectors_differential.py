@@ -23,9 +23,13 @@ from slaterkit import linalg as la
 from slaterkit import mixed as mx
 from slaterkit import sectors
 from slaterkit import states as st
-from slaterkit.errors import DegenerateSystemError, UnsupportedSystemError, ValidationError
+from slaterkit.errors import NumericalFailureError, UnsupportedSystemError, ValidationError
 from slaterkit.linalg import RANK_RTOL
 from slaterkit.mixed import SYMMETRIC, DensityMatrix, _symmetric_pair_vector, subnormalized_spectrum
+
+
+class DegenerateSystemError(NumericalFailureError):
+    """A polynomial system is non-generic (deficient or infinite solution set)."""
 
 
 @dataclass(frozen=True)

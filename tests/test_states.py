@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slaterkit import linalg as la
+from slaterkit import mixed as mx
 from slaterkit import sectors
 from slaterkit import states as st
 from slaterkit.errors import (
@@ -34,6 +35,25 @@ def test_normalization_slack_and_rejection():
     st.bipartite_state((1 + 5e-7) * BELL_PLUS)  # renormalized silently
     with pytest.raises(NotAStateError):
         st.bipartite_state(2.0 * BELL_PLUS)
+
+
+def test_non_finite_amplitudes_are_rejected():
+    # a NaN norm fails no `> tol` comparison, so the norm must be finite
+    with pytest.raises(NotAStateError):
+        st.fermion_state(4, 2, {(0, 1): np.nan})
+    with pytest.raises(NotAStateError):
+        st.boson_state(2, 2, {(0, 0): 1.0, (1, 1): np.nan})
+
+
+def test_exchange_sector_map_refuses_other_kinds():
+    assert st.KIND_OF_SECTOR[st.SECTOR_OF_KIND[st.FERMION]] == st.FERMION
+    assert st.KIND_OF_SECTOR[st.SECTOR_OF_KIND[st.BOSON]] == st.BOSON
+    with pytest.raises(WrongKindError):
+        st.random_pure_state("anyon", 4, 2, 0)
+    with pytest.raises(WrongKindError):
+        mx.space_of_state(st.raw_state("anyon", 2, 4, np.ones(6)))
+    with pytest.raises(WrongKindError):
+        mx.state_from_sector_vector(mx.StateSpace("anyonic", (4,)), np.ones(6))
 
 
 def test_fermion_needs_enough_modes():

@@ -96,6 +96,18 @@ def test_invalid_witness_rejected_by_battery():
         wi.witness_operator(SPACE_F4, -np.eye(6), 2)
 
 
+def test_witness_with_a_nan_entry_is_rejected():
+    m = np.eye(6, dtype=complex)
+    m[2, 3] = np.nan
+    with pytest.raises(ValidationError, match="inf"):
+        wi.witness_operator(SPACE_F4, m, 2)
+
+
+def test_manifold_search_refuses_an_empty_budget():
+    with pytest.raises(ValidationError, match="budget"):
+        wi.infimum_over_rank(np.eye(6), 2, SPACE_F4, budget=0)
+
+
 def test_witness_detection_conjugation_covariant():
     w = wi.optimal_witness_example(2, 2, "fermion")
     gen = np.random.default_rng(1)
