@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any file runs: ``--batch`` derives per-file seeds that are never negative
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
         if args.command == "witness":
             return _cmd_witness(args)
         return _run_single(args.command, args)

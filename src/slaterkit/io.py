@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -152,13 +153,25 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _within_double(convert):
+    """A JSON number parser refusing numbers past a double: ``1e400`` would
+    load as inf, and ``10**400`` fails to convert to a complex entry."""
+    def parse(text: str):
+        value = convert(text)
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{text[:24]}{'...' * (len(text) > 24)} overflows a double")
+        return value
+    return parse
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_refuse_constant)
+            obj = json.load(fh, parse_float=_within_double(float),
+                            parse_int=_within_double(int), parse_constant=_refuse_constant)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or a NaN / Infinity literal
+    except ValueError as exc:  # not UTF-8, not JSON, NaN / Infinity, or past a double
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{path}: expected a JSON object with a 'type' field")

@@ -382,10 +382,16 @@ def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 3
 
     Minimizes ``sum_k p_k C(phi_k)`` over decompositions of ``rho``
     obtained by mixing the subnormalized eigenvectors with an ``m x r``
-    isometry.  The starts are the identity and ``n_starts - 1`` seeded
-    random isometries.  Every ``|z_k|`` is smoothed to ``sqrt(|z_k|^2 +
-    mu^2)`` with ``mu = 1e-2``, and all starts descend at once by Riemannian
-    L-BFGS on the stacked Stiefel manifold (at most ``n_iters`` steps; see
+    isometry, ``m = max(r, 4)``.  An entangled state has an optimal
+    decomposition with ``r`` elements (Wootters, PRL 80, 2245 (1998)), and a
+    separable one is a mixture of at most 4 product states (Sanpera,
+    Tarrach & Vidal, PRA 58, 826 (1998)); both carry over to two fermions
+    with ``d = 4`` and two bosons with ``d = 2``, so ``m`` need not reach
+    Caratheodory's ``min(r^2, 16)``, which bounds any decomposition.  The
+    starts are the identity and ``n_starts - 1`` seeded random isometries.
+    Every ``|z_k|`` is smoothed to ``sqrt(|z_k|^2 + mu^2)`` with ``mu =
+    1e-2``, and all starts descend at once by Riemannian L-BFGS on the
+    stacked Stiefel manifold (at most ``n_iters`` steps; see
     ``_roof_stage``).  ``value`` scores the best final isometry without
     smoothing.  A rank-1 state needs no search and reports zero steps and
     starts.
@@ -398,7 +404,7 @@ def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 3
         raise ValidationError(f"oracle restricted to rank <= 6, got {r}")
     if r == 1:
         return ConvexRoofResult(float(abs(tau[0, 0])), 0, 0)
-    m = min(r * r, 16)
+    m = max(r, 4)
     rng = as_rng(seed)
     draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
              for _ in range(n_starts - 1)]

@@ -20,7 +20,10 @@ from slaterkit import witnesses as wi
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
-    skio.dump(obj, str(path))
+    if isinstance(obj, str):  # JSON text, for numbers ``json.dumps`` cannot write
+        path.write_text(obj, encoding="utf-8")
+    else:
+        skio.dump(obj, str(path))
     return str(path)
 
 
@@ -320,6 +323,11 @@ def _fermion_document(indices):
             "amplitudes": [{"indices": t, "re": 1.0, "im": 0.0} for t in indices]}
 
 
+def _with_number(doc, literal):
+    """``doc`` as JSON text, its ``"@"`` string replaced by the number ``literal``."""
+    return json.dumps(doc).replace('"@"', literal)
+
+
 MALFORMED = {
     "index-past-dims": _bipartite_document([2, 2], [5, 0]),
     "three-indices": _bipartite_document([2, 2], [0, 0, 1]),
@@ -352,6 +360,14 @@ MALFORMED = {
                            "matrix": [[[float("nan"), 0.0]] * 6] * 6},
     "infinite-density-entry": {"type": "density", "matrix": [[[float("inf"), 0]]], "space": {
         "kind": "bipartite", "dims": [1, 1]}},
+    # numbers past a double would load as inf (1e400) or fail to convert (10**400)
+    "overflowing-operator-entry": _with_number(
+        {**skio.witness_to_dict(wi.optimal_witness_example(2, 2, "fermion")),
+         "matrix": [[["@", 0.0]] * 6] * 6}, "1e400"),
+    "overflowing-amplitude": _with_number({**_fermion_document([[0, 1]]), "amplitudes": [
+        {"indices": [0, 1], "re": "@", "im": 0.0}]}, "-1e400"),
+    "overflowing-integer-entry": {"type": "density", "matrix": [[[10 ** 400, 0]]], "space": {
+        "kind": "bipartite", "dims": [1, 1]}},
 }
 
 
@@ -366,6 +382,7 @@ def test_malformed_input_exits_with_a_validation_error(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["rank", "{correlated}", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["rank", "{batch}", "--batch", "--seed", "-1"], "seed must be a non-negative integer"),
     (["witness", "optimize", "{witness}", "--seed", "-1"], "seed must be a non-negative integer"),
     (["witness", "optimize", "{witness}", "--budget", "0"], "budget must be at least 1 restart"),
     (["rank", "{correlated}", "--tol", "nan"], "--tol must lie strictly between 0 and 1"),
@@ -378,7 +395,10 @@ def test_malformed_input_exits_with_a_validation_error(name, tmp_path, capsys):
 def test_bad_options_and_unwritable_outputs_exit_with_a_validation_error(
         tmp_path, capsys, argv, message):
     correlated = st.fermion_state(6, 3, {(0, 1, 2): 0.8, (2, 4, 5): 0.6})
+    (tmp_path / "batch").mkdir()
+    write(tmp_path / "batch", "w3.json", skio.pure_state_to_dict(correlated))
     files = {"correlated": write(tmp_path, "w3.json", skio.pure_state_to_dict(correlated)),
+             "batch": str(tmp_path / "batch"),
              "witness": write(tmp_path, "w.json",
                               skio.witness_to_dict(wi.optimal_witness_example(3, 2, "boson"))),
              "unwritable": str(tmp_path / "missing" / "out.json")}

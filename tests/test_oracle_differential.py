@@ -6,7 +6,9 @@ one after another, with an SVD retraction.  ``_stacked_descent_oracle`` is
 the second: the same descent with all starts stacked and a polar
 retraction (``_descend``).  The stacked descent is pinned to the loop, and
 the Riemannian L-BFGS search that replaced it must be no worse than it and
-never below the closed form.
+never below the closed form.  ``_caratheodory_details`` is that search with
+its ``m = min(r^2, 16)`` decompositions, before their width came from the
+Wootters and Sanpera-Tarrach-Vidal bounds as ``max(r, 4)``.
 """
 
 import functools
@@ -96,6 +98,26 @@ def _stacked_descent_oracle(rho, n_starts=12, n_iters=300, seed=0):
     return best
 
 
+def _caratheodory_details(rho, n_starts=12, n_iters=300, seed=0):
+    if n_starts < 1 or n_iters < 0:
+        raise mx.ValidationError(
+            f"need n_starts >= 1 and n_iters >= 0, got {n_starts}, {n_iters}")
+    tau = mx._dual_overlap(rho, mx.canonical_system_of_space(rho.space))
+    r = len(tau)
+    if r > 6:
+        raise mx.ValidationError(f"oracle restricted to rank <= 6, got {r}")
+    if r == 1:
+        return mx.ConvexRoofResult(float(abs(tau[0, 0])), 0, 0)
+    m = min(r * r, 16)
+    rng = as_rng(seed)
+    draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+             for _ in range(n_starts - 1)]
+    x, _ = mx._polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
+    x, converged, iterations = mx._roof_stage(x, tau, 1e-2, n_iters)
+    best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
+    return mx.ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
+
+
 def _descend(x, objective, n_iters):
     """Backtracking descent of each isometry in a stack: a start's trial is accepted
     if its value does not rise and its polar factor exists, else its step halves."""
@@ -183,6 +205,50 @@ def test_lbfgs_search_is_no_worse_than_descent(kind, d, rank, entangled, n_start
         assert value <= reference + 1e-10 or max(reference, value) < 1e-8
         if not entangled and rank == 2:
             assert value < 1e-8
+
+
+@MIXTURES
+@ENTANGLED
+def test_theorem_width_is_no_worse_than_caratheodory_width(kind, d, rank, entangled):
+    for seed in range(4):
+        rho = _mixture(kind, d, rank, np.random.default_rng([seed, rank, 8]), entangled)
+        value = mx.convex_roof_oracle(rho, 8, 400, seed)
+        reference = _caratheodory_details(rho, 8, 400, seed).value
+        closed = mx.wootters_concurrence(rho)
+        assert closed - 1e-10 <= value
+        if entangled:
+            assert abs(value - closed) <= 1e-10 and value <= reference + 1e-10
+        else:
+            assert max(value, reference) < 1e-6
+
+
+def test_decomposition_width_follows_the_rank(monkeypatch):
+    shapes = []
+    stage = mx._roof_stage
+
+    def recording_stage(x, tau, mu, n_iters):
+        shapes.append(x.shape)
+        return stage(x, tau, mu, n_iters)
+
+    monkeypatch.setattr(mx, "_roof_stage", recording_stage)
+    for rank in range(2, 7):
+        rho = _mixture("fermion", 4, rank, np.random.default_rng([rank, 8]), True)
+        mx.convex_roof_details(rho, 3, 0, rank)
+        assert shapes[-1] == (3, max(rank, 4), rank)
+    assert len(shapes) == 5
+
+
+@pytest.mark.parametrize("rank", (5, 6))
+@ENTANGLED
+def test_fermion_mixtures_above_rank_four_meet_the_closed_form(rank, entangled):
+    # ranks 5 and 6 are the ones whose decompositions have m = r elements
+    for seed in range(8):
+        rho = _mixture("fermion", 4, rank, np.random.default_rng([seed, rank, 8]), entangled)
+        value = mx.convex_roof_oracle(rho, 8, 400, seed)
+        if entangled:
+            assert abs(value - mx.wootters_concurrence(rho)) <= 1e-10
+        else:
+            assert value < 1e-6
 
 
 SEPARABLE_HIGH_RANK = [(kind, d, rank) for kind, d, rank in CASES if rank >= 3]
