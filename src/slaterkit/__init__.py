@@ -14,7 +14,6 @@ from .errors import (
     ArityMismatchError,
     BadPartitionError,
     DimensionMismatchError,
-    DimensionNotEvenError,
     NotAnEdgeStateError,
     NotAntisymmetricError,
     NotAStateError,

@@ -150,26 +150,17 @@ def _cmd_witness(args) -> int:
         print(io.dump({"value": result.value, "detected": result.detected},
                       None, args.pretty))
         return 0
-    if args.witness_cmd == "optimize":
-        w = _load(args.witness, witnesses.WitnessOperator,
-                  "witness optimize expects an operator file")
-        outcome = witnesses.witness_optimize(w, budget=args.budget, seed=args.seed)
-        def plain(v):
-            if isinstance(v, (bool, int, np.integer)):
-                return int(v)
-            if isinstance(v, (float, np.floating)):
-                return float(v)
-            return v
-
-        report = {"optimal": outcome.optimal,
-                  "subtracted_weight": outcome.subtracted_weight,
-                  "diagnostics": {k: plain(v) for k, v in outcome.diagnostics.items()}}
-        if args.output is not None:
-            io.dump(io.witness_to_dict(outcome.witness), args.output, args.pretty)
-            report["written"] = args.output
-        print(io.dump(report, None, args.pretty))
-        return 0
-    raise ValidationError(f"unknown witness subcommand {args.witness_cmd!r}")
+    # argparse admits only make, eval and optimize
+    w = _load(args.witness, witnesses.WitnessOperator, "witness optimize expects an operator file")
+    outcome = witnesses.witness_optimize(w, budget=args.budget, seed=args.seed)
+    report = {"optimal": outcome.optimal,
+              "subtracted_weight": outcome.subtracted_weight,
+              "diagnostics": outcome.diagnostics}
+    if args.output is not None:
+        io.dump(io.witness_to_dict(outcome.witness), args.output, args.pretty)
+        report["written"] = args.output
+    print(io.dump(report, None, args.pretty))
+    return 0
 
 
 _SINGLE_INPUT_COMMANDS = {

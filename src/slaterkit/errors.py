@@ -39,10 +39,6 @@ class DimensionMismatchError(ValidationError):
     pass
 
 
-class DimensionNotEvenError(ValidationError):
-    pass
-
-
 class ThresholdOutOfRangeError(ValidationError):
     pass
 

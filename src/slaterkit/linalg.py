@@ -124,11 +124,15 @@ def _range_split(matrix: np.ndarray, rtol: float = RANK_RTOL):
     return evals[keep], evecs[:, keep], evecs[:, ~keep]
 
 
-def perm_sign(seq) -> int:
-    """Sign of the permutation that sorts ``seq`` (entries distinct)."""
-    seq = tuple(seq)
-    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
-    return -1 if inversions % 2 else 1
+def levi_civita(rows) -> np.ndarray:
+    """Levi-Civita symbol of each row of indices (the last axis): the product
+    of the signs of its pairwise differences, ``(-1)**inversions`` for
+    distinct indices and 0 where an index repeats."""
+    rows = np.asarray(rows)
+    out = np.ones(rows.shape[:-1], dtype=np.int8)
+    for i, j in itertools.combinations(range(rows.shape[-1]), 2):
+        out *= np.sign(rows[..., j] - rows[..., i])
+    return out
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -474,10 +478,11 @@ def _minor_index(d: int, size: int):
     """Free tuples (lexicographic), the row-major flat positions of each
     complementary principal minor ``[rest, rest]``, and ``sign(rest + free)``."""
     free_tuples = tuple(itertools.combinations(range(d), d - size))
-    rests = [[i for i in range(d) if i not in alpha] for alpha in free_tuples]
-    rest = np.array(rests, dtype=np.intp).reshape(len(rests), size)
-    positions = (rest[:, :, None] * d + rest[:, None, :]).reshape(len(rests), size * size)
-    signs = np.array([perm_sign(r + list(alpha)) for r, alpha in zip(rests, free_tuples)], float)
+    alpha = np.array(free_tuples, dtype=np.intp)
+    # taking complements reverses the lexicographic order
+    rest = np.array(list(itertools.combinations(range(d), size))[::-1], dtype=np.intp)
+    positions = (rest[:, :, None] * d + rest[:, None, :]).reshape(len(free_tuples), size * size)
+    signs = levi_civita(np.concatenate([rest, alpha], axis=1)).astype(float)
     return free_tuples, read_only(positions), read_only(signs)
 
 
@@ -513,8 +518,8 @@ def epsilon_contract(spec: EpsilonContractionSpec) -> dict[tuple[int, ...], comp
     minor, counted as ``C(d, n) * n**3`` operations: ``n = 2k`` Parlett-Reid
     Pfaffians (single) or ``n = k`` LU determinants (paired); distinct
     operands multiply it by the ``prod(m_i + 1)`` combinations.  At the
-    20 million limit, full rank scans (equal operands) run for fermions up
-    to ``d = 16`` and for bosons up to ``d = 17``.
+    20 million limit, full rank scans (equal operands) run up to ``d = 17``
+    for fermions and bosons alike.
 
     Raises
     ------

@@ -70,6 +70,7 @@ def fock_to_qubits(state) -> OccupationState:
             modes = s.dim
         elif s.dim != modes:
             raise DimensionMismatchError("components disagree on the number of modes")
+    sectors.check_dense(2 ** modes, f"an occupation register of {modes} modes")
     amplitudes = np.zeros(2 ** modes, dtype=complex)
     seen = set()
     for coeff, s in components:

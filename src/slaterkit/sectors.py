@@ -26,36 +26,42 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TOL_SYM, perm_sign, read_only
+from .linalg import TOL_SYM, levi_civita, read_only
 
 ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
 
+#: the most entries a dense table may hold: a sector's tuples, the ``d**N``
+#: positions of a coefficient tensor, or the ``2**d`` amplitudes of an
+#: occupation register
+MAX_DENSE_ENTRIES = 2 ** 22
+
+
+def check_dense(count: int, what: str) -> None:
+    """Refuse, before allocating, a dense table of more than ``MAX_DENSE_ENTRIES``."""
+    if count > MAX_DENSE_ENTRIES:
+        raise ValidationError(f"{what} would hold {count} entries, more than {MAX_DENSE_ENTRIES}")
+
+
+def sector_dim(kind: str, d: int, n: int) -> int:
+    if kind == ANTISYMMETRIC:
+        return math.comb(d, n)
+    if kind == SYMMETRIC:
+        return math.comb(d + n - 1, n) if d else int(n == 0)
+    raise ValidationError(f"unknown sector kind {kind!r}")
+
 
 @lru_cache(maxsize=None)
 def sector_tuples(kind: str, d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    check_dense(sector_dim(kind, d, n), f"the {kind} sector of {n} particles in {d} modes")
     if kind == ANTISYMMETRIC:
         return tuple(itertools.combinations(range(d), n))
-    if kind == SYMMETRIC:
-        return tuple(itertools.combinations_with_replacement(range(d), n))
-    raise ValidationError(f"unknown sector kind {kind!r}")
+    return tuple(itertools.combinations_with_replacement(range(d), n))
 
 
 @lru_cache(maxsize=None)
 def tuple_index(kind: str, d: int, n: int) -> MappingProxyType:
     return MappingProxyType({t: i for i, t in enumerate(sector_tuples(kind, d, n))})
-
-
-def sector_dim(kind: str, d: int, n: int) -> int:
-    return len(sector_tuples(kind, d, n))
-
-
-def multiplicity_factor(t: tuple[int, ...]) -> float:
-    """sqrt(prod of mode multiplicities factorial) for a sorted tuple."""
-    out = 1.0
-    for _, grp in itertools.groupby(t):
-        out *= math.factorial(sum(1 for _ in grp))
-    return math.sqrt(out)
 
 
 @lru_cache(maxsize=None)
@@ -99,42 +105,44 @@ def embed_operator(kind: str, d: int, n: int, matrix: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _expansion_table(kind: str, d: int, n: int):
-    """Flat tensor positions, source tuple indices and weights per entry."""
-    tuples = sector_tuples(kind, d, n)
-    fact = math.factorial(n)
-    positions, sources, coeffs = [], [], []
-    for i, t in enumerate(tuples):
-        if kind == ANTISYMMETRIC:
-            perms = itertools.permutations(t)
-        else:
-            perms = set(itertools.permutations(t))
-        weight = 1.0 / fact if kind == ANTISYMMETRIC else multiplicity_factor(t) / fact
-        for perm in perms:
-            flat = 0
-            for v in perm:
-                flat = flat * d + v
-            positions.append(flat)
-            sources.append(i)
-            coeffs.append(weight * (perm_sign(perm) if kind == ANTISYMMETRIC else 1.0))
-    return (read_only(np.asarray(positions, dtype=np.intp)),
-            read_only(np.asarray(sources, dtype=np.intp)),
-            read_only(np.asarray(coeffs)))
+def _tables(kind: str, d: int, n: int):
+    """The gather and expansion tables, from one pass over the ``d**n`` tensor positions.
+
+    Each position holds the amplitude of the tuple its modes sort to, times
+    ``levi_civita(modes) / N!`` (fermions, 0 where a mode repeats) or
+    ``sqrt(prod n_k!) / N!`` (bosons).  The positions whose modes are already
+    sorted are the sector's tuples, in ``sector_tuples`` order.
+    """
+    check_dense(d ** n, f"a coefficient tensor of {n} particles in {d} modes")
+    # signed, so mode differences fit, and narrow: the table has d**n rows
+    modes = np.indices((d,) * n, dtype=np.min_scalar_type(-d)).reshape(n, d ** n).T
+    signs = levi_civita(modes) if kind == ANTISYMMETRIC else 1
+    modes.sort(axis=1)
+    target, place, product = np.zeros(d ** n, dtype=np.intp), np.ones(d ** n), np.ones(d ** n)
+    previous = -1
+    for column in modes.T:
+        target = target * d + column
+        # prod n_k! is the product of each mode's place in its run of equal modes
+        place = place * (column == previous) + 1
+        product *= place
+        previous = column
+    roots, fact = np.sqrt(product), math.factorial(n)
+    weights = signs * roots / fact
+    flats = np.flatnonzero((target == np.arange(d ** n)) & (weights != 0))
+    positions = np.flatnonzero(weights)
+    return ((read_only(flats), read_only(fact / roots[flats])),
+            (read_only(positions), read_only(np.searchsorted(flats, target[positions])),
+             read_only(weights[positions])))
 
 
-@lru_cache(maxsize=None)
 def _gather_table(kind: str, d: int, n: int):
-    tuples = sector_tuples(kind, d, n)
-    fact = math.factorial(n)
-    flats = np.empty(len(tuples), dtype=np.intp)
-    factors = np.empty(len(tuples))
-    for i, t in enumerate(tuples):
-        flat = 0
-        for v in t:
-            flat = flat * d + v
-        flats[i] = flat
-        factors[i] = fact if kind == ANTISYMMETRIC else fact / multiplicity_factor(t)
-    return read_only(flats), read_only(factors)
+    """Flat tensor position of each sorted tuple and its factor ``c_t / w_t``."""
+    return _tables(kind, d, n)[0]
+
+
+def _expansion_table(kind: str, d: int, n: int):
+    """Flat positions, source tuple indices and weights of the nonzero tensor entries."""
+    return _tables(kind, d, n)[1]
 
 
 def tensor_from_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:

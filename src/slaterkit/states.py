@@ -23,7 +23,6 @@ import numpy as np
 from . import sectors
 from .errors import (
     DimensionMismatchError,
-    DimensionNotEvenError,
     NotAStateError,
     OutOfRangeError,
     ThresholdOutOfRangeError,
@@ -400,8 +399,6 @@ def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> Ran
         raise WrongKindError(f"expected a two-{kind} state")
     d = state.dim
     if kind == FERMION:
-        if d % 2:
-            raise DimensionNotEvenError(f"single-particle dimension {d} is odd")
         big_k, pattern, free, weight = d // 2, "single", d - 2 * threshold, 2.0 ** threshold
     else:
         big_k, pattern, free, weight = d, "paired", d - threshold, 1.0

@@ -96,6 +96,8 @@ def witness_operator(space: mixed.StateSpace, matrix, slater_class: int,
     if not 2 <= slater_class <= _max_rank(space):
         raise OutOfRangeError(f"class {slater_class} outside 2..{_max_rank(space)}")
     m = np.asarray(matrix, dtype=complex)
+    if m.shape != (space.dim, space.dim):
+        raise ValidationError(f"matrix shape {m.shape} does not match sector dimension {space.dim}")
     require_hermitian(m, TOL_SYM)
     m = 0.5 * (m + m.conj().T)
     if validate:

@@ -116,6 +116,12 @@ def test_rank_command_two_particle_states(tmp_path, capsys, kind, d):
         assert len(report["canonical_values"]) == rank
 
 
+def test_rank_command_odd_dimension_fermions(tmp_path, capsys):
+    state = st.fermion_state(5, 2, {(0, 1): 0.8, (2, 4): 0.6})
+    code, report = run(capsys, "rank", write(tmp_path, "d5.json", skio.pure_state_to_dict(state)))
+    assert code == 0 and report["rank_claim"] == report["decomposition_rank"] == 2
+
+
 def test_rank_batch_runs_each_file_with_its_derived_seed(tmp_path, capsys, monkeypatch):
     gen = np.random.default_rng(9)
     for i in range(3):
@@ -237,12 +243,16 @@ def test_witness_pipeline(tmp_path, capsys):
     assert 0 < diag["max_iterations"] <= 400
 
 
-def test_witness_optimize_writes_improved_bosonic_witness(tmp_path, capsys):
+def _improvable_boson_witness():
     base = wi.optimal_witness_example(3, 2, "boson")
     gen = np.random.default_rng(1)
     v = gen.standard_normal(base.space.dim) + 1j * gen.standard_normal(base.space.dim)
     v /= np.linalg.norm(v)
-    w = wi.witness_operator(base.space, base.matrix + 0.3 * np.outer(v, v.conj()), 2)
+    return wi.witness_operator(base.space, base.matrix + 0.3 * np.outer(v, v.conj()), 2)
+
+
+def test_witness_optimize_writes_improved_bosonic_witness(tmp_path, capsys):
+    w = _improvable_boson_witness()
     out = str(tmp_path / "improved.json")
     code, report = run(capsys, "witness", "optimize", write(tmp_path, "w.json",
                        skio.witness_to_dict(w)), "-o", out, "--seed", "1")
@@ -252,6 +262,37 @@ def test_witness_optimize_writes_improved_bosonic_witness(tmp_path, capsys):
     improved = skio.load_any(out)  # runs the witness battery
     assert isinstance(improved, wi.WitnessOperator) and improved.slater_class == 2
     assert np.linalg.eigvalsh(w.matrix - improved.matrix)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (6, 5)])
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+def test_witness_of_the_wrong_shape_exits_with_a_validation_error(tmp_path, capsys, command,
+                                                                 shape):
+    doc = {**skio.witness_to_dict(wi.optimal_witness_example(2, 2, "fermion")),
+           "matrix": skio._matrix_to_json(np.eye(*shape))}
+    path = write(tmp_path, "w.json", doc)
+    state = write(tmp_path, "s.json", skio.pure_state_to_dict(st.magic_state("fermions", 0)))
+    code = cli.main(["witness", command, path] + ([state] if command == "eval" else []))
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and captured.out == ""
+    assert "does not match sector dimension 6" in captured.err
+
+
+@pytest.mark.parametrize("make_witness, tangent", [
+    (_improvable_boson_witness, True),
+    (lambda: wi.witness_operator(mx.symmetric_space(3), np.eye(6), 2), False),
+])
+def test_witness_optimize_diagnostics_are_plain_numbers(tmp_path, capsys, make_witness, tangent):
+    w = make_witness()
+    outcome = wi.witness_optimize(w, budget=16)
+    # the tangent path runs the ratio search and its confirming check
+    assert ("subtraction_check" in outcome.diagnostics) is tangent
+    assert "subtracted_mu" in outcome.diagnostics
+    assert all(type(v) in (int, float) for v in outcome.diagnostics.values())
+    assert json.loads(json.dumps(outcome.diagnostics)) == outcome.diagnostics
+    code, report = run(capsys, "witness", "optimize",
+                       write(tmp_path, "w.json", skio.witness_to_dict(w)), "--budget", "16")
+    assert code == 0 and report["diagnostics"] == outcome.diagnostics
 
 
 def test_search_flags_attach_only_where_read(capsys):
@@ -427,6 +468,73 @@ def test_batch_reports_a_malformed_file_next_to_a_good_one(bell_file, tmp_path, 
     assert report["latin1.json"]["error_type"] == "ValidationError"
     assert "utf-8" in report["latin1.json"]["error"]
     assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
+
+
+#: small files declaring what no dense table can hold: C(400, 6) = 5.5e12 sector
+#: tuples, 16**8 = 4.3e9 tensor entries of a 12870-tuple sector, 2**40 occupation
+#: amplitudes, and a 79800-dimensional operator given as a 1 x 1 matrix
+OVERSIZED = {
+    "sector.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 400,
+                    "particles": 6, "amplitudes": []},
+    "density.json": {"type": "density", "matrix": [[[1, 0]]], "space": {
+        "kind": "antisymmetric", "single_particle_dim": 400, "particles": 6}},
+    "tensor.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 16, "particles": 8,
+                    "amplitudes": [{"indices": list(range(8)), "re": 1.0, "im": 0.0}]},
+    "register.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 40,
+                      "particles": 1, "amplitudes": [{"indices": [0], "re": 1.0, "im": 0.0}]},
+    "operator.json": {"type": "operator", "slater_class": 2, "matrix": [[[1, 0]]], "space": {
+        "kind": "antisymmetric", "single_particle_dim": 400, "particles": 2}},
+}
+
+#: runs each command line with ``cli.main`` under an address-space limit, and
+#: prints each one's exit code (or the name of an uncaught error) and output
+_LIMITED_RUNS = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2 ** 20, 1536 * 2 ** 20))
+from slaterkit import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except MemoryError:
+            code = "MemoryError"
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_path, bell_file):
+    for name, doc in OVERSIZED.items():
+        write(tmp_path, name, doc)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write(batch, "a.json", OVERSIZED["sector.json"])
+    (batch / "bell.json").write_text(Path(bell_file).read_text(encoding="utf-8"), encoding="utf-8")
+    too_many, wrong_shape = "would hold", "does not match sector dimension"
+    runs = [(["rank", "sector.json"], too_many), (["concurrence", "sector.json"], too_many),
+            (["modes", "sector.json", "--cut", "0"], too_many),
+            (["ppt", "density.json"], wrong_shape), (["slater1", "density.json"], wrong_shape),
+            (["mixed-concurrence", "density.json"], wrong_shape),
+            (["rank", "tensor.json"], too_many), (["modes", "register.json", "--cut", "0"], too_many),
+            (["witness", "optimize", "operator.json"], wrong_shape),
+            (["witness", "eval", "operator.json", "density.json"], wrong_shape),
+            (["concurrence", "batch", "--batch"], too_many)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = [argv for argv, _ in runs]
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUNS, json.dumps(argvs)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
+    for (argv, message), (code, out, err) in zip(runs, json.loads(done.stdout)):
+        assert code == cli.EXIT_INPUT, (argv, code, err)
+        if "--batch" in argv:
+            report = json.loads(out)
+            assert report["a.json"]["error_type"] == "ValidationError"
+            assert message in report["a.json"]["error"]
+            assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
+        else:
+            assert out == "" and err.startswith("slaterkit: ") and message in err, (argv, err)
 
 
 def test_readme_command_lines_parse():

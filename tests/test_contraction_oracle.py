@@ -187,7 +187,7 @@ def test_readme_scan_limits_match_the_guard():
     gen = np.random.default_rng(17)
     fermion_d, boson_d = int(stated[1]), int(stated[2])
     # (kind, stated d, next d, costliest threshold, minor size per operand)
-    for kind, d, next_d, costliest, per_operand in (("fermion", fermion_d, fermion_d + 2, 5, 2),
+    for kind, d, next_d, costliest, per_operand in (("fermion", fermion_d, fermion_d + 1, 5, 2),
                                                     ("boson", boson_d, boson_d + 1, 10, 1)):
         cost = {k: math.comb(d, per_operand * k) * (per_operand * k) ** 3
                 for k in range(1, d // per_operand + 1)}

@@ -1,5 +1,7 @@
 """Source rules for the package: no runtime gate may vanish under ``python -O``,
-no handler may swallow every error, and every import sits at module level."""
+no handler may swallow every error, every import sits at module level, and no
+code walks the N! orderings of a tuple (``itertools.permutations``): signs and
+sector tables come from ``linalg.levi_civita`` and sorted tuples."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,15 @@ def _local_imports(tree: ast.AST) -> list[str]:
             if not {(name, alias.name) for alias in node.names} <= _LOCAL_IMPORTS]
 
 
+def _is_permutation_walk(node: ast.AST) -> bool:
+    """``itertools.permutations``, or ``from itertools import permutations``."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "permutations" and isinstance(node.value, ast.Name)
+                and node.value.id == "itertools")
+    return (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "permutations" for alias in node.names))
+
+
 def _violations(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -36,6 +47,8 @@ def _violations(tree: ast.AST) -> list[str]:
             if node.type is None or any(isinstance(c, ast.Name) and c.id in _CATCH_ALL
                                         for c in caught):
                 found.append(f"line {node.lineno}: catch-all except")
+        elif _is_permutation_walk(node):
+            found.append(f"line {node.lineno}: permutation walk")
     return found
 
 
@@ -56,6 +69,11 @@ def test_the_rules_flag_their_targets():
             "try:\n    pass\nexcept (ValueError, BaseException):\n    pass\n"
             "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert len(_violations(ast.parse(code))) == 4
+    code = ("import itertools\n"
+            "itertools.permutations(range(3))\n"
+            "from itertools import combinations, permutations\n"
+            "itertools.combinations(range(3), 2)\n")
+    assert len(_violations(ast.parse(code))) == 2
     code = ("import numpy\n"
             "def f():\n    from . import sectors\n"
             "def g():\n    def h():\n        import json\n"

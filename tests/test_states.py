@@ -146,6 +146,32 @@ def test_two_fermion_rank_below_d6():
     assert verdict2.certificate["max_abs_contraction"] > verdict2.certificate["tolerance"]
 
 
+def test_two_fermion_rank_below_odd_d():
+    state = st.fermion_state(5, 2, {(0, 1): 0.8, (2, 4): 0.6})
+    verdict = st.two_fermion_rank_below(state, 2)
+    assert verdict.claim == "rank_ge_2"
+    assert abs(verdict.certificate["max_abs_contraction"] - 0.96) < 1e-12
+    assert st.slater_rank_by_contractions(state) == 2
+    assert st.slater_decompose_two_particle(state).rank == 2
+
+
+@pytest.mark.parametrize("d", range(3, 15, 2))
+def test_fermion_rank_scans_match_youla_at_odd_d(d):
+    gen = np.random.default_rng(d)
+    for rank in range(1, d // 2 + 1):
+        state = st.random_slater_rank_state("fermion", d, rank, gen)
+        assert st.slater_rank_by_contractions(state) == rank
+        assert st.slater_decompose_two_particle(state).rank == rank
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (3, 7), (4, 7)])
+def test_multiparticle_certificates_at_odd_d(n, d):
+    state = st.random_pure_state("fermion", d, n, np.random.default_rng(d))
+    verdict = st.multiparticle_rank_one(state, rng=0)
+    assert verdict.claim == "rank_ge_2" and verdict.certificate["kind"] == "probe_chain"
+    assert st.verify_rank_certificate(state, verdict)
+
+
 def test_two_fermion_full_rank_vs_pfaffian():
     gen = np.random.default_rng(1)
     for _ in range(10):
@@ -467,6 +493,11 @@ def test_magic_states_match_the_state_constructors():
             assert st.canonical_system(state) == system
 
 
+def _inversion_sign(seq):
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
 @pytest.mark.parametrize("kind", [sectors.ANTISYMMETRIC, sectors.SYMMETRIC])
 def test_embedding_isometry_matches_a_walk_over_permutations(kind):
     for d in range(2, 6):
@@ -476,7 +507,7 @@ def test_embedding_isometry_matches_a_walk_over_permutations(kind):
             for col, t in enumerate(tuples):
                 for perm in set(itertools.permutations(t)):
                     flat = int(np.ravel_multi_index(perm, (d,) * n))
-                    e[flat, col] = la.perm_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
+                    e[flat, col] = _inversion_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
                 e[:, col] /= np.linalg.norm(e[:, col])
             assert np.array_equal(sectors.embedding_isometry(kind, d, n), e)
 

@@ -103,6 +103,12 @@ def test_witness_with_a_nan_entry_is_rejected():
         wi.witness_operator(SPACE_F4, m, 2)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (6, 5)])
+def test_witness_of_the_wrong_shape_is_rejected(shape):
+    with pytest.raises(ValidationError, match=r"does not match sector dimension 6"):
+        wi.witness_operator(SPACE_F4, np.eye(*shape), 2)
+
+
 def test_manifold_search_refuses_an_empty_budget():
     with pytest.raises(ValidationError, match="budget"):
         wi.infimum_over_rank(np.eye(6), 2, SPACE_F4, budget=0)
