@@ -72,6 +72,7 @@ def embedding_isometry(kind: str, d: int, n: int) -> np.ndarray:
     ordered tuple, so ``E.conj().T @ E == 1`` and ``E @ E.conj().T`` is
     the sector projector.
     """
+    check_dense(d ** n * sector_dim(kind, d, n), f"the {kind} embedding of {n} particles in {d} modes")
     positions, sources, coeffs = _expansion_table(kind, d, n)
     e = np.zeros((d ** n, sector_dim(kind, d, n)), dtype=complex)
     e[positions, sources] = np.sign(coeffs)
@@ -82,6 +83,7 @@ def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
     """Sector representation of a single-particle unitary ``u`` on N particles."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
+    check_dense(d ** (2 * n), f"the full-space operator of {n} {kind} particles in {d} modes")
     full = u
     for _ in range(n - 1):
         full = np.kron(full, u)
@@ -97,6 +99,7 @@ def embed_operator(kind: str, d: int, n: int, matrix: np.ndarray,
     the identity (0 for plain embedding, 1 to extend a sector identity to
     the full identity).
     """
+    check_dense(d ** (2 * n), f"the full-space operator of {n} {kind} particles in {d} modes")
     e = embedding_isometry(kind, d, n)
     full = e @ np.asarray(matrix, dtype=complex) @ e.conj().T
     if complement:

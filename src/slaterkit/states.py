@@ -472,6 +472,8 @@ def project_reduce(state: PureState, a) -> PureState:
     """
     if state.kind == BIPARTITE:
         raise WrongKindError("project_reduce acts on fermionic or bosonic states")
+    if state.particles < 2:
+        raise OutOfRangeError("project_reduce needs at least two particles")
     a = np.asarray(a, dtype=complex)
     if a.shape != (state.dim,):
         raise DimensionMismatchError(f"probe has shape {a.shape}, expected ({state.dim},)")

@@ -7,7 +7,8 @@ state.  Witness validity is certified numerically (a seeded sampling
 battery plus infimum searches over the bounded-rank manifold), so
 "detected" verdicts are exact while "is a witness" is high-confidence.
 
-All searches are non-convex with fixed restart budgets; restart
+Infima of identity-plus-rank-one operators have a closed form; all other
+searches are non-convex with fixed restart budgets, and their restart
 dispersion is reported rather than any claim of exactness.
 """
 
@@ -34,6 +35,9 @@ from .linalg import TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian
 WITNESS_SAMPLE_TOL = -1e-8
 _BATTERY_SIZE = 500
 _BATTERY_SEED = 20020617
+#: the largest spread of eigenvalues, relative to the operator norm, that the
+#: closed-form infimum reads as one repeated eigenvalue
+_RANK_ONE_SPREAD = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,18 @@ class WitnessOperator:
     matrix: np.ndarray
     slater_class: int
     epsilon: float = 0.0  # canonical-form shift, see canonical_witness_form
+
+
+def _sector_operator(space: mixed.StateSpace, matrix, tol: float) -> np.ndarray:
+    """``matrix`` as a complex operator on the two-particle sector ``space``,
+    Hermitian to ``tol``."""
+    if space.kind not in (mixed.ANTISYMMETRIC, mixed.SYMMETRIC) or space.particles != 2:
+        raise UnsupportedSystemError("witnesses act on two-particle exchange sectors")
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (space.dim, space.dim):
+        raise ValidationError(f"matrix shape {m.shape} does not match sector dimension {space.dim}")
+    require_hermitian(m, tol)
+    return m
 
 
 def _max_rank(space: mixed.StateSpace) -> int:
@@ -74,10 +90,11 @@ def sample_rank_bounded(space: mixed.StateSpace, rank: int, n: int, rng) -> np.n
     if space.kind == mixed.ANTISYMMETRIC:
         a = rng.standard_normal((n, rank, d)) + 1j * rng.standard_normal((n, rank, d))
         b = rng.standard_normal((n, rank, d)) + 1j * rng.standard_normal((n, rank, d))
-        w = np.einsum("nri,nrj->nij", a, b) - np.einsum("nri,nrj->nij", b, a)
+        ab = a.swapaxes(1, 2) @ b
+        w = ab - ab.swapaxes(1, 2)
     else:
         c = rng.standard_normal((n, rank, d)) + 1j * rng.standard_normal((n, rank, d))
-        w = np.einsum("nri,nrj->nij", c, c)
+        w = c.swapaxes(1, 2) @ c
     vecs = _pair_amps(space.kind, w)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs
@@ -91,18 +108,13 @@ def witness_operator(space: mixed.StateSpace, matrix, slater_class: int,
     battery: ``Tr(W sigma) >= -1e-8`` on ``_BATTERY_SIZE`` random pure
     states of Slater rank below ``slater_class``, drawn from ``_BATTERY_SEED``.
     """
-    if space.kind not in (mixed.ANTISYMMETRIC, mixed.SYMMETRIC) or space.particles != 2:
-        raise UnsupportedSystemError("witnesses act on two-particle exchange sectors")
+    m = _sector_operator(space, matrix, TOL_SYM)
     if not 2 <= slater_class <= _max_rank(space):
         raise OutOfRangeError(f"class {slater_class} outside 2..{_max_rank(space)}")
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (space.dim, space.dim):
-        raise ValidationError(f"matrix shape {m.shape} does not match sector dimension {space.dim}")
-    require_hermitian(m, TOL_SYM)
     m = 0.5 * (m + m.conj().T)
     if validate:
         vecs = sample_rank_bounded(space, slater_class - 1, _BATTERY_SIZE, _BATTERY_SEED)
-        vals = np.einsum("ni,ij,nj->n", vecs.conj(), m, vecs).real
+        vals = np.einsum("ni,ni->n", vecs.conj(), vecs @ m.T).real
         worst = float(vals.min())
         if worst < WITNESS_SAMPLE_TOL:
             raise ValidationError(
@@ -244,8 +256,6 @@ def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
     """Multi-restart minimization of ``<psi|M|psi>`` over the rank-(k-1)
     manifold.  All restarts run as one stacked L-BFGS search; returns their
     minima with states and convergence, sorted by value."""
-    if budget < 1:
-        raise ValidationError(f"budget must be at least 1 restart, got {budget}")
     rng = as_rng(rng)
     chart = _SectorChart(space, k)
     x0 = rng.standard_normal((budget, chart.n_params))
@@ -257,24 +267,76 @@ def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
     return sorted(results, key=lambda t: t[0])
 
 
+def _search_operator(operator, k: int, space: mixed.StateSpace, budget: int) -> np.ndarray:
+    """The checked operator of an infimum over Slater rank < k states."""
+    p = _sector_operator(space, operator, 1e-8)
+    if k < 2:
+        raise OutOfRangeError(f"no state has Slater rank below {k}")
+    if budget < 1:
+        raise ValidationError(f"budget must be at least 1 restart, got {budget}")
+    return p
+
+
+def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpace):
+    """``inf <psi|P|psi>`` over Slater rank < k states in closed form, or None.
+
+    With the eigenvalues ``l_1 <= ... <= l_D`` of ``P``:
+
+    - if ``l_2 .. l_D`` agree, ``P = a 1 - b |v><v|`` with ``v`` the ``l_1``
+      eigenvector, ``a = l_2`` and ``b = l_2 - l_1 >= 0``, and the infimum is
+      ``a - b s_{k-1}(v)``.  ``s_{k-1}(v)``, the largest ``|<v|psi>|^2`` over
+      unit rank < k states, is the sum of the k-1 largest squared Youla
+      (fermions) or Takagi (bosons) values of ``v`` over the sum of all of
+      them: Eckart-Young applied to the Slater decomposition.
+    - if ``l_1 .. l_{D-1}`` agree, ``P = a 1 + b |v><v|`` and the infimum is
+      ``l_1``: the hyperplane ``v^perp`` meets the rank-one states (the
+      Pluecker quadric for fermions, the Veronese variety for bosons).
+
+    "Agree" means a spread of at most ``_RANK_ONE_SPREAD`` times the operator
+    norm.  ``P`` is then the operator above plus a positive part no larger
+    than that spread, so the value is never above the infimum and at most
+    the spread below it.  Any other spectrum, or a sector of dimension
+    below 3, returns None.
+    """
+    evals, evecs = np.linalg.eigh(0.5 * (p + p.conj().T))
+    if len(evals) < 3:
+        return None
+    cut = _RANK_ONE_SPREAD * max(-evals[0], evals[-1])
+    if evals[-1] - evals[1] <= cut:
+        state = mixed.state_from_sector_vector(space, evecs[:, 0])
+        z2 = states.slater_decompose_two_particle(state).values ** 2
+        return float(evals[1] - (evals[1] - evals[0]) * z2[:k - 1].sum() / z2.sum())
+    if evals[-2] - evals[0] <= cut:
+        return float(evals[0])
+    return None
+
+
 def infimum_over_rank(operator, k: int, space: mixed.StateSpace, budget: int = 64,
                       iters: int = 400, seed=0) -> float:
-    """Best found value of ``inf <psi|P|psi>`` over Slater rank < k states.
+    """``inf <psi|P|psi>`` over unit states of Slater rank < k.
 
-    An upper bound on the true infimum; the gap is assessed through the
-    dispersion of the restart minima (see ``infimum_details``).
+    Exact, with no search, when ``P`` is the identity plus a rank-one term
+    (``a 1 - b |v><v|``: ``a - b s_{k-1}(v)``, see
+    ``_identity_plus_rank_one_infimum``).  Any other operator gets the best
+    value of the restart search of ``infimum_details`` (``budget`` restarts
+    of ``iters`` steps), an upper bound on the infimum whose gap is
+    assessed through the dispersion of the restart minima.
     """
-    return infimum_details(operator, k, space, budget, iters, seed)[0]
+    p = _search_operator(operator, k, space, budget)
+    exact = _identity_plus_rank_one_infimum(p, k, space)
+    if exact is not None:
+        return exact
+    return infimum_details(p, k, space, budget, iters, seed)[0]
 
 
 def infimum_details(operator, k: int, space: mixed.StateSpace, budget: int = 64,
                     iters: int = 400, seed=0):
     """Infimum search returning ``(best, dispersion, minima)``.
 
-    ``minima`` holds one ``Restart`` per kept start, sorted by value.
+    Always the restart search, also where ``infimum_over_rank`` has a closed
+    form: ``minima`` holds one ``Restart`` per kept start, sorted by value.
     """
-    p = np.asarray(operator, dtype=complex)
-    require_hermitian(p, 1e-8)
+    p = _search_operator(operator, k, space, budget)
     minima = _search_rank_manifold(space, k, p, budget, iters, seed)
     if not minima:
         raise ValidationError("manifold search produced no valid states")
@@ -466,10 +528,13 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
                       budget: int = 64, seed=0) -> WitnessOperator:
     """Witness ``W = P - (eps/c) C`` detecting a given k-edge state.
 
-    ``P`` projects onto the kernel of ``delta``, ``eps`` is the searched
-    infimum of ``<psi|P|psi>`` over rank < k states (``budget`` restarts of
-    400 steps) and ``c`` the largest eigenvalue of the positive operator
-    ``C`` (identity by default).
+    ``P`` projects onto the kernel of ``delta``, ``eps`` is
+    ``infimum_over_rank(P, k)`` and ``c`` the largest eigenvalue of the
+    positive operator ``C`` (identity by default).  For a pure
+    ``delta = |phi><phi|``, ``P = 1 - |phi><phi|`` and ``eps = 1 - s_{k-1}(phi)``
+    is exact, and a range of dimension ``D - 1`` gives exactly 0.  Any other
+    range gets the search (``budget`` restarts of 400 steps), whose ``eps``
+    is an upper bound.
 
     Raises
     ------
@@ -481,7 +546,7 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     dim = space.dim
     _, range_basis, _ = _range_split(delta.matrix)
     p = np.eye(dim, dtype=complex) - range_basis @ range_basis.conj().T
-    eps, dispersion, _ = infimum_details(p, k, space, budget, 400, seed)
+    eps = infimum_over_rank(p, k, space, budget, 400, seed)
     if eps <= 1e-9:
         raise NotAnEdgeStateError(
             f"kernel projector has vanishing infimum ({eps:.3e}); a rank<{k} vector"
@@ -516,9 +581,11 @@ def canonical_witness_form(w: WitnessOperator, check_budget: int = 16,
     """Shift ``W = W~ - eps 1`` with ``W~ >= 0``.
 
     ``eps`` is minus the smallest eigenvalue of ``W`` (zero for an
-    already positive operator).  Verification searches the rank < k
-    manifold (``check_budget`` restarts of 300 steps) and confirms
-    ``eps <= inf <psi|W~|psi>`` within tolerance.
+    already positive operator).  Verification confirms
+    ``eps <= inf <psi|W~|psi>`` within tolerance, with the infimum from
+    ``infimum_over_rank``: exact for an identity-plus-rank-one ``W`` (the
+    optimal witness family and witnesses from pure edge states), otherwise
+    searched with ``check_budget`` restarts of 300 steps.
     """
     eps = max(0.0, -float(np.linalg.eigvalsh(w.matrix)[0]))
     w_tilde = w.matrix + eps * np.eye(w.space.dim)

@@ -552,8 +552,8 @@ def test_cli_and_a_manifold_search_load_no_scipy():
             "import numpy as np\n"
             "import slaterkit.cli\n"
             "from slaterkit import mixed, states, witnesses\n"
-            "value = witnesses.infimum_over_rank(np.eye(6), 2, mixed.antisymmetric_space(4),"
-            " budget=4, seed=0)\n"
+            "value = witnesses.infimum_details(np.eye(6), 2, mixed.antisymmetric_space(4),"
+            " budget=4, seed=0)[0]\n"
             "assert abs(value - 1.0) < 1e-9, value\n"
             "rho = mixed.density_from_mixture([(0.5, states.random_pure_state('fermion', 4, 2, s))"
             " for s in (0, 1)])\n"

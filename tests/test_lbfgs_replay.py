@@ -332,8 +332,12 @@ def test_ratio_search_replays(monkeypatch):
 
 
 def test_edge_kernel_search_replays(monkeypatch):
+    # witness_from_edge takes the closed form on this pure edge part, so the
+    # kernel-projector search is replayed directly
     delta = _edge_state(0)
-    _assert_replayed(monkeypatch, lambda: wi.witness_from_edge(delta, 2, seed=0))
+    _, basis, _ = la._range_split(delta.matrix)
+    kernel = np.eye(delta.space.dim) - basis @ basis.conj().T
+    _assert_replayed(monkeypatch, lambda: wi.infimum_details(kernel, 2, delta.space, 64, 400, 0))
 
 
 def test_zero_iterations_replay(monkeypatch):

@@ -4,7 +4,8 @@
 former ``_search_rank_manifold``) below are the former witness-layer code:
 one ``scipy.optimize.minimize`` (L-BFGS-B) call per restart, with per-tuple
 sector conversions.  They are kept here only as the reference for the
-stacked search that replaced them; scipy comes with the ``test`` extra.
+stacked search that replaced them, and for the closed-form infimum that
+identity-plus-rank-one operators take; scipy comes with the ``test`` extra.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from slaterkit import linalg as la
 from slaterkit import mixed, sectors
 from slaterkit import states as st
 from slaterkit import witnesses as wi
@@ -178,15 +180,17 @@ def test_optimal_families_agree(family, sequential):
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f[2] == 2])
-def test_canonical_form_agrees(family, sequential):
+def test_canonical_form_agrees(family):
+    # the shifted family is identity plus rank one, so its check is the
+    # closed form; the reference is the restart loop it would have run
     kind, big_k, k = family
     w = wi.optimal_witness_example(big_k, k, kind)
     for seed in range(3):
         new = wi.canonical_witness_form(w, seed=seed)
-        old = sequential(wi.canonical_witness_form, w, seed=seed)
-        assert new.verified == old.verified
-        assert abs(new.epsilon - old.epsilon) <= 1e-10
-        assert abs(new.infimum_check - old.infimum_check) <= 1e-10
+        old = _sequential_search(w.space, k, new.w_tilde, 16, 300, seed)[0][0]
+        assert new.verified and new.epsilon <= old + 1e-6
+        assert abs(new.epsilon - (big_k / (k - 1) - 1)) <= 1e-10
+        assert abs(new.infimum_check - old) <= 1e-10
 
 
 def _edge_state(seed):
@@ -203,15 +207,17 @@ def _edge_state(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_edge_witness_agrees(seed, sequential):
+def test_edge_witness_agrees(seed):
+    # the edge part is pure, so eps is the closed form; the reference is the
+    # restart loop on the same kernel projector P, and W = P - eps * 1
     delta = _edge_state(seed)
     new = wi.witness_from_edge(delta, 2, seed=seed)
-    old = sequential(wi.witness_from_edge, delta, 2, seed=seed)
-    # W = P - eps * 1 with the same kernel projector P
+    _, basis, _ = la._range_split(delta.matrix)
+    kernel = np.eye(delta.space.dim) - basis @ basis.conj().T
+    eps_old = _sequential_search(delta.space, 2, kernel, 64, 400, seed)[0][0]
     eps_new = -np.linalg.eigvalsh(new.matrix)[0]
-    eps_old = -np.linalg.eigvalsh(old.matrix)[0]
     assert abs(eps_new - eps_old) <= 1e-9
-    assert np.max(np.abs(new.matrix - old.matrix)) <= 1e-9
+    assert np.max(np.abs(new.matrix - (kernel - eps_old * np.eye(delta.space.dim)))) <= 1e-9
 
 
 def test_bisection_path_agrees(sequential):

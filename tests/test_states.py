@@ -292,6 +292,13 @@ def test_project_reduce_dimension_mismatch():
         st.project_reduce(three_fermion_example(), np.ones(4))
 
 
+@pytest.mark.parametrize("state", [st.fermion_state(4, 1, {(0,): 1.0}),
+                                   st.boson_state(3, 1, {(1,): 1.0})])
+def test_project_reduce_refuses_a_one_particle_state(state):
+    with pytest.raises(OutOfRangeError, match="at least two particles"):
+        st.project_reduce(state, [1, 0, 0, 0][:state.dim])
+
+
 def test_multiparticle_rank_one_elementary():
     det = st.fermion_state(6, 3, {(0, 1, 2): 1.0})
     assert st.multiparticle_rank_one(det, rng=0).claim == "rank_one"
@@ -510,6 +517,20 @@ def test_embedding_isometry_matches_a_walk_over_permutations(kind):
                     e[flat, col] = _inversion_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
                 e[:, col] /= np.linalg.norm(e[:, col])
             assert np.array_equal(sectors.embedding_isometry(kind, d, n), e)
+
+
+def test_embeddings_refuse_what_no_dense_table_holds():
+    # 12**4 positions x 495 tuples = 10.3M entries; an embedded 12-boson
+    # qubit operator 4096**2 = 16.8M; both over MAX_DENSE_ENTRIES = 2**22
+    with pytest.raises(ValidationError, match="would hold 10264320 entries"):
+        sectors.embedding_isometry(sectors.ANTISYMMETRIC, 12, 4)
+    with pytest.raises(ValidationError, match="would hold 16777216 entries"):
+        sectors.embed_operator(sectors.SYMMETRIC, 2, 12, np.eye(13))
+    with pytest.raises(ValidationError, match="would hold 16777216 entries"):
+        sectors.lift_unitary(sectors.SYMMETRIC, np.eye(2), 12)
+    # an 11-boson qubit operator embeds into 2048**2 = 2**22 entries, the bound itself
+    full = sectors.embed_operator(sectors.SYMMETRIC, 2, 11, np.eye(12))
+    assert full.shape == (2048, 2048)
 
 
 def test_cached_bases_are_read_only():
