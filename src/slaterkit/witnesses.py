@@ -7,9 +7,12 @@ state.  Witness validity is certified numerically (a seeded sampling
 battery plus infimum searches over the bounded-rank manifold), so
 "detected" verdicts are exact while "is a witness" is high-confidence.
 
-Infima of identity-plus-rank-one operators have a closed form; all other
-searches are non-convex with fixed restart budgets, and their restart
-dispersion is reported rather than any claim of exactness.
+Infima of identity-plus-rank-one operators have a closed form, and for
+``a 1 - b |v><v|`` so do its minimizers, the best Slater rank < k
+truncations of ``v``: ``witness_optimize`` draws its tangent states from
+them and runs no infimum search.  All other searches are non-convex with
+fixed restart budgets, and their restart dispersion is reported rather
+than any claim of exactness.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ _BATTERY_SEED = 20020617
 #: the largest spread of eigenvalues, relative to the operator norm, that the
 #: closed-form infimum reads as one repeated eigenvalue
 _RANK_ONE_SPREAD = 1e-10
+#: the largest distance from ``z_{k-1}``, relative to the largest canonical
+#: value, of the values the tangent states of ``a 1 - b |v><v|`` mix
+_TANGENT_CLUSTER = 1e-9
+#: the expectation at or below which a rank < k state counts as tangent
+_TANGENT_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +275,25 @@ def _search_rank_manifold(space: mixed.StateSpace, k: int, m_matrix: np.ndarray,
     return sorted(results, key=lambda t: t[0])
 
 
-def _search_operator(operator, k: int, space: mixed.StateSpace, budget: int) -> np.ndarray:
+def _search_operator(operator, k: int, space: mixed.StateSpace, budget: int,
+                     iters: int) -> np.ndarray:
     """The checked operator of an infimum over Slater rank < k states."""
     p = _sector_operator(space, operator, 1e-8)
     if k < 2:
         raise OutOfRangeError(f"no state has Slater rank below {k}")
     if budget < 1:
         raise ValidationError(f"budget must be at least 1 restart, got {budget}")
+    if iters < 1:
+        raise ValidationError(f"iters must be at least 1 step, got {iters}")
     return p
+
+
+class _ClosedInfimum(NamedTuple):
+    """A closed-form infimum, with the Slater decomposition of ``v`` when the
+    operator is ``a 1 - b |v><v|`` with ``b`` above the spread cut."""
+
+    value: float
+    slater: states.SchmidtSlaterResult | None
 
 
 def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpace):
@@ -287,7 +306,8 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
       ``a - b s_{k-1}(v)``.  ``s_{k-1}(v)``, the largest ``|<v|psi>|^2`` over
       unit rank < k states, is the sum of the k-1 largest squared Youla
       (fermions) or Takagi (bosons) values of ``v`` over the sum of all of
-      them: Eckart-Young applied to the Slater decomposition.
+      them: Eckart-Young applied to the Slater decomposition.  The result
+      carries that decomposition when ``b`` exceeds the spread cut.
     - if ``l_1 .. l_{D-1}`` agree, ``P = a 1 + b |v><v|`` and the infimum is
       ``l_1``: the hyperplane ``v^perp`` meets the rank-one states (the
       Pluecker quadric for fermions, the Veronese variety for bosons).
@@ -303,12 +323,54 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
         return None
     cut = _RANK_ONE_SPREAD * max(-evals[0], evals[-1])
     if evals[-1] - evals[1] <= cut:
-        state = mixed.state_from_sector_vector(space, evecs[:, 0])
-        z2 = states.slater_decompose_two_particle(state).values ** 2
-        return float(evals[1] - (evals[1] - evals[0]) * z2[:k - 1].sum() / z2.sum())
+        b = evals[1] - evals[0]
+        slater = states.slater_decompose_two_particle(
+            mixed.state_from_sector_vector(space, evecs[:, 0]))
+        z2 = slater.values ** 2
+        return _ClosedInfimum(float(evals[1] - b * z2[:k - 1].sum() / z2.sum()),
+                              slater if b > cut else None)
     if evals[-2] - evals[0] <= cut:
-        return float(evals[0])
+        return _ClosedInfimum(float(evals[0]), None)
     return None
+
+
+def _best_truncations(kind: str, slater: states.SchmidtSlaterResult, k: int, n: int,
+                      rng) -> np.ndarray:
+    """``n`` unit sector vectors drawn from the best Slater rank < k
+    approximations of the state whose decomposition ``U M U^T = C`` is
+    ``slater`` (Eckart-Young on the canonical form).
+
+    The canonical values above ``z_{k-1}`` are kept whole.  Inside the
+    cluster of values within ``_TANGENT_CLUSTER z_1`` of ``z_{k-1}``, the
+    ``r`` values still needed are kept under a random element of the
+    cluster's stabilizer under unitary congruence: a real orthogonal ``Q``
+    (stacked QR) for Takagi values, giving the block ``z Q_r Q_r^T``, and a
+    compact-symplectic ``S`` for Youla pairs, giving ``z S (J_r + 0) S^T``.
+    ``S`` is the unitary polar factor of a complex Gaussian projected onto
+    ``G = -J conj(G) J``, the matrices that commute with the quaternionic
+    structure.  Each candidate ``T`` maps back as ``U^dag T conj(U)``.
+    """
+    u, z = slater.transforms[0], slater.values
+    keep = min(k - 1, len(z))
+    edge, tol = z[keep - 1], _TANGENT_CLUSTER * z[0]
+    lo = int(np.count_nonzero(z > edge + tol))
+    c, r = int(np.count_nonzero(z >= edge - tol)) - lo, keep - lo
+    if kind == mixed.ANTISYMMETRIC:
+        block, size = np.array([[0.0, 1.0], [-1.0, 0.0]]), 2
+        j = np.kron(np.eye(c), block)
+        g = rng.standard_normal((n, 2 * c, 2 * c)) + 1j * rng.standard_normal((n, 2 * c, 2 * c))
+        left, _, right = np.linalg.svd((g - j @ g.conj() @ j) / 2)
+        s = (left @ right)[:, :, :2 * r]
+        cluster = s @ j[:2 * r, :2 * r] @ s.swapaxes(1, 2)
+    else:
+        block, size = np.ones((1, 1)), 1
+        q = np.linalg.qr(rng.standard_normal((n, c, c)))[0][:, :, :r]
+        cluster = q @ q.swapaxes(1, 2)
+    t = np.zeros((n, len(u), len(u)), dtype=complex)
+    t[:, :size * lo, :size * lo] = np.kron(np.diag(z[:lo]), block)
+    t[:, size * lo:size * (lo + c), size * lo:size * (lo + c)] = edge * cluster
+    psi = _pair_amps(kind, u.conj().T @ t @ u.conj())
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def infimum_over_rank(operator, k: int, space: mixed.StateSpace, budget: int = 64,
@@ -322,10 +384,10 @@ def infimum_over_rank(operator, k: int, space: mixed.StateSpace, budget: int = 6
     of ``iters`` steps), an upper bound on the infimum whose gap is
     assessed through the dispersion of the restart minima.
     """
-    p = _search_operator(operator, k, space, budget)
-    exact = _identity_plus_rank_one_infimum(p, k, space)
-    if exact is not None:
-        return exact
+    p = _search_operator(operator, k, space, budget, iters)
+    closed = _identity_plus_rank_one_infimum(p, k, space)
+    if closed is not None:
+        return closed.value
     return infimum_details(p, k, space, budget, iters, seed)[0]
 
 
@@ -336,7 +398,7 @@ def infimum_details(operator, k: int, space: mixed.StateSpace, budget: int = 64,
     Always the restart search, also where ``infimum_over_rank`` has a closed
     form: ``minima`` holds one ``Restart`` per kept start, sorted by value.
     """
-    p = _search_operator(operator, k, space, budget)
+    p = _search_operator(operator, k, space, budget, iters)
     minima = _search_rank_manifold(space, k, p, budget, iters, seed)
     if not minima:
         raise ValidationError("manifold search produced no valid states")
@@ -615,35 +677,55 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     """Improve a witness by subtracting a positive operator off its tangent set.
 
     Follows Lewenstein, Kraus, Cirac & Horodecki, "Optimization of
-    entanglement witnesses", PRA 62, 052310 (2000).  The infimum search
-    samples the tangent set (rank < k states with vanishing expectation).
+    entanglement witnesses", PRA 62, 052310 (2000).  The tangent set holds
+    the rank < k states with vanishing expectation.  For ``W = a 1 - b
+    |v><v|`` the infimum is the closed form of ``infimum_over_rank``, and
+    where it vanishes ``budget`` tangent candidates are drawn from the best
+    rank < k truncations of ``v`` (``_best_truncations``); an
+    identity-plus-rank-one ``W`` with a positive infimum has no tangent
+    states.  Any other ``W`` gets the infimum search of ``infimum_details``,
+    whose restart minima sample the tangent set.  Either way a candidate
+    counts as tangent only if its evaluated expectation is at most
+    ``_TANGENT_TOL``.
+
     If the tangent states span the whole sector the witness is optimal and
     returned unchanged.  Otherwise ``P_c`` projects onto the complement of
     their span, and the largest ``mu`` that keeps ``W - mu P_c`` a witness
     is ``inf <psi|W|psi> / <psi|P_c|psi>`` over rank < k states.  Without
-    tangent samples ``P_c = 1`` and that ratio is the infimum already found;
+    tangent states ``P_c = 1`` and that ratio is the infimum already found;
     otherwise one stacked search of ``budget`` restarts minimizes it, and
     ``mu`` is kept only if an infimum search of ``W - mu P_c`` with
     ``max(8, budget // 4)`` restarts stays at or above -1e-9
     (``subtraction_check`` in the diagnostics).  The diagnostics also report
-    how many restarts of the first search converged and the most iterations
-    any of them took.
+    ``infimum_restarts`` (``budget`` when the infimum search ran, 0 for the
+    closed form), how many of its restarts converged and the most
+    iterations any of them took (both 0 for the closed form).
     """
     space = w.space
     dim = space.dim
     k = w.slater_class
     rng = as_rng(seed)
-    best, dispersion, minima = infimum_details(w.matrix, k, space, budget, iters, rng)
-    tangent = [m.state for m in minima if m.value <= 1e-7]
-    diagnostics = {
-        "infimum": best,
-        "restart_dispersion": dispersion,
-        "restarts_converged": sum(m.converged for m in minima),
-        "max_iterations": max(m.iterations for m in minima),
-        "tangent_samples": len(tangent),
-    }
-    if tangent:
-        _, svals, vh = np.linalg.svd(np.array(tangent))
+    p = _search_operator(w.matrix, k, space, budget, iters)
+    closed = _identity_plus_rank_one_infimum(p, k, space)
+    if closed is not None and (closed.value > _TANGENT_TOL or closed.slater is not None):
+        best = closed.value
+        candidates = np.zeros((0, dim))
+        if best <= _TANGENT_TOL:
+            candidates = _best_truncations(space.kind, closed.slater, k, budget, rng)
+        values = np.einsum("ni,ni->n", candidates.conj(), candidates @ p.T).real
+        tangent = candidates[values <= _TANGENT_TOL]
+        search = {"restart_dispersion": 0.0, "restarts_converged": 0, "max_iterations": 0,
+                  "infimum_restarts": 0}
+    else:
+        best, dispersion, minima = infimum_details(p, k, space, budget, iters, rng)
+        tangent = np.array([m.state for m in minima if m.value <= _TANGENT_TOL])
+        search = {"restart_dispersion": dispersion,
+                  "restarts_converged": sum(m.converged for m in minima),
+                  "max_iterations": max(m.iterations for m in minima),
+                  "infimum_restarts": budget}
+    diagnostics = {"infimum": best, **search, "tangent_samples": len(tangent)}
+    if len(tangent):
+        _, svals, vh = np.linalg.svd(tangent)
         span_dim = int(np.count_nonzero(svals > 1e-6 * svals[0]))
         diagnostics["tangent_span_dim"] = span_dim
         if span_dim == dim:
@@ -660,7 +742,7 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
         mu, p_c = best, np.eye(dim, dtype=complex)
     if mu <= 1e-12:
         return OptimizedWitness(w, False, 0.0, diagnostics)
-    if tangent:
+    if len(tangent):
         check = infimum_over_rank(w.matrix - mu * p_c, k, space, budget=max(8, budget // 4),
                                   iters=iters, seed=rng)
         diagnostics["subtraction_check"] = check

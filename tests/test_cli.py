@@ -238,9 +238,8 @@ def test_witness_pipeline(tmp_path, capsys):
     code, report = run(capsys, "witness", "optimize", str(tmp_path / "w.json"),
                        "--budget", "32")
     assert code == 0 and report["optimal"] is True
-    diag = report["diagnostics"]
-    assert 0 < diag["restarts_converged"] <= 32
-    assert 0 < diag["max_iterations"] <= 400
+    # the family is identity plus rank one: its infimum runs no restarts
+    assert report["diagnostics"]["infimum_restarts"] == 0
 
 
 def _improvable_boson_witness():
@@ -278,16 +277,27 @@ def test_witness_of_the_wrong_shape_exits_with_a_validation_error(tmp_path, caps
     assert "does not match sector dimension 6" in captured.err
 
 
-@pytest.mark.parametrize("make_witness, tangent", [
-    (_improvable_boson_witness, True),
-    (lambda: wi.witness_operator(mx.symmetric_space(3), np.eye(6), 2), False),
+@pytest.mark.parametrize("make_witness, tangent, restarts", [
+    (_improvable_boson_witness, True, 16),
+    # identity plus rank one: the closed form, without and with tangent states
+    (lambda: wi.witness_operator(mx.symmetric_space(3), np.eye(6), 2), False, 0),
+    (lambda: wi.optimal_witness_example(2, 2, "fermion"), True, 0),
 ])
-def test_witness_optimize_diagnostics_are_plain_numbers(tmp_path, capsys, make_witness, tangent):
+def test_witness_optimize_diagnostics_are_plain_numbers(tmp_path, capsys, make_witness, tangent,
+                                                        restarts):
     w = make_witness()
     outcome = wi.witness_optimize(w, budget=16)
-    # the tangent path runs the ratio search and its confirming check
-    assert ("subtraction_check" in outcome.diagnostics) is tangent
-    assert "subtracted_mu" in outcome.diagnostics
+    diag = outcome.diagnostics
+    assert diag["infimum_restarts"] == restarts
+    if restarts:
+        assert 0 < diag["restarts_converged"] <= restarts
+    else:
+        assert diag["restarts_converged"] == diag["max_iterations"] == 0
+        assert diag["restart_dispersion"] == 0.0
+    # the tangent path runs the ratio search and its confirming check,
+    # unless the tangent states span the sector
+    assert ("subtraction_check" in diag) is (tangent and not outcome.optimal)
+    assert ("subtracted_mu" in diag) is not outcome.optimal
     assert all(type(v) in (int, float) for v in outcome.diagnostics.values())
     assert json.loads(json.dumps(outcome.diagnostics)) == outcome.diagnostics
     code, report = run(capsys, "witness", "optimize",

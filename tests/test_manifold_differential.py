@@ -148,12 +148,16 @@ def _as_restarts(space, k, m_matrix, budget, iters, rng):
 
 
 @pytest.fixture()
-def sequential(monkeypatch):
-    """Run a witness-layer call with the restart loop in place of the stacked search."""
+def searched(monkeypatch):
+    """Run a witness-layer call with the closed form switched off, so every
+    infimum searches: on the stacked search, or with ``loop=True`` on the
+    restart loop."""
 
-    def run(fn, *args, **kwargs):
+    def run(fn, *args, loop=False, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(wi, "_search_rank_manifold", _as_restarts)
+            patch.setattr(wi, "_identity_plus_rank_one_infimum", lambda *args: None)
+            if loop:
+                patch.setattr(wi, "_search_rank_manifold", _as_restarts)
             return fn(*args, **kwargs)
 
     return run
@@ -166,7 +170,7 @@ def _span_dim(minima) -> int:
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_optimal_families_agree(family, sequential):
+def test_optimal_families_agree(family, searched):
     kind, big_k, k = family
     w = wi.optimal_witness_example(big_k, k, kind)
     seed = 100 + FAMILIES.index(family)
@@ -175,8 +179,9 @@ def test_optimal_families_agree(family, sequential):
     assert abs(old[0][0] - new[0].value) <= 1e-10
     assert len(new) == len(old) == 64
     assert _span_dim(new) == _span_dim(old)
-    assert wi.witness_optimize(w, seed=seed).optimal == sequential(
-        wi.witness_optimize, w, seed=seed).optimal
+    # witness_optimize takes the closed form on the family; both sides search
+    assert searched(wi.witness_optimize, w, seed=seed).optimal == searched(
+        wi.witness_optimize, w, seed=seed, loop=True).optimal
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f[2] == 2])
@@ -220,11 +225,12 @@ def test_edge_witness_agrees(seed):
     assert np.max(np.abs(new.matrix - (kernel - eps_old * np.eye(delta.space.dim)))) <= 1e-9
 
 
-def test_bisection_path_agrees(sequential):
+def test_bisection_path_agrees(searched):
+    # the closed form against the restart loop it replaces
     w = wi.optimal_witness_example(2, 2, "fermion")
     shifted = wi.witness_operator(w.space, w.matrix + 0.1 * np.eye(6), 2)
     new = wi.witness_optimize(shifted, budget=24, seed=9)
-    old = sequential(wi.witness_optimize, shifted, budget=24, seed=9)
+    old = searched(wi.witness_optimize, shifted, budget=24, seed=9, loop=True)
     assert new.diagnostics["tangent_samples"] == old.diagnostics["tangent_samples"] == 0
     assert abs(new.subtracted_weight - old.subtracted_weight) <= 1e-9
     assert np.max(np.abs(new.witness.matrix - old.witness.matrix)) <= 1e-9

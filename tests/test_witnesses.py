@@ -15,6 +15,7 @@ from slaterkit.errors import (
     NumericalFailureError,
     OutOfRangeError,
     SpaceMismatchError,
+    UnsupportedSystemError,
     ValidationError,
 )
 
@@ -112,6 +113,45 @@ def test_witness_of_the_wrong_shape_is_rejected(shape):
 def test_manifold_search_refuses_an_empty_budget():
     with pytest.raises(ValidationError, match="budget"):
         wi.infimum_over_rank(np.eye(6), 2, SPACE_F4, budget=0)
+
+
+def _operators_on_both_paths():
+    """An identity-plus-rank-one witness (closed form) and one that searches."""
+    return {"closed": wi.optimal_witness_example(2, 2, "fermion"),
+            "search": perturbed_optimal_witness(2, "fermion", 0)}
+
+
+@pytest.mark.parametrize("path", ["closed", "search"])
+@pytest.mark.parametrize("kwargs, match", [
+    ({"iters": 0}, "iters must be at least 1 step, got 0"),
+    ({"iters": -2}, "iters must be at least 1 step, got -2"),
+    ({"budget": 0}, "budget must be at least 1 restart, got 0"),
+])
+def test_infima_and_optimization_refuse_empty_searches_on_both_paths(path, kwargs, match):
+    # iters = 0 used to take the unminimized starts as the infimum
+    w = _operators_on_both_paths()[path]
+    calls = [lambda: wi.infimum_over_rank(w.matrix, 2, w.space, **kwargs),
+             lambda: wi.infimum_details(w.matrix, 2, w.space, **kwargs),
+             lambda: wi.witness_optimize(w, **kwargs)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("path", ["closed", "search"])
+@pytest.mark.parametrize("function", [wi.infimum_over_rank, wi.infimum_details])
+def test_infima_check_operator_and_class_on_both_paths(path, function):
+    w = _operators_on_both_paths()[path]
+    with pytest.raises(OutOfRangeError, match="below 1"):
+        function(w.matrix, 1, w.space)
+    with pytest.raises(UnsupportedSystemError):
+        function(w.matrix, 2, mx.bipartite_space(2, 3))
+    with pytest.raises(ValidationError, match="does not match sector dimension 6"):
+        function(w.matrix[:5, :5], 2, w.space)
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    with pytest.raises(ValidationError, match="h - h"):
+        function(w.matrix + skew, 2, w.space)
 
 
 def test_witness_detection_conjugation_covariant():
@@ -391,8 +431,10 @@ def test_optimize_flags_optimal_witness():
 
 
 def test_optimize_reports_restart_convergence():
-    w = wi.optimal_witness_example(3, 2, "boson")
+    # the optimal family takes the closed form, so a perturbed witness searches
+    w = perturbed_optimal_witness(3, "boson", 10)
     diag = wi.witness_optimize(w, budget=24, seed=10).diagnostics
+    assert diag["infimum_restarts"] == 24
     assert 0 < diag["restarts_converged"] <= 24
     assert 0 < diag["max_iterations"] <= 400
     # one step converges no start: the report must say so, not drop it
