@@ -14,8 +14,6 @@ import os
 import sys
 import zlib
 
-import numpy as np
-
 from . import io, magic, mixed, modes, states, witnesses
 from .errors import (
     NumericalFailureError,
@@ -87,19 +85,19 @@ def _report_slater1(path: str, args) -> dict:
 
 def _report_ppt(path: str, args) -> dict:
     rho = _load(path, mixed.DensityMatrix, "ppt expects a density-matrix file")
-    min_eig = float(np.linalg.eigvalsh(mixed.partial_transpose(rho))[0])
+    try:  # refused before its partial transpose where the space is not symmetric
+        sep = mixed.bosonic_ppt_separability(rho)
+    except UnsupportedSystemError:
+        sep = None
+    min_eig = mixed.ppt_min_eigenvalue(rho) if sep is None else sep.min_eigenvalue
     report = {"min_eigenvalue": min_eig, "ppt": bool(min_eig >= mixed.PPT_MIN_EIGENVALUE)}
-    if rho.space.kind == mixed.SYMMETRIC:
-        try:
-            sep = mixed.bosonic_ppt_separability(rho)
-            report["separability"] = sep.verdict
-            if sep.decomposition is not None:
-                report["decomposition"] = [
-                    {"weight": w, "vector": io._complex_list(e)} for w, e in sep.decomposition]
-            if sep.diagnostics:
-                report["diagnostics"] = list(sep.diagnostics)
-        except UnsupportedSystemError:
-            pass
+    if sep is not None:
+        report["separability"] = sep.verdict
+        if sep.decomposition is not None:
+            report["decomposition"] = [
+                {"weight": w, "vector": io._complex_list(e)} for w, e in sep.decomposition]
+        if sep.diagnostics:
+            report["diagnostics"] = list(sep.diagnostics)
     return report
 
 

@@ -1,8 +1,8 @@
 """Density matrices and mixed-state correlation criteria.
 
 Covers the closed-form concurrence of the three canonical systems, the
-class-1 (Slater number one) spectral test, partial transposition with
-sector embedding, separability decisions for bosonic PPT states (by
+class-1 (Slater number one) spectral test, partial transposition on the
+one-particle split, separability decisions for bosonic PPT states (by
 theorem, or by subtracting the product vectors ``|e, e>`` that the range
 search of ``witnesses.edge_state_decompose`` finds), and a convex-roof
 minimization used as a numerical oracle for the closed forms.
@@ -52,14 +52,6 @@ class StateSpace:
         if self.kind == BIPARTITE:
             return self.dims[0] * self.dims[1]
         return sectors.sector_dim(self.kind, self.dims[0], self.particles)
-
-    @property
-    def full_dims(self) -> tuple[int, int]:
-        """Bipartition (first particle, rest) of the full tensor space."""
-        if self.kind == BIPARTITE:
-            return self.dims
-        d = self.dims[0]
-        return (d, d ** (self.particles - 1))
 
 
 def bipartite_space(d_a: int, d_b: int) -> StateSpace:
@@ -241,14 +233,6 @@ def slater_number_one_test(rho: DensityMatrix) -> SlaterNumberOneResult:
 # partial transpose
 # ---------------------------------------------------------------------------
 
-def embed_full(rho: DensityMatrix) -> np.ndarray:
-    """Density matrix on the full tensor space (isometric sector embedding)."""
-    if rho.space.kind == BIPARTITE:
-        return rho.matrix.copy()
-    return sectors.embed_operator(rho.space.kind, rho.space.dims[0],
-                                  rho.space.particles, rho.matrix)
-
-
 def partial_transpose_matrix(full: np.ndarray, dims: tuple[int, int],
                              cut: str = "A") -> np.ndarray:
     """Partial transpose of a matrix on a bipartite tensor space."""
@@ -261,19 +245,27 @@ def partial_transpose_matrix(full: np.ndarray, dims: tuple[int, int],
 
 
 def partial_transpose(rho: DensityMatrix, cut: str = "A") -> np.ndarray:
-    """Partial transpose on the full tensor space.
+    """Partial transpose of the first particle (``cut="A"``) or the rest ("B").
 
-    Exchange-sector matrices are first embedded into the full space;
-    ``cut`` selects which factor of the bipartition (first particle vs
-    the rest) is transposed.
+    A sector matrix is split as ``S rho S^dag`` on ``C^d (x) sector_{N-1}``,
+    the full tensor space when N = 2; the full-space transpose has the same
+    nonzero spectrum.
     """
-    return partial_transpose_matrix(embed_full(rho), rho.space.full_dims, cut)
+    if rho.space.kind == BIPARTITE:
+        return partial_transpose_matrix(rho.matrix, rho.space.dims, cut)
+    d = rho.space.dims[0]
+    s = sectors.split_isometry(rho.space.kind, d, rho.space.particles)
+    return partial_transpose_matrix(s @ rho.matrix @ s.conj().T, (d, len(s) // d), cut)
+
+
+def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
+    """Smallest eigenvalue of the partial transpose (``PT_B`` is ``PT_A`` transposed)."""
+    return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
 
 
 def is_ppt(rho: DensityMatrix) -> bool:
-    """Whether no eigenvalue of the partial transpose is below ``PPT_MIN_EIGENVALUE``
-    (either cut: ``PT_B(rho)`` is the transpose of ``PT_A(rho)``)."""
-    return bool(np.linalg.eigvalsh(partial_transpose(rho))[0] >= PPT_MIN_EIGENVALUE)
+    """Whether no eigenvalue of the partial transpose is below ``PPT_MIN_EIGENVALUE``."""
+    return ppt_min_eigenvalue(rho) >= PPT_MIN_EIGENVALUE
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +281,7 @@ def _symmetric_pair_vector(e: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SeparabilityResult:
     verdict: str  # "separable" | "not_ppt" | "inconclusive"
+    min_eigenvalue: float  # of the partial transpose, from the PPT check
     decomposition: list | None = None
     diagnostics: list = field(default_factory=list)
 
@@ -310,17 +303,18 @@ def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
     space = rho.space
     if space.kind != SYMMETRIC:
         raise UnsupportedSystemError("separability theorems cover symmetric sectors")
-    if not is_ppt(rho):
-        return SeparabilityResult("not_ppt")
+    min_eig = ppt_min_eigenvalue(rho)
+    if min_eig < PPT_MIN_EIGENVALUE:
+        return SeparabilityResult("not_ppt", min_eig)
     r = rho.rank()
 
     if space.particles == 2:
         d = space.dims[0]
         if d == 2:
-            return SeparabilityResult("separable", diagnostics=[
+            return SeparabilityResult("separable", min_eig, diagnostics=[
                 "PPT on 2x2 (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996))"])
         if r <= d:
-            return SeparabilityResult("separable", diagnostics=[
+            return SeparabilityResult("separable", min_eig, diagnostics=[
                 f"PPT with rank {r} <= {d} (Horodecki, Lewenstein, Vidal & Cirac,"
                 " PRA 62, 032310 (2000))"])
         from . import witnesses
@@ -331,24 +325,24 @@ def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
                        *(f"range search: {s.tried} tried, {s.solved} solved,"
                          f" {s.range_rejected} range-rejected" for s in split.searches)]
         if split.weight:
-            return SeparabilityResult("inconclusive", diagnostics=diagnostics)
+            return SeparabilityResult("inconclusive", min_eig, diagnostics=diagnostics)
         decomposition = [(lam, takagi_canonical(psi.matrix()).transform[0].conj())
                          for psi, lam in split.subtraction_log]
         pairs = np.column_stack([_symmetric_pair_vector(e) for _, e in decomposition])
         weights = [w for w, _ in decomposition]
         err = max_abs((pairs * weights) @ pairs.conj().T - rho.matrix)
         if err > 1e-8:
-            return SeparabilityResult("inconclusive", diagnostics=[
+            return SeparabilityResult("inconclusive", min_eig, diagnostics=[
                 f"decomposition reconstruction error {err:.2e}", *diagnostics])
-        return SeparabilityResult("separable", decomposition, diagnostics)
+        return SeparabilityResult("separable", min_eig, decomposition, diagnostics)
 
     if space.dims == (2,) and space.particles >= 3:
         n = space.particles
         bound = 4 if n == 3 else n
         if r <= bound:
-            return SeparabilityResult("separable",
+            return SeparabilityResult("separable", min_eig,
                                       diagnostics=[f"PPT with rank {r} <= {bound} on {n} bosonic qubits"])
-        return SeparabilityResult("inconclusive", diagnostics=[f"rank {r} > {bound}"])
+        return SeparabilityResult("inconclusive", min_eig, diagnostics=[f"rank {r} > {bound}"])
 
     raise UnsupportedSystemError(f"no separability theorem for {space}")
 

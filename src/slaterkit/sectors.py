@@ -1,4 +1,4 @@
-"""Ordered-tuple bases for (anti)symmetric sectors and their embeddings.
+"""Ordered-tuple bases for (anti)symmetric sectors, and their maps.
 
 The N-particle antisymmetric sector of ``(C^d)^{x N}`` is indexed by
 strictly increasing tuples, the symmetric sector by non-decreasing
@@ -13,7 +13,9 @@ amplitude of the sorted tuple ``t`` relates by
     fermions:  c_t = N! * w_t
     bosons:    c_t = N! * v_t / sqrt(prod_k n_k!)
 
-with ``n_k`` the multiplicity of mode ``k`` in ``t``.
+with ``n_k`` the multiplicity of mode ``k`` in ``t``.  The one-particle split
+``S``, the annihilation map from sector N into ``C^d (x) sector_{N-1}``,
+replaces that ``d^N`` space on the analysis paths.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
 
 #: the most entries a dense table may hold: a sector's tuples, the ``d**N``
-#: positions of a coefficient tensor, or the ``2**d`` amplitudes of an
-#: occupation register
+#: positions of a coefficient tensor, the split's ``d D_{N-1}`` rows and
+#: their square, or the ``2**d`` amplitudes of an occupation register
 MAX_DENSE_ENTRIES = 2 ** 22
 
 
@@ -65,46 +67,48 @@ def tuple_index(kind: str, d: int, n: int) -> MappingProxyType:
 
 
 @lru_cache(maxsize=None)
-def embedding_isometry(kind: str, d: int, n: int) -> np.ndarray:
-    """Isometry from sector coordinates into the full ``d**n`` tensor space.
+def _split_table(kind: str, d: int, n: int):
+    """The split ``S = (1 (x) E_{n-1}^dag) E_n`` (``E_n`` embeds the sector in
+    the ``d**n`` tensor space) as a gather table.  Row ``i * D_{n-1} + j``,
+    mode ``i`` before the ``j``-th (n-1)-tuple ``T'``, has one entry: in the
+    column of ``sorted(T' + (i,))``, of weight ``levi_civita(i, T') / sqrt(n)``
+    (fermions) or ``sqrt(n_i(T') + 1) / sqrt(n)`` (bosons)."""
+    check_dense(d * sector_dim(kind, d, n - 1), f"the split of {n} {kind} particles in {d} modes")
+    rest = np.array(sector_tuples(kind, d, n - 1), dtype=np.intp).reshape(-1 if n > 1 else 1, n - 1)
+    rows = np.column_stack([np.repeat(np.arange(d), len(rest)), np.tile(rest, (d, 1))])
+    signs = levi_civita(rows) if kind == ANTISYMMETRIC else 1
+    weights = signs * np.sqrt((rows[:, 1:] == rows[:, :1]).sum(1) + 1) / math.sqrt(n)
+    index = tuple_index(kind, d, n)  # a rank no positional code can overflow
+    columns = [index.get(t, 0) for t in map(tuple, np.sort(rows, axis=1).tolist())]
+    return read_only(np.array(columns, dtype=np.intp)), read_only(weights)
 
-    Columns are the normalized (anti)symmetrized product states of each
-    ordered tuple, so ``E.conj().T @ E == 1`` and ``E @ E.conj().T`` is
-    the sector projector.
-    """
-    check_dense(d ** n * sector_dim(kind, d, n), f"the {kind} embedding of {n} particles in {d} modes")
-    positions, sources, coeffs = _expansion_table(kind, d, n)
-    e = np.zeros((d ** n, sector_dim(kind, d, n)), dtype=complex)
-    e[positions, sources] = np.sign(coeffs)
-    return read_only(e / np.linalg.norm(e, axis=0))
+
+def split_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:
+    """``S a`` as a ``(d, D_{n-1})`` matrix: its row ``i`` is the (n-1)-particle
+    state left when mode ``i`` is annihilated, over ``sqrt(n)``."""
+    columns, weights = _split_table(kind, d, n)
+    return (weights * np.asarray(amps, dtype=complex)[columns]).reshape(d, -1)
+
+
+def split_isometry(kind: str, d: int, n: int) -> np.ndarray:
+    """Dense ``S``, the embedding itself when ``n = 2``.  Its callers build
+    operators on ``C^d (x) sector_{n-1}``, so their size is checked."""
+    columns, weights = _split_table(kind, d, n)
+    check_dense(len(columns) ** 2, f"an operator on the split of {n} {kind} particles in {d} modes")
+    s = np.zeros((len(columns), sector_dim(kind, d, n)), dtype=complex)
+    live = np.flatnonzero(weights)
+    s[live, columns[live]] = weights[live]
+    return s
 
 
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
-    """Sector representation of a single-particle unitary ``u`` on N particles."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    check_dense(d ** (2 * n), f"the full-space operator of {n} {kind} particles in {d} modes")
-    full = u
-    for _ in range(n - 1):
-        full = np.kron(full, u)
-    e = embedding_isometry(kind, d, n)
-    return e.conj().T @ full @ e
-
-
-def embed_operator(kind: str, d: int, n: int, matrix: np.ndarray,
-                   complement: float = 0.0) -> np.ndarray:
-    """Extend a sector operator to the full tensor space.
-
-    The orthogonal complement of the sector carries ``complement`` times
-    the identity (0 for plain embedding, 1 to extend a sector identity to
-    the full identity).
-    """
-    check_dense(d ** (2 * n), f"the full-space operator of {n} {kind} particles in {d} modes")
-    e = embedding_isometry(kind, d, n)
-    full = e @ np.asarray(matrix, dtype=complex) @ e.conj().T
-    if complement:
-        full += complement * (np.eye(d ** n, dtype=complex) - e @ e.conj().T)
-    return full
+    """Sector representation of a single-particle unitary ``u`` on N particles,
+    by the recursion ``lift(u, m) = S^dag (u (x) lift(u, m-1)) S``."""
+    lift = u = np.asarray(u, dtype=complex)
+    for m in range(2, n + 1):
+        s = split_isometry(kind, u.shape[0], m)
+        lift = s.conj().T @ np.kron(u, lift) @ s
+    return lift
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +147,9 @@ def _gather_table(kind: str, d: int, n: int):
     return _tables(kind, d, n)[0]
 
 
-def _expansion_table(kind: str, d: int, n: int):
-    """Flat positions, source tuple indices and weights of the nonzero tensor entries."""
-    return _tables(kind, d, n)[1]
-
-
 def tensor_from_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:
     """Expand occupation amplitudes into the full coefficient tensor."""
-    positions, sources, coeffs = _expansion_table(kind, d, n)
+    positions, sources, coeffs = _tables(kind, d, n)[1]  # of the nonzero entries
     out = np.zeros(d ** n, dtype=complex)
     out[positions] = coeffs * np.asarray(amps, dtype=complex)[sources]
     return out.reshape((d,) * n)

@@ -467,8 +467,9 @@ def project_reduce(state: PureState, a) -> PureState:
     """Contract one particle out against a single-particle vector.
 
     Returns the (N-1)-particle state with tensor
-    ``N * sum_k w_{i1..i_{N-1} k} a_k``; the output is deliberately not
-    renormalized and may be the zero state.
+    ``N * sum_k w_{i1..i_{N-1} k} a_k``, which is ``sqrt(N) a^T (S amps)``
+    on the one-particle split, times ``(-1)^(N-1)`` for fermions; the output
+    is deliberately not renormalized and may be the zero state.
     """
     if state.kind == BIPARTITE:
         raise WrongKindError("project_reduce acts on fermionic or bosonic states")
@@ -479,9 +480,17 @@ def project_reduce(state: PureState, a) -> PureState:
         raise DimensionMismatchError(f"probe has shape {a.shape}, expected ({state.dim},)")
     if not np.all(np.isfinite(a)):
         raise ValidationError("probe vector contains NaN or Inf")
-    reduced = state.particles * np.tensordot(state.tensor(), a, axes=([state.particles - 1], [0]))
-    amps = sectors.amps_from_tensor(state.sector_kind, reduced)
-    return PureState(state.kind, state.particles - 1, state.dim, amps)
+    n = state.particles
+    sign = (-1) ** (n - 1) if state.kind == FERMION else 1
+    split = sectors.split_amps(state.sector_kind, state.dim, n, state.amps)
+    return PureState(state.kind, n - 1, state.dim, sign * math.sqrt(n) * (a @ split))
+
+
+def _reduce_along(state: PureState, a) -> tuple[PureState, float]:
+    """``project_reduce(state, a)`` renormalized (left as is when zero), and its norm."""
+    sub = project_reduce(state, a)
+    n = sub.norm()
+    return PureState(sub.kind, sub.particles, sub.dim, sub.amps / n if n else sub.amps), n
 
 
 def _probe_vectors(d: int, rng) -> list[np.ndarray]:
@@ -497,22 +506,25 @@ def _probe_vectors(d: int, rng) -> list[np.ndarray]:
 def _one_body_test(state: PureState, rtol: float) -> tuple[bool, dict]:
     """Coleman's rank-one test on the one-body density matrix.
 
-    The singular values ``s`` of the unfolding ``w.reshape(d, -1)`` are the
-    square roots of that matrix's eigenvalues (up to one common factor).
-    With ``m = N`` for fermions and ``m = 1`` for bosons the state is
-    elementary iff ``s[m]`` vanishes: the state lies in the N-th exterior
-    (symmetric) power of the matrix's range, which is one-dimensional
-    exactly then.  Returns the verdict and its certificate fields.
+    The singular values ``s`` of the one-particle split ``S amps``, a
+    ``(d, D_{N-1})`` matrix, are the square roots of that matrix's
+    eigenvalues (up to one common factor); over ``sqrt(N!)``, as reported,
+    they are those of the unfolding ``w.reshape(d, -1)``.  With ``m = N``
+    for fermions and ``m = 1`` for bosons the state is elementary iff
+    ``s[m]`` vanishes: the state lies in the N-th exterior (symmetric)
+    power of the matrix's range, which is one-dimensional exactly then.
+    Returns the verdict and its certificate fields.
     """
-    s = singular_values(state.tensor().reshape(state.dim, -1))
-    m = state.particles if state.kind == FERMION else 1
+    n = state.particles
+    s = singular_values(sectors.split_amps(state.sector_kind, state.dim, n, state.amps))
+    m = n if state.kind == FERMION else 1
     tail = float(s[m]) if m < s.size else 0.0
     top = float(s[0])
     return tail <= rtol * top, {
         "kind": "one_body",
         "probes": (),
         "n_probes": 0,
-        "singular_values": s,
+        "singular_values": s * math.exp(-0.5 * math.lgamma(n + 1)),  # / sqrt(N!), no overflow
         "m": m,
         "ratio": tail / top if top > 0.0 else 0.0,
         "tolerance": rtol,
@@ -525,10 +537,9 @@ def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL)
     The claim is exact up to ``rtol``.  By Coleman's theorem an N-fermion
     state is one Slater determinant iff its one-body density matrix has
     rank N, and an N-boson state is ``(b^dag)^N|0>`` iff that matrix has
-    rank one.  With ``s`` the singular values of the unfolding
-    ``w.reshape(d, -1)`` and ``m = N`` (fermions) or ``m = 1`` (bosons),
-    the state is ``rank_one`` iff ``s[m] <= rtol * s[0]`` or there is no
-    ``s[m]``; ``s[m] / s[0]`` grows linearly with an admixed state.
+    rank one: ``rank_one`` iff ``s[m] <= rtol * s[0]`` or there is no ``s[m]``,
+    with ``s`` its singular values (``_one_body_test``), ``m = N`` (fermions)
+    or 1 (bosons); ``s[m] / s[0]`` grows linearly with an admixed state.
 
     The probe set only supplies certificates.  For a ``rank_ge_2`` state,
     particles are projected out recursively along the probes (all basis
@@ -564,11 +575,9 @@ def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL)
             return chain if verdict.claim.startswith("rank_ge") else None
         scale = st.norm()
         for a in probes:
-            sub = project_reduce(st, a)
-            sub_norm = sub.norm()
+            sub, sub_norm = _reduce_along(st, a)
             if sub_norm <= rtol * st.particles * scale:
                 continue
-            sub = PureState(sub.kind, sub.particles, sub.dim, sub.amps / sub_norm)
             found = violating_chain(sub, chain + (a,))
             if found is not None:
                 return found
@@ -586,15 +595,14 @@ def verify_rank_certificate(state: PureState, verdict: RankVerdict,
     """Re-evaluate a rank certificate against its state (see ``multiparticle_rank_one``)."""
     cert = verdict.certificate
     if cert.get("kind") == "probe_chain" and verdict.claim == "rank_ge_2":
-        if _one_body_test(state, rtol)[0]:
+        # a chain reduces to two particles at most
+        if len(cert["probes"]) > state.particles - 2 or _one_body_test(state, rtol)[0]:
             return False
         st = state
         for a in cert["probes"]:
-            st = project_reduce(st, a)
-            n = st.norm()
+            st, n = _reduce_along(st, a)
             if n == 0:
                 return False
-            st = PureState(st.kind, st.particles, st.dim, st.amps / n)
         if st.particles > 2:
             # a partial chain certifies iff the reduction is itself correlated
             return not _one_body_test(st, rtol)[0]

@@ -758,14 +758,14 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
 # ---------------------------------------------------------------------------
 
 def embed_witness_full(w: WitnessOperator) -> np.ndarray:
-    """Witness on the full tensor space.
+    """Witness on the full tensor space (the one-particle split of two particles).
 
     The orthogonal complement of the exchange sector carries the identity;
     this extension keeps the canonical example's partial transpose positive
     and leaves expectations on sector states unchanged.
     """
-    d = w.space.dims[0]
-    return sectors.embed_operator(w.space.kind, d, 2, w.matrix, complement=1.0)
+    s = sectors.split_isometry(w.space.kind, w.space.dims[0], 2)
+    return s @ w.matrix @ s.conj().T + (np.eye(len(s)) - s @ s.conj().T)
 
 
 def jamiolkowski_map_apply(w: WitnessOperator, rho_ac: mixed.DensityMatrix) -> np.ndarray:

@@ -226,6 +226,20 @@ def test_ppt_command(tmp_path, capsys):
     assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
 
 
+def test_ppt_command_transposes_once(tmp_path, capsys, monkeypatch):
+    # the report reads the smallest eigenvalue the separability check computed
+    gen = np.random.default_rng(4)
+    pairs = [(w, st.boson_state(3, 2, mx._symmetric_pair_vector(la.haar_vector(3, gen))))
+             for w in gen.dirichlet(np.ones(3))]
+    rho = mx.density_from_mixture(pairs)
+    path = write(tmp_path, "bos.json", skio.density_to_dict(rho))
+    transpose, calls = mx.partial_transpose, []
+    monkeypatch.setattr(mx, "partial_transpose", lambda *args: calls.append(args) or transpose(*args))
+    code, report = run(capsys, "ppt", path)
+    assert code == 0 and report["separability"] == "separable" and len(calls) == 1
+    assert report["min_eigenvalue"] == float(np.linalg.eigvalsh(transpose(rho))[0])
+
+
 def test_witness_pipeline(tmp_path, capsys):
     code, _ = run(capsys, "witness", "make", "--K", "2", "--k", "2", "--kind", "fermion",
                   "-o", str(tmp_path / "w.json"))
@@ -481,15 +495,17 @@ def test_batch_reports_a_malformed_file_next_to_a_good_one(bell_file, tmp_path, 
 
 
 #: small files declaring what no dense table can hold: C(400, 6) = 5.5e12 sector
-#: tuples, 16**8 = 4.3e9 tensor entries of a 12870-tuple sector, 2**40 occupation
-#: amplitudes, and a 79800-dimensional operator given as a 1 x 1 matrix
+#: tuples, a one-particle split of 204 * C(204, 202) = 4224024 rows for a
+#: 204-tuple sector, 2**40 occupation amplitudes, and a 79800-dimensional
+#: operator given as a 1 x 1 matrix
 OVERSIZED = {
     "sector.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 400,
                     "particles": 6, "amplitudes": []},
     "density.json": {"type": "density", "matrix": [[[1, 0]]], "space": {
         "kind": "antisymmetric", "single_particle_dim": 400, "particles": 6}},
-    "tensor.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 16, "particles": 8,
-                    "amplitudes": [{"indices": list(range(8)), "re": 1.0, "im": 0.0}]},
+    "split.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 204,
+                   "particles": 203,
+                   "amplitudes": [{"indices": list(range(203)), "re": 1.0, "im": 0.0}]},
     "register.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 40,
                       "particles": 1, "amplitudes": [{"indices": [0], "re": 1.0, "im": 0.0}]},
     "operator.json": {"type": "operator", "slater_class": 2, "matrix": [[[1, 0]]], "space": {
@@ -527,7 +543,7 @@ def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_pat
             (["modes", "sector.json", "--cut", "0"], too_many),
             (["ppt", "density.json"], wrong_shape), (["slater1", "density.json"], wrong_shape),
             (["mixed-concurrence", "density.json"], wrong_shape),
-            (["rank", "tensor.json"], too_many), (["modes", "register.json", "--cut", "0"], too_many),
+            (["rank", "split.json"], too_many), (["modes", "register.json", "--cut", "0"], too_many),
             (["witness", "optimize", "operator.json"], wrong_shape),
             (["witness", "eval", "operator.json", "density.json"], wrong_shape),
             (["concurrence", "batch", "--batch"], too_many)]

@@ -240,10 +240,13 @@ def test_partial_transpose_spectrum_is_the_same_at_either_cut(space):
         assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12
 
 
-def test_partial_transpose_sector_embedding_is_isometric():
+@pytest.mark.parametrize("kind, d, n", (("fermion", 4, 2), ("fermion", 5, 3), ("boson", 2, 4)))
+def test_partial_transpose_sector_split_is_isometric(kind, d, n):
     gen = np.random.default_rng(9)
-    rho = random_mixture("fermion", 4, 2, gen)
-    full = mx.embed_full(rho)
+    rho = mx.density_from_mixture(
+        [(w, st.random_pure_state(kind, d, n, gen)) for w in gen.dirichlet(np.ones(2))])
+    s = sectors.split_isometry(rho.space.kind, d, n)
+    full = s @ rho.matrix @ s.conj().T
     assert abs(np.trace(full).real - 1.0) < 1e-12
     evals = np.linalg.eigvalsh(full)
     assert evals[0] > -1e-12

@@ -201,6 +201,19 @@ def test_partial_chain_verifies_through_the_spectrum():
         assert st.verify_rank_certificate(state, verdict) is certifies
 
 
+def test_a_chain_past_two_particles_does_not_verify():
+    # a chain of N - 1 or N probes reduces past the two-particle criteria
+    state = st.fermion_state(6, 3, {(0, 1, 2): 0.6, (3, 4, 5): 0.8})
+    verdict = st.multiparticle_rank_one(state)
+    chain = verdict.certificate["probes"]
+    assert verdict.certificate["kind"] == "probe_chain" and len(chain) == 1
+    assert st.verify_rank_certificate(state, verdict)
+    uniform = np.full(6, 1 / math.sqrt(6), dtype=complex)  # annihilates no reduction
+    for extra in (1, 2):
+        longer = dict(verdict.certificate, probes=chain + (uniform,) * extra)
+        assert st.verify_rank_certificate(state, RankVerdict("rank_ge_2", longer)) is False
+
+
 def test_rank_one_path_draws_no_probes():
     gen = np.random.default_rng(404)
     state = _elementary("fermion", 8, 4, gen)

@@ -128,7 +128,8 @@ def test_sector_tables_match_the_permutation_walks(kind, d):
         assert sectors.sector_dim(kind, d, n) == dim
         for new, old in zip(sectors._gather_table(kind, d, n), _gather_table(kind, d, n)):
             assert _same_bytes(new, old)
-        assert _same_bytes(sectors.embedding_isometry(kind, d, n), embedding_isometry(kind, d, n))
+        if n <= 2:  # the one-particle split is the embedding itself
+            assert _same_bytes(sectors.split_isometry(kind, d, n), embedding_isometry(kind, d, n))
         amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
         tensor = sectors.tensor_from_amps(kind, d, n, amps)
         assert _same_bytes(tensor, tensor_from_amps(kind, d, n, amps))

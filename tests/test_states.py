@@ -505,40 +505,53 @@ def _inversion_sign(seq):
     return -1 if inversions % 2 else 1
 
 
+def _walk_embedding(kind, d, n):
+    tuples = sectors.sector_tuples(kind, d, n)
+    e = np.zeros((d ** n, len(tuples)), dtype=complex)
+    for col, t in enumerate(tuples):
+        for perm in set(itertools.permutations(t)):
+            flat = int(np.ravel_multi_index(perm, (d,) * n))
+            e[flat, col] = _inversion_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
+        e[:, col] /= np.linalg.norm(e[:, col])
+    return e
+
+
 @pytest.mark.parametrize("kind", [sectors.ANTISYMMETRIC, sectors.SYMMETRIC])
-def test_embedding_isometry_matches_a_walk_over_permutations(kind):
+def test_one_particle_split_matches_a_walk_over_permutations(kind):
+    # S = (1 (x) E_{n-1}^dag) E_n, so E_n = (1 (x) E_{n-1}) S; S is E_n itself for n <= 2
     for d in range(2, 6):
         for n in range(1, 4):
-            tuples = sectors.sector_tuples(kind, d, n)
-            e = np.zeros((d ** n, len(tuples)), dtype=complex)
-            for col, t in enumerate(tuples):
-                for perm in set(itertools.permutations(t)):
-                    flat = int(np.ravel_multi_index(perm, (d,) * n))
-                    e[flat, col] = _inversion_sign(perm) if kind == sectors.ANTISYMMETRIC else 1.0
-                e[:, col] /= np.linalg.norm(e[:, col])
-            assert np.array_equal(sectors.embedding_isometry(kind, d, n), e)
+            split = sectors.split_isometry(kind, d, n)
+            if n <= 2:
+                assert np.array_equal(split, _walk_embedding(kind, d, n))
+            else:
+                lifted = np.kron(np.eye(d), _walk_embedding(kind, d, n - 1)) @ split
+                assert np.max(np.abs(lifted - _walk_embedding(kind, d, n)), initial=0.0) <= 1e-15
 
 
-def test_embeddings_refuse_what_no_dense_table_holds():
-    # 12**4 positions x 495 tuples = 10.3M entries; an embedded 12-boson
-    # qubit operator 4096**2 = 16.8M; both over MAX_DENSE_ENTRIES = 2**22
-    with pytest.raises(ValidationError, match="would hold 10264320 entries"):
-        sectors.embedding_isometry(sectors.ANTISYMMETRIC, 12, 4)
-    with pytest.raises(ValidationError, match="would hold 16777216 entries"):
-        sectors.embed_operator(sectors.SYMMETRIC, 2, 12, np.eye(13))
-    with pytest.raises(ValidationError, match="would hold 16777216 entries"):
-        sectors.lift_unitary(sectors.SYMMETRIC, np.eye(2), 12)
-    # an 11-boson qubit operator embeds into 2048**2 = 2**22 entries, the bound itself
-    full = sectors.embed_operator(sectors.SYMMETRIC, 2, 11, np.eye(12))
-    assert full.shape == (2048, 2048)
+def test_the_split_accepts_what_the_embedding_refused():
+    # a 12-boson qubit operator on C^2 (x) sector_11 has 24**2 entries, where the
+    # full space held 4096**2 = 16.8M, over MAX_DENSE_ENTRIES = 2**22
+    u = la.haar_unitary(2, np.random.default_rng(5))
+    lift = sectors.lift_unitary(sectors.SYMMETRIC, u, 12)
+    assert lift.shape == (13, 13)
+    assert np.max(np.abs(lift.conj().T @ lift - np.eye(13))) < 1e-12
+    assert np.max(np.abs(sectors.lift_unitary(sectors.SYMMETRIC, np.eye(2), 12) - np.eye(13))) < 1e-14
+    # 12 * C(12, 3) = 2640 split rows, so an operator on them holds 2640**2 entries
+    with pytest.raises(ValidationError, match="would hold 6969600 entries"):
+        sectors.lift_unitary(sectors.ANTISYMMETRIC, np.eye(12), 4)
+    # one hole in 204 modes: a 204-tuple sector whose split has 204 * C(204, 202) rows
+    with pytest.raises(ValidationError, match="would hold 4224024 entries"):
+        sectors.split_amps(sectors.ANTISYMMETRIC, 204, 203, np.ones(204))
 
 
 def test_cached_bases_are_read_only():
     state = st.magic_state("fermions", 2)
     before = st.magic_basis_coeffs(state)
     cached = [st.magic_basis("fermions"), st.magic_basis("qubits"), st.spin_multiplet_basis(),
-              st.dual_unitary("fermions"), sectors.embedding_isometry(sectors.ANTISYMMETRIC, 4, 2),
-              *sectors._expansion_table(sectors.ANTISYMMETRIC, 4, 2),
+              st.dual_unitary("fermions"), *sectors._split_table(sectors.ANTISYMMETRIC, 4, 2),
+              *sectors._split_table(sectors.SYMMETRIC, 3, 3),
+              *sectors._tables(sectors.ANTISYMMETRIC, 4, 2)[1],
               *sectors._gather_table(sectors.SYMMETRIC, 3, 2)]
     for array in cached:
         with pytest.raises(ValueError):
