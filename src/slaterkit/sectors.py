@@ -34,8 +34,8 @@ ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
 
 #: the most entries a dense table may hold: a sector's tuples, the ``d**N``
-#: positions of a coefficient tensor, the split's ``d D_{N-1}`` rows and
-#: their square, or the ``2**d`` amplitudes of an occupation register
+#: positions of a coefficient tensor, the split's ``d D_{N-1}`` rows (and the
+#: ``N D_N`` modes it reads) and their square, or an occupation register's ``2**d``
 MAX_DENSE_ENTRIES = 2 ** 22
 
 
@@ -73,14 +73,18 @@ def _split_table(kind: str, d: int, n: int):
     mode ``i`` before the ``j``-th (n-1)-tuple ``T'``, has one entry: in the
     column of ``sorted(T' + (i,))``, of weight ``levi_civita(i, T') / sqrt(n)``
     (fermions) or ``sqrt(n_i(T') + 1) / sqrt(n)`` (bosons)."""
-    check_dense(d * sector_dim(kind, d, n - 1), f"the split of {n} {kind} particles in {d} modes")
-    rest = np.array(sector_tuples(kind, d, n - 1), dtype=np.intp).reshape(-1 if n > 1 else 1, n - 1)
-    rows = np.column_stack([np.repeat(np.arange(d), len(rest)), np.tile(rest, (d, 1))])
-    signs = levi_civita(rows) if kind == ANTISYMMETRIC else 1
-    weights = signs * np.sqrt((rows[:, 1:] == rows[:, :1]).sum(1) + 1) / math.sqrt(n)
-    index = tuple_index(kind, d, n)  # a rank no positional code can overflow
-    columns = [index.get(t, 0) for t in map(tuple, np.sort(rows, axis=1).tolist())]
-    return read_only(np.array(columns, dtype=np.intp)), read_only(weights)
+    rest_dim = sector_dim(kind, d, n - 1)
+    check_dense(max(d * rest_dim, n * sector_dim(kind, d, n)),  # rows; modes of n-tuples
+                f"the split of {n} {kind} particles in {d} modes")
+    rest = tuple_index(kind, d, n - 1)  # a rank that cannot overflow
+    columns, weights = np.zeros(d * rest_dim, dtype=np.intp), np.zeros(d * rest_dim)
+    for column, t in enumerate(sector_tuples(kind, d, n)):
+        for k, i in enumerate(t):
+            if k == 0 or i != t[k - 1]:  # mode i at place k: levi_civita(i, T') = (-1)**k
+                row = i * rest_dim + rest[t[:k] + t[k + 1:]]
+                size = (-1) ** k if kind == ANTISYMMETRIC else math.sqrt(t.count(i))
+                columns[row], weights[row] = column, size / math.sqrt(n)
+    return read_only(columns), read_only(weights)
 
 
 def split_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:
@@ -90,15 +94,17 @@ def split_amps(kind: str, d: int, n: int, amps: np.ndarray) -> np.ndarray:
     return (weights * np.asarray(amps, dtype=complex)[columns]).reshape(d, -1)
 
 
+@lru_cache(maxsize=None)
 def split_isometry(kind: str, d: int, n: int) -> np.ndarray:
     """Dense ``S``, the embedding itself when ``n = 2``.  Its callers build
     operators on ``C^d (x) sector_{n-1}``, so their size is checked."""
+    rows = d * sector_dim(kind, d, n - 1)
+    check_dense(rows ** 2, f"an operator on the split of {n} {kind} particles in {d} modes")
     columns, weights = _split_table(kind, d, n)
-    check_dense(len(columns) ** 2, f"an operator on the split of {n} {kind} particles in {d} modes")
-    s = np.zeros((len(columns), sector_dim(kind, d, n)), dtype=complex)
+    s = np.zeros((rows, sector_dim(kind, d, n)), dtype=complex)
     live = np.flatnonzero(weights)
     s[live, columns[live]] = weights[live]
-    return s
+    return read_only(s)
 
 
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
@@ -165,15 +171,9 @@ def amps_from_tensor(kind: str, tensor: np.ndarray) -> np.ndarray:
 def check_tensor_symmetry(kind: str, tensor: np.ndarray) -> None:
     """Verify total (anti)symmetry of a coefficient tensor (to ``TOL_SYM``, relative)."""
     tensor = np.asarray(tensor)
-    n = tensor.ndim
     scale = max(1.0, float(np.max(np.abs(tensor))) if tensor.size else 1.0)
-    for axes in itertools.combinations(range(n), 2):
-        swapped = np.swapaxes(tensor, *axes)
-        if kind == ANTISYMMETRIC:
-            dev = np.max(np.abs(tensor + swapped))
-        else:
-            dev = np.max(np.abs(tensor - swapped))
+    sign = 1 if kind == ANTISYMMETRIC else -1  # tensor + sign * swap vanishes
+    for axes in itertools.combinations(range(tensor.ndim), 2):
+        dev = np.max(np.abs(tensor + sign * np.swapaxes(tensor, *axes)))
         if dev > TOL_SYM * scale:
-            raise ValidationError(
-                f"coefficient tensor is not {kind} (deviation {dev:.3e})"
-            )
+            raise ValidationError(f"coefficient tensor is not {kind} (deviation {dev:.3e})")

@@ -506,6 +506,9 @@ OVERSIZED = {
     "split.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 204,
                    "particles": 203,
                    "amplitudes": [{"indices": list(range(203)), "re": 1.0, "im": 0.0}]},
+    # 203 bosons in 3 modes: 62118 split rows, but 203 * C(205, 203) modes of its 203-tuples
+    "tuples.json": {"type": "pure", "kind": "boson", "single_particle_dim": 3, "particles": 203,
+                    "amplitudes": [{"indices": [0] * 203, "re": 1.0, "im": 0.0}]},
     "register.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 40,
                       "particles": 1, "amplitudes": [{"indices": [0], "re": 1.0, "im": 0.0}]},
     "operator.json": {"type": "operator", "slater_class": 2, "matrix": [[[1, 0]]], "space": {
@@ -531,6 +534,14 @@ print(json.dumps(results))
 """
 
 
+def _run_limited(cwd, argvs) -> list:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUNS, json.dumps(argvs)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
 def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_path, bell_file):
     for name, doc in OVERSIZED.items():
         write(tmp_path, name, doc)
@@ -543,16 +554,12 @@ def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_pat
             (["modes", "sector.json", "--cut", "0"], too_many),
             (["ppt", "density.json"], wrong_shape), (["slater1", "density.json"], wrong_shape),
             (["mixed-concurrence", "density.json"], wrong_shape),
-            (["rank", "split.json"], too_many), (["modes", "register.json", "--cut", "0"], too_many),
+            (["rank", "split.json"], too_many), (["rank", "tuples.json"], too_many),
+            (["modes", "register.json", "--cut", "0"], too_many),
             (["witness", "optimize", "operator.json"], wrong_shape),
             (["witness", "eval", "operator.json", "density.json"], wrong_shape),
             (["concurrence", "batch", "--batch"], too_many)]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argvs = [argv for argv, _ in runs]
-    done = subprocess.run([sys.executable, "-c", _LIMITED_RUNS, json.dumps(argvs)], env=env,
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
-    for (argv, message), (code, out, err) in zip(runs, json.loads(done.stdout)):
+    for (argv, message), (code, out, err) in zip(runs, _run_limited(tmp_path, [a for a, _ in runs])):
         assert code == cli.EXIT_INPUT, (argv, code, err)
         if "--batch" in argv:
             report = json.loads(out)
@@ -561,6 +568,17 @@ def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_pat
             assert abs(report["bell.json"]["concurrence"] - 1.0) < 1e-12
         else:
             assert out == "" and err.startswith("slaterkit: ") and message in err, (argv, err)
+
+
+def test_a_split_near_the_bound_runs_under_the_address_space_limit(tmp_path):
+    # 199 fermions in 200 modes: the split has 200 * C(200, 198) = 3980000 <= 2**22
+    # rows; written out as 199-tuples they would not fit
+    write(tmp_path, "holes.json", {"type": "pure", "kind": "fermion", "single_particle_dim": 200,
+                                   "particles": 199, "amplitudes": [
+                                       {"indices": list(range(199)), "re": 1.0, "im": 0.0}]})
+    [(code, out, err)] = _run_limited(tmp_path, [["rank", "holes.json"]])
+    assert code == 0, err
+    assert json.loads(out)["rank_claim"] == "rank_one"
 
 
 def test_readme_command_lines_parse():

@@ -148,6 +148,24 @@ def test_two_particle_results_are_byte_identical(kind, d):
     assert _same_bytes(wi.embed_witness_full(w), embed_operator(sector, d, 2, w.matrix, 1.0))
 
 
+@pytest.mark.parametrize("kind, d, n", [
+    *((kind, d, n) for kind in KINDS.values() for d in range(1, 8) for n in range(1, 7)
+      if kind == sectors.SYMMETRIC or n <= d),
+    (sectors.SYMMETRIC, 1, 50), (sectors.SYMMETRIC, 3, 40), (sectors.ANTISYMMETRIC, 12, 11)])
+def test_split_columns_rank_the_sorted_tuples(kind, d, n):
+    # the combinatorial ranks against a lookup of each row's sorted tuple
+    columns, weights = sectors._split_table(kind, d, n)
+    rest, index = sectors.sector_tuples(kind, d, n - 1), sectors.tuple_index(kind, d, n)
+    assert columns.shape == weights.shape == (d * len(rest),)
+    for row, (i, tail) in enumerate((i, tail) for i in range(d) for tail in rest):
+        if kind == sectors.ANTISYMMETRIC:
+            weight = la.levi_civita((i, *tail)) / math.sqrt(n)
+        else:
+            weight = math.sqrt(tail.count(i) + 1) / math.sqrt(n)
+        assert weights[row] == weight
+        assert columns[row] == (index[tuple(sorted((i, *tail)))] if weight else 0)
+
+
 def _nonzero_spectrum_gap(new, old):
     """Largest gap between two sorted spectra once the extra zeros of the longer,
     full-space one are dropped."""

@@ -551,6 +551,7 @@ def test_cached_bases_are_read_only():
     cached = [st.magic_basis("fermions"), st.magic_basis("qubits"), st.spin_multiplet_basis(),
               st.dual_unitary("fermions"), *sectors._split_table(sectors.ANTISYMMETRIC, 4, 2),
               *sectors._split_table(sectors.SYMMETRIC, 3, 3),
+              sectors.split_isometry(sectors.ANTISYMMETRIC, 4, 3),
               *sectors._tables(sectors.ANTISYMMETRIC, 4, 2)[1],
               *sectors._gather_table(sectors.SYMMETRIC, 3, 2)]
     for array in cached:
