@@ -14,8 +14,8 @@ amplitude of the sorted tuple ``t`` relates by
     bosons:    c_t = N! * v_t / sqrt(prod_k n_k!)
 
 with ``n_k`` the multiplicity of mode ``k`` in ``t``.  The one-particle split
-``S``, the annihilation map from sector N into ``C^d (x) sector_{N-1}``,
-replaces that ``d^N`` space on the analysis paths.
+``S`` (annihilation into ``C^d (x) sector_{N-1}``) replaces that space on the
+analysis paths; composed over 1..N particles, it builds the tensor maps.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TOL_SYM, levi_civita, read_only
+from .linalg import TOL_SYM, as_complex_matrix, read_only
 
 ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
 
-#: the most entries a dense table may hold: a sector's tuples, the ``d**N``
+#: the most entries a dense table may hold: a sector's N-tuples, the ``d**N``
 #: positions of a coefficient tensor, the split's ``d D_{N-1}`` rows (and the
 #: ``N D_N`` modes it reads) and their square, or an occupation register's ``2**d``
 MAX_DENSE_ENTRIES = 2 ** 22
@@ -55,7 +55,7 @@ def sector_dim(kind: str, d: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def sector_tuples(kind: str, d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    check_dense(sector_dim(kind, d, n), f"the {kind} sector of {n} particles in {d} modes")
+    check_dense(max(n, 1) * sector_dim(kind, d, n), f"the {kind} sector of {n} particles in {d} modes")
     if kind == ANTISYMMETRIC:
         return tuple(itertools.combinations(range(d), n))
     return tuple(itertools.combinations_with_replacement(range(d), n))
@@ -110,7 +110,8 @@ def split_isometry(kind: str, d: int, n: int) -> np.ndarray:
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
     """Sector representation of a single-particle unitary ``u`` on N particles,
     by the recursion ``lift(u, m) = S^dag (u (x) lift(u, m-1)) S``."""
-    lift = u = np.asarray(u, dtype=complex)
+    u = as_complex_matrix(u)
+    lift = u.copy() if n else np.eye(1, dtype=complex)
     for m in range(2, n + 1):
         s = split_isometry(kind, u.shape[0], m)
         lift = s.conj().T @ np.kron(u, lift) @ s
@@ -119,33 +120,29 @@ def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _tables(kind: str, d: int, n: int):
-    """The gather and expansion tables, from one pass over the ``d**n`` tensor positions.
+    """The gather and expansion tables, composed from the splits of 1..n particles.
 
-    Each position holds the amplitude of the tuple its modes sort to, times
-    ``levi_civita(modes) / N!`` (fermions, 0 where a mode repeats) or
-    ``sqrt(prod n_k!) / N!`` (bosons).  The positions whose modes are already
-    sorted are the sector's tuples, in ``sector_tuples`` order.
+    Position ``(i, p)``, mode ``i`` before the (m-1)-particle position ``p``,
+    reads the column of the m-particle split's row ``(i, source(p))``.  The
+    rows' signs and multiplicities ``n_i = m w**2`` multiply to its sign and
+    ``prod n_k!``, so it holds ``sign sqrt(prod n_k!) / N!`` times that tuple's
+    amplitude.  A tuple's gather position is the first position that reads it.
     """
     check_dense(d ** n, f"a coefficient tensor of {n} particles in {d} modes")
-    # signed, so mode differences fit, and narrow: the table has d**n rows
-    modes = np.indices((d,) * n, dtype=np.min_scalar_type(-d)).reshape(n, d ** n).T
-    signs = levi_civita(modes) if kind == ANTISYMMETRIC else 1
-    modes.sort(axis=1)
-    target, place, product = np.zeros(d ** n, dtype=np.intp), np.ones(d ** n), np.ones(d ** n)
-    previous = -1
-    for column in modes.T:
-        target = target * d + column
-        # prod n_k! is the product of each mode's place in its run of equal modes
-        place = place * (column == previous) + 1
-        product *= place
-        previous = column
-    roots, fact = np.sqrt(product), math.factorial(n)
-    weights = signs * roots / fact
-    flats = np.flatnonzero((target == np.arange(d ** n)) & (weights != 0))
-    positions = np.flatnonzero(weights)
+    dim = sector_dim(kind, d, n)
+    # each position's tuple and sign * prod n_k!; an empty sector has no position
+    sources, signed = np.zeros(min(dim, 1), dtype=np.intp), np.ones(min(dim, 1))
+    for m in range(1, n + 1):
+        columns, weights = _split_table(kind, d, m)
+        rows = np.add.outer(np.arange(d) * sector_dim(kind, d, m - 1), sources)
+        w = weights[rows]
+        sources, signed = columns[rows].ravel(), (np.rint(m * w * np.abs(w)) * signed).ravel()
+    positions, roots, fact = np.flatnonzero(signed), np.sqrt(np.abs(signed)), math.factorial(n)
+    flats = np.full(dim, d ** n, dtype=np.intp)
+    np.minimum.at(flats, sources[positions], positions)
     return ((read_only(flats), read_only(fact / roots[flats])),
-            (read_only(positions), read_only(np.searchsorted(flats, target[positions])),
-             read_only(weights[positions])))
+            (read_only(positions), read_only(sources[positions]),
+             read_only(np.sign(signed[positions]) * roots[positions] / fact)))
 
 
 def _gather_table(kind: str, d: int, n: int):

@@ -162,6 +162,8 @@ def boson_state(d: int, particles: int, amplitudes) -> PureState:
 
 def _state_from_tensor(kind: str, t) -> PureState:
     t = np.asarray(t, dtype=complex)
+    if t.ndim == 0 or min(t.shape) != max(t.shape):
+        raise DimensionMismatchError(f"tensor axes {t.shape} are not N >= 1 of one length")
     sector = SECTOR_OF_KIND[kind]
     sectors.check_tensor_symmetry(sector, t)
     return _validated(kind, t.ndim, t.shape[0], sectors.amps_from_tensor(sector, t))

@@ -506,9 +506,12 @@ OVERSIZED = {
     "split.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 204,
                    "particles": 203,
                    "amplitudes": [{"indices": list(range(203)), "re": 1.0, "im": 0.0}]},
-    # 203 bosons in 3 modes: 62118 split rows, but 203 * C(205, 203) modes of its 203-tuples
+    # 203 bosons in 3 modes: 62118 split rows, but its 203-tuples hold 203 * C(205, 203) modes
     "tuples.json": {"type": "pure", "kind": "boson", "single_particle_dim": 3, "particles": 203,
                     "amplitudes": [{"indices": [0] * 203, "re": 1.0, "im": 0.0}]},
+    # 1000 bosons in 3 modes: 501501 tuples, but 1000 modes each
+    "bosons.json": {"type": "pure", "kind": "boson", "single_particle_dim": 3, "particles": 1000,
+                    "amplitudes": []},
     "register.json": {"type": "pure", "kind": "fermion", "single_particle_dim": 40,
                       "particles": 1, "amplitudes": [{"indices": [0], "re": 1.0, "im": 0.0}]},
     "operator.json": {"type": "operator", "slater_class": 2, "matrix": [[[1, 0]]], "space": {
@@ -555,6 +558,7 @@ def test_oversized_inputs_exit_with_a_validation_error_before_allocating(tmp_pat
             (["ppt", "density.json"], wrong_shape), (["slater1", "density.json"], wrong_shape),
             (["mixed-concurrence", "density.json"], wrong_shape),
             (["rank", "split.json"], too_many), (["rank", "tuples.json"], too_many),
+            (["rank", "bosons.json"], too_many),
             (["modes", "register.json", "--cut", "0"], too_many),
             (["witness", "optimize", "operator.json"], wrong_shape),
             (["witness", "eval", "operator.json", "density.json"], wrong_shape),

@@ -1,7 +1,8 @@
 """Source rules for the package: no runtime gate may vanish under ``python -O``,
 no handler may swallow every error, every import sits at module level, and no
-code walks the N! orderings of a tuple (``itertools.permutations``): signs and
-sector tables come from ``linalg.levi_civita`` and sorted tuples."""
+code walks the N! orderings of a tuple (``itertools.permutations``): every sector
+map takes its signs from the one-particle split, built from sorted tuples, and the
+contraction minors theirs from ``linalg.levi_civita``."""
 
 import ast
 from pathlib import Path

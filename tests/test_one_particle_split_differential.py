@@ -9,7 +9,9 @@ are kept here only as the reference for the split
 ``S = (1 (x) E_{N-1}^dag) E_N``, which is ``E_N`` itself for two particles:
 there every result must agree byte for byte, and for N >= 3 up to
 rounding (nonzero partial-transpose spectra, since the full space adds
-only zeros).
+only zeros).  Beyond them, ``apply_single_particle`` (the coefficient tensor,
+whose tables the splits compose) and ``lift_unitary`` (the split's recursion)
+must rotate a state alike.
 """
 
 import math
@@ -197,6 +199,18 @@ def test_lift_unitary_recursion_matches_the_kron_loop(kind, d, n):
     u = la.haar_unitary(d, np.random.default_rng(d * 10 + n))
     new, old = sectors.lift_unitary(KINDS[kind], u, n), lift_unitary(KINDS[kind], u, n)
     assert np.max(np.abs(new - old)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind, d, n", [
+    *(("boson", 2, n) for n in range(3, 9)), *(("boson", 3, n) for n in range(3, 6)),
+    ("boson", 4, 3), ("fermion", 6, 3), ("fermion", 8, 4), ("fermion", 9, 5)])
+def test_the_tensor_and_split_lifts_agree(kind, d, n):
+    # apply_single_particle rotates the coefficient tensor, whose tables the
+    # splits of 1..N particles compose; lift_unitary recurses on the split
+    gen = np.random.default_rng(d * 10 + n)
+    state, u = st.random_pure_state(kind, d, n, gen), la.haar_unitary(d, gen)
+    lifted = sectors.lift_unitary(KINDS[kind], u, n) @ state.amps
+    assert np.max(np.abs(st.apply_single_particle(state, u).amps - lifted)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind, d, n", [c for c in CASES if c[2] >= 2])

@@ -1,12 +1,14 @@
 """Differential test: the sign and sector tables against the permutation walks.
 
-The builders below are the former implementation of ``sectors`` and of
+The builders below are the former implementations of ``sectors`` and of
 ``linalg._minor_index``: every sorted tuple is expanded over its N!
 orderings, and every ordering and every minor gets its sign from a Python
-inversion count (``perm_sign``).  They are kept here only as an independent
-oracle; the package builds the same tables from ``linalg.levi_civita`` and
-the sorted-tuple array.  Every table must agree byte for byte, ``-0.0``
-included.
+inversion count (``perm_sign``).  ``positional_tables`` is the one pass over
+the ``d^N`` tensor positions that followed them, the second oracle where the
+walk is too slow.  They are kept here only as independent oracles; the
+package composes the tensor tables from the one-particle splits of 1..N
+particles, and signs the minors with ``linalg.levi_civita``.  Every table
+must agree byte for byte, ``-0.0`` included.
 """
 
 import itertools
@@ -18,8 +20,8 @@ import pytest
 
 from slaterkit import linalg as la
 from slaterkit import sectors
-from slaterkit.linalg import read_only
-from slaterkit.sectors import ANTISYMMETRIC, sector_tuples
+from slaterkit.linalg import levi_civita, read_only
+from slaterkit.sectors import ANTISYMMETRIC, check_dense, sector_tuples
 
 
 def perm_sign(seq) -> int:
@@ -103,6 +105,43 @@ def amps_from_tensor(kind: str, tensor: np.ndarray) -> np.ndarray:
     return tensor.ravel()[flats] * factors
 
 
+def _walk_tables(kind: str, d: int, n: int):
+    """The walk's gather table, and its expansion table in position order."""
+    positions, sources, coeffs = _expansion_table(kind, d, n)
+    order = np.argsort(positions)
+    return _gather_table(kind, d, n), (positions[order], sources[order], coeffs[order])
+
+
+def positional_tables(kind: str, d: int, n: int):
+    """The gather and expansion tables, from one pass over the ``d**n`` tensor positions.
+
+    Each position holds the amplitude of the tuple its modes sort to, times
+    ``levi_civita(modes) / N!`` (fermions, 0 where a mode repeats) or
+    ``sqrt(prod n_k!) / N!`` (bosons).  The positions whose modes are already
+    sorted are the sector's tuples, in ``sector_tuples`` order.
+    """
+    check_dense(d ** n, f"a coefficient tensor of {n} particles in {d} modes")
+    # signed, so mode differences fit, and narrow: the table has d**n rows
+    modes = np.indices((d,) * n, dtype=np.min_scalar_type(-d)).reshape(n, d ** n).T
+    signs = levi_civita(modes) if kind == ANTISYMMETRIC else 1
+    modes.sort(axis=1)
+    target, place, product = np.zeros(d ** n, dtype=np.intp), np.ones(d ** n), np.ones(d ** n)
+    previous = -1
+    for column in modes.T:
+        target = target * d + column
+        # prod n_k! is the product of each mode's place in its run of equal modes
+        place = place * (column == previous) + 1
+        product *= place
+        previous = column
+    roots, fact = np.sqrt(product), math.factorial(n)
+    weights = signs * roots / fact
+    flats = np.flatnonzero((target == np.arange(d ** n)) & (weights != 0))
+    positions = np.flatnonzero(weights)
+    return ((read_only(flats), read_only(fact / roots[flats])),
+            (read_only(positions), read_only(np.searchsorted(flats, target[positions])),
+             read_only(weights[positions])))
+
+
 @lru_cache(maxsize=None)
 def _minor_index(d: int, size: int):
     """Free tuples (lexicographic), the row-major flat positions of each
@@ -119,21 +158,46 @@ def _same_bytes(new, old):
     return new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
+def _same_tables(new, old):
+    return all(_same_bytes(a, b) for a, b in zip((*new[0], *new[1]), (*old[0], *old[1]), strict=True))
+
+
+def _same_maps(kind, d, n, gen):
+    """``tensor_from_amps`` and ``amps_from_tensor`` agree with the walk's, byte for
+    byte (a 0-d tensor does not name its ``d``, so N = 0 expands only)."""
+    dim = sector_dim(kind, d, n)
+    amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    tensor = sectors.tensor_from_amps(kind, d, n, amps)
+    return _same_bytes(tensor, tensor_from_amps(kind, d, n, amps)) and (n == 0 or _same_bytes(
+        sectors.amps_from_tensor(kind, tensor), amps_from_tensor(kind, tensor)))
+
+
 @pytest.mark.parametrize("kind", [sectors.ANTISYMMETRIC, sectors.SYMMETRIC])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sector_tables_match_the_permutation_walks(kind, d):
     gen = np.random.default_rng(d)
-    for n in range(1, 5):  # fermions with n > d have an empty sector
-        dim = sector_dim(kind, d, n)
-        assert sectors.sector_dim(kind, d, n) == dim
-        for new, old in zip(sectors._gather_table(kind, d, n), _gather_table(kind, d, n)):
-            assert _same_bytes(new, old)
-        if n <= 2:  # the one-particle split is the embedding itself
+    for n in range(5):  # fermions with n > d have an empty sector
+        assert sectors.sector_dim(kind, d, n) == sector_dim(kind, d, n)
+        assert _same_tables(sectors._tables(kind, d, n), _walk_tables(kind, d, n))
+        if 1 <= n <= 2:  # the one-particle split is the embedding itself
             assert _same_bytes(sectors.split_isometry(kind, d, n), embedding_isometry(kind, d, n))
-        amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-        tensor = sectors.tensor_from_amps(kind, d, n, amps)
-        assert _same_bytes(tensor, tensor_from_amps(kind, d, n, amps))
-        assert _same_bytes(sectors.amps_from_tensor(kind, tensor), amps_from_tensor(kind, tensor))
+        assert _same_maps(kind, d, n, gen)
+
+
+@pytest.mark.parametrize("kind, d, n", [
+    *((sectors.SYMMETRIC, 2, n) for n in range(5, 9)), (sectors.SYMMETRIC, 3, 5),
+    (sectors.SYMMETRIC, 3, 6), (sectors.SYMMETRIC, 4, 6), (sectors.SYMMETRIC, 5, 5),
+    (ANTISYMMETRIC, 9, 5), (ANTISYMMETRIC, 10, 4), (ANTISYMMETRIC, 12, 3)])
+def test_larger_tensor_tables_match_the_permutation_walks(kind, d, n):
+    assert _same_tables(sectors._tables(kind, d, n), _walk_tables(kind, d, n))
+    assert _same_maps(kind, d, n, np.random.default_rng(d * 10 + n))
+
+
+@pytest.mark.parametrize("kind, d, n", [
+    (sectors.SYMMETRIC, 2, 18), (sectors.SYMMETRIC, 3, 11), (ANTISYMMETRIC, 16, 4)])
+def test_tensor_tables_match_the_position_pass(kind, d, n):
+    # tensor_from_amps and amps_from_tensor only apply these tables
+    assert _same_tables(sectors._tables(kind, d, n), positional_tables(kind, d, n))
 
 
 @pytest.mark.parametrize("d", range(1, 18))

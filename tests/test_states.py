@@ -74,6 +74,26 @@ def test_tensor_round_trip_conventions():
     assert np.allclose(st.boson_state_from_tensor(tv).amps, v2.amps)
 
 
+@pytest.mark.parametrize("tensor", [np.zeros((2, 3)), np.eye(2)[..., None], np.array(0.5)])
+def test_tensors_without_one_axis_length_are_refused(tensor):
+    for factory in (st.fermion_state_from_tensor, st.boson_state_from_tensor):
+        with pytest.raises(DimensionMismatchError):
+            factory(tensor)
+
+
+def test_lifts_of_no_particle_and_one_are_fresh_arrays():
+    u = la.haar_unitary(3, np.random.default_rng(2))
+    for kind in (sectors.ANTISYMMETRIC, sectors.SYMMETRIC):
+        empty, single = sectors.lift_unitary(kind, u, 0), sectors.lift_unitary(kind, u, 1)
+        assert np.array_equal(empty, np.eye(1)) and empty.dtype == complex
+        assert np.array_equal(single, u) and not np.shares_memory(single, u)
+        single[0, 0] = 7.0
+        assert u[0, 0] != 7.0
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.full((2, 2), np.nan)):
+            with pytest.raises(ValidationError):
+                sectors.lift_unitary(kind, bad, 2)
+
+
 def test_boson_pair_normalization_matches_component_form():
     a, b, c = 0.3 + 0.1j, 0.2 - 0.4j, 0.1 + 0.2j
     norm2 = 2 * abs(a) ** 2 + 4 * abs(b) ** 2 + 2 * abs(c) ** 2
