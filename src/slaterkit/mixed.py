@@ -181,24 +181,23 @@ def dualised_density(rho: DensityMatrix) -> np.ndarray:
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Closed-form concurrence ``max(0, l1 - sum_{i>1} l_i)``.
 
-    The ``l_i`` are the square roots of the (always real, non-negative)
-    eigenvalues of ``rho @ dualised(rho)``, in descending order.  Zero
-    exactly on states of correlation class one.
+    The ``l_i`` are ``concurrence_lambdas``: the square roots of the (real,
+    non-negative) eigenvalues of ``rho @ dualised_density(rho)``, in
+    descending order.  Zero exactly on states of correlation class one.
     """
     lam = concurrence_lambdas(rho)
     return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 def concurrence_lambdas(rho: DensityMatrix) -> np.ndarray:
+    """Wootters' ``l_i`` in descending order, zero-padded to the sector dimension.
+
+    They are the singular values of the bilinear overlap matrix over the
+    subnormalized spectrum, whose squares are the eigenvalues of
+    ``rho @ dualised_density(rho)``; unlike that product's spectrum they
+    carry no sqrt-of-noise on the zero modes.
+    """
     system = canonical_system_of_space(rho.space)
-    raw = np.linalg.eigvals(rho.matrix @ dualised_density(rho))
-    if np.max(np.abs(raw.imag)) > 1e-9:
-        raise ValidationError("spectrum of rho rho~ not real within 1e-09")
-    if np.min(raw.real) < -1e-9:
-        raise ValidationError("spectrum of rho rho~ not non-negative within 1e-09")
-    # the nonzero values are exactly the singular values of the bilinear
-    # overlap matrix over the subnormalized spectrum; unlike the product
-    # spectrum this carries no sqrt-of-noise on the zero modes
     sv = np.linalg.svd(_dual_overlap(rho, system), compute_uv=False)
     return np.pad(sv, (0, rho.space.dim - len(sv)))
 

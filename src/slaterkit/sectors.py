@@ -38,6 +38,11 @@ SYMMETRIC = "symmetric"
 #: ``N D_N`` modes it reads) and their square, or an occupation register's ``2**d``
 MAX_DENSE_ENTRIES = 2 ** 22
 
+try:  # the most axes of an ndarray, so of a coefficient tensor's particles
+    from numpy._core.multiarray import MAXDIMS as MAX_AXES  # 64 on numpy 2
+except ImportError:
+    from numpy.core.multiarray import MAXDIMS as MAX_AXES  # 32 on numpy 1.x
+
 
 def check_dense(count: int, what: str) -> None:
     """Refuse, before allocating, a dense table of more than ``MAX_DENSE_ENTRIES``."""
@@ -110,6 +115,8 @@ def split_isometry(kind: str, d: int, n: int) -> np.ndarray:
 def lift_unitary(kind: str, u: np.ndarray, n: int) -> np.ndarray:
     """Sector representation of a single-particle unitary ``u`` on N particles,
     by the recursion ``lift(u, m) = S^dag (u (x) lift(u, m-1)) S``."""
+    if n < 0:
+        raise ValidationError(f"cannot lift to {n} particles")
     u = as_complex_matrix(u)
     lift = u.copy() if n else np.eye(1, dtype=complex)
     for m in range(2, n + 1):
@@ -128,6 +135,8 @@ def _tables(kind: str, d: int, n: int):
     ``prod n_k!``, so it holds ``sign sqrt(prod n_k!) / N!`` times that tuple's
     amplitude.  A tuple's gather position is the first position that reads it.
     """
+    if n > MAX_AXES:  # also keeps N! within a double
+        raise ValidationError(f"a coefficient tensor of {n} particles has more than {MAX_AXES} axes")
     check_dense(d ** n, f"a coefficient tensor of {n} particles in {d} modes")
     dim = sector_dim(kind, d, n)
     # each position's tuple and sign * prod n_k!; an empty sector has no position

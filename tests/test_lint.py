@@ -2,7 +2,9 @@
 no handler may swallow every error, every import sits at module level, and no
 code walks the N! orderings of a tuple (``itertools.permutations``): every sector
 map takes its signs from the one-particle split, built from sorted tuples, and the
-contraction minors theirs from ``linalg.levi_civita``."""
+contraction minors theirs from ``linalg.levi_civita``.  No code takes a general
+spectrum (``np.linalg.eig`` / ``eigvals``): every spectrum the package reports
+comes from ``eigh``, ``eigvalsh`` or ``svd``."""
 
 import ast
 from pathlib import Path
@@ -38,6 +40,20 @@ def _is_permutation_walk(node: ast.AST) -> bool:
             and any(alias.name == "permutations" for alias in node.names))
 
 
+_GENERAL_SPECTRA = {"eig", "eigvals"}
+
+
+def _is_general_spectrum(node: ast.AST) -> bool:
+    """``np.linalg.eig`` / ``eigvals`` (any ``*.linalg``), or their import from ``numpy.linalg``."""
+    if isinstance(node, ast.Attribute):
+        owner = node.value
+        return node.attr in _GENERAL_SPECTRA and (
+            isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+            or isinstance(owner, ast.Name) and owner.id == "linalg")
+    return (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            and any(alias.name in _GENERAL_SPECTRA for alias in node.names))
+
+
 def _violations(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -50,6 +66,8 @@ def _violations(tree: ast.AST) -> list[str]:
                 found.append(f"line {node.lineno}: catch-all except")
         elif _is_permutation_walk(node):
             found.append(f"line {node.lineno}: permutation walk")
+        elif _is_general_spectrum(node):
+            found.append(f"line {node.lineno}: general (non-Hermitian) spectrum")
     return found
 
 
@@ -75,6 +93,16 @@ def test_the_rules_flag_their_targets():
             "from itertools import combinations, permutations\n"
             "itertools.combinations(range(3), 2)\n")
     assert len(_violations(ast.parse(code))) == 2
+    code = ("import numpy as np\n"
+            "np.linalg.eigvals(m)\n"
+            "np.linalg.eig(m)\n"
+            "numpy.linalg.eigvals(m)\n"
+            "from numpy import linalg\nlinalg.eig(m)\n"
+            "from numpy.linalg import eigvalsh, eigvals\n"
+            "from numpy.linalg import eig as general\n"
+            "np.linalg.eigh(m), np.linalg.eigvalsh(m), np.linalg.svd(m), obj.eig(m)\n"
+            "from numpy.linalg import eigh, svd\n")
+    assert len(_violations(ast.parse(code))) == 6
     code = ("import numpy\n"
             "def f():\n    from . import sectors\n"
             "def g():\n    def h():\n        import json\n"

@@ -94,6 +94,33 @@ def test_lifts_of_no_particle_and_one_are_fresh_arrays():
                 sectors.lift_unitary(kind, bad, 2)
 
 
+def test_negative_lifts_are_refused():
+    for kind in (sectors.ANTISYMMETRIC, sectors.SYMMETRIC):
+        with pytest.raises(ValidationError):
+            sectors.lift_unitary(kind, np.eye(2), -1)
+
+
+@pytest.mark.parametrize("n", [sectors.MAX_AXES + 1, 3000])
+def test_tensors_past_numpys_axis_limit_are_refused_before_any_split(n):
+    state = st.boson_state(1, n, [1.0])
+    built = sectors._split_table.cache_info().currsize
+    with pytest.raises(ValidationError):
+        state.tensor()
+    with pytest.raises(ValidationError):
+        st.apply_single_particle(state, np.eye(1))
+    assert sectors._split_table.cache_info().currsize == built
+
+
+def test_a_tensor_at_numpys_axis_limit_is_built():
+    n = sectors.MAX_AXES
+    state = st.boson_state(1, n, [1.0])
+    tensor = state.tensor()
+    assert tensor.ndim == n
+    assert np.array_equal(st.boson_state_from_tensor(tensor).amps, state.amps)
+    rotated = st.apply_single_particle(state, [[1j]])
+    assert abs(rotated.amps[0] - 1j ** n) <= 1e-12
+
+
 def test_boson_pair_normalization_matches_component_form():
     a, b, c = 0.3 + 0.1j, 0.2 - 0.4j, 0.1 + 0.2j
     norm2 = 2 * abs(a) ** 2 + 4 * abs(b) ** 2 + 2 * abs(c) ** 2
