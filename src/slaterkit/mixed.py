@@ -297,7 +297,7 @@ def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
     ``(weight, e)`` pairs rebuild ``rho`` within 1e-8 is the decomposition,
     and anything else is ``inconclusive`` with the edge weight and the
     range searches' tallies.  N-boson qubit states: rank up to 4 for N=3,
-    up to N beyond.
+    up to N beyond.  Other PPT states (N >= 3, d >= 3) are ``inconclusive``.
     """
     space = rho.space
     if space.kind != SYMMETRIC:
@@ -343,7 +343,7 @@ def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
                                       diagnostics=[f"PPT with rank {r} <= {bound} on {n} bosonic qubits"])
         return SeparabilityResult("inconclusive", min_eig, diagnostics=[f"rank {r} > {bound}"])
 
-    raise UnsupportedSystemError(f"no separability theorem for {space}")
+    return SeparabilityResult("inconclusive", min_eig, diagnostics=[f"no separability theorem for {space}"])
 
 
 # ---------------------------------------------------------------------------

@@ -457,12 +457,10 @@ def slater_rank_by_contractions(state: PureState, rtol: float = CONTRACT_RTOL) -
         test = two_boson_rank_below
     else:
         raise WrongKindError("expected a fermionic or bosonic state")
-    rank = upper
     for n in range(1, upper + 1):
         if test(state, n, rtol=rtol).claim.startswith("rank_lt"):
-            rank = n - 1
-            break
-    return rank
+            return n - 1
+    return upper
 
 
 def project_reduce(state: PureState, a) -> PureState:
@@ -533,6 +531,14 @@ def _one_body_test(state: PureState, rtol: float) -> tuple[bool, dict]:
     }
 
 
+def _correlated(state: PureState, rtol: float) -> bool:
+    """Slater rank >= 2: the contraction test at threshold 2 for a pair, else Coleman's."""
+    if state.particles == 2:
+        test = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
+        return test(state, 2, rtol=rtol).claim == "rank_ge_2"
+    return not _one_body_test(state, rtol)[0]
+
+
 def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL) -> RankVerdict:
     """Decide whether an N-particle state (N >= 3) has Slater rank one.
 
@@ -543,20 +549,22 @@ def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL)
     with ``s`` its singular values (``_one_body_test``), ``m = N`` (fermions)
     or 1 (bosons); ``s[m] / s[0]`` grows linearly with an admixed state.
 
-    The probe set only supplies certificates.  For a ``rank_ge_2`` state,
-    particles are projected out recursively along the probes (all basis
-    vectors, all normalized pairwise sums, plus 32 seeded Haar vectors)
-    until the two-particle criteria apply, and the first chain
-    whose reduction has Slater rank two is returned.  The ``rank_one``
-    path draws nothing from ``rng``.
+    The probe set (basis vectors, normalized pairwise sums, 32 seeded Haar
+    vectors) only supplies certificates.  A ``rank_ge_2`` state gets one
+    descent: each of its N - 2 levels enters the first probe's reduction that
+    keeps over ``rtol * N`` of the norm and is ``_correlated`` (every projection
+    of an elementary state is elementary, so no chain below an uncorrelated one
+    certifies), or stops without a chain: at most ``(N - 2) (d + C(d, 2) + 32)``
+    reductions.  A state whose first correlated branch fails at its leaf while
+    a later one succeeds gets no chain.  ``rank_one`` draws nothing from ``rng``.
 
     Every certificate carries ``"kind"``, ``"probes"`` (the chain, empty
-    unless one certifies), ``"n_probes"`` (the probe set the chains ran
-    over, 0 if they did not run) and the spectral evidence:
+    unless one certifies), ``"n_probes"`` (the probe set the descent ran
+    over, 0 if it did not run) and the spectral evidence:
     ``"singular_values"``, ``"m"``, ``"ratio"`` (``s[m] / s[0]``) and
     ``"tolerance"`` (``rtol``).  Its kind is ``"probe_chain"`` when a chain
     certifies, and ``"one_body"`` otherwise: a ``rank_one`` state, or one
-    correlated below the chain test's resolution.  The one-body test at
+    correlated below the descent's resolution.  The one-body test at
     ``rtol`` is the single resolution for both claims: a chain certifies
     only a state that test calls ``rank_ge_2``, although renormalizing
     after each projection can show a chain an admixture below ``rtol``.
@@ -569,54 +577,45 @@ def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL)
     if rank_one:
         return RankVerdict("rank_one", certificate)
     probes = _probe_vectors(state.dim, as_rng(rng))
-    rank_below = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
-
-    def violating_chain(st: PureState, chain: tuple) -> tuple | None:
-        if st.particles == 2:
-            verdict = rank_below(st, 2, rtol=rtol)
-            return chain if verdict.claim.startswith("rank_ge") else None
+    st, chain = state, ()
+    for _ in range(state.particles - 2):
         scale = st.norm()
         for a in probes:
             sub, sub_norm = _reduce_along(st, a)
-            if sub_norm <= rtol * st.particles * scale:
-                continue
-            found = violating_chain(sub, chain + (a,))
-            if found is not None:
-                return found
-        return None
-
-    chain = violating_chain(state, ())
+            if sub_norm > rtol * st.particles * scale and _correlated(sub, rtol):
+                st, chain = sub, chain + (a,)
+                break
+        else:
+            break
     certificate["n_probes"] = len(probes)
-    if chain is not None:
+    if st.particles == 2:
         certificate.update(kind="probe_chain", probes=chain)
     return RankVerdict("rank_ge_2", certificate)
 
 
 def verify_rank_certificate(state: PureState, verdict: RankVerdict,
                             rtol: float = CONTRACT_RTOL) -> bool:
-    """Re-evaluate a rank certificate against its state (see ``multiparticle_rank_one``)."""
+    """Re-evaluate a rank certificate against its state (see ``multiparticle_rank_one``);
+    ``False`` for a bipartite state, a chain past two particles or a misfit contraction."""
     cert = verdict.certificate
+    if state.kind == BIPARTITE:
+        return False
     if cert.get("kind") == "probe_chain" and verdict.claim == "rank_ge_2":
         # a chain reduces to two particles at most
         if len(cert["probes"]) > state.particles - 2 or _one_body_test(state, rtol)[0]:
             return False
         st = state
-        for a in cert["probes"]:
-            st, n = _reduce_along(st, a)
-            if n == 0:
-                return False
-        if st.particles > 2:
-            # a partial chain certifies iff the reduction is itself correlated
-            return not _one_body_test(st, rtol)[0]
-        test = two_fermion_rank_below if st.kind == FERMION else two_boson_rank_below
-        return test(st, 2, rtol=rtol).claim.startswith("rank_ge")
+        for a in cert["probes"]:  # a zero reduction stays zero, and uncorrelated
+            st, _ = _reduce_along(st, a)
+        return _correlated(st, rtol)
     if cert.get("kind") == "one_body":
-        rank_one = _one_body_test(state, rtol)[0]
-        return verdict.claim == ("rank_one" if rank_one else "rank_ge_2")
-    if cert.get("kind") == "contraction":
+        return verdict.claim == ("rank_one" if _one_body_test(state, rtol)[0] else "rank_ge_2")
+    if cert.get("kind") == "contraction" and state.particles == 2:
         test = two_fermion_rank_below if state.kind == FERMION else two_boson_rank_below
-        fresh = test(state, cert["threshold"], rtol=rtol)
-        return fresh.claim == verdict.claim
+        try:
+            return test(state, cert["threshold"], rtol=rtol).claim == verdict.claim
+        except ThresholdOutOfRangeError:
+            return False
     return False
 
 

@@ -227,17 +227,22 @@ def test_ppt_command(tmp_path, capsys):
 
 
 def test_ppt_command_transposes_once(tmp_path, capsys, monkeypatch):
-    # the report reads the smallest eigenvalue the separability check computed
+    # the report reads the smallest eigenvalue the separability check computed,
+    # also where no theorem decides (three bosons in three modes)
     gen = np.random.default_rng(4)
     pairs = [(w, st.boson_state(3, 2, mx._symmetric_pair_vector(la.haar_vector(3, gen))))
              for w in gen.dirichlet(np.ones(3))]
-    rho = mx.density_from_mixture(pairs)
-    path = write(tmp_path, "bos.json", skio.density_to_dict(rho))
-    transpose, calls = mx.partial_transpose, []
-    monkeypatch.setattr(mx, "partial_transpose", lambda *args: calls.append(args) or transpose(*args))
-    code, report = run(capsys, "ppt", path)
-    assert code == 0 and report["separability"] == "separable" and len(calls) == 1
-    assert report["min_eigenvalue"] == float(np.linalg.eigvalsh(transpose(rho))[0])
+    mixed_three = mx.density_matrix(mx.symmetric_space(3, 3), np.eye(10) / 10)
+    transpose = mx.partial_transpose
+    for rho, verdict in ((mx.density_from_mixture(pairs), "separable"),
+                         (mixed_three, "inconclusive")):
+        path = write(tmp_path, "bos.json", skio.density_to_dict(rho))
+        calls = []
+        monkeypatch.setattr(mx, "partial_transpose",
+                            lambda *args: calls.append(args) or transpose(*args))
+        code, report = run(capsys, "ppt", path)
+        assert code == 0 and report["separability"] == verdict and len(calls) == 1
+        assert report["min_eigenvalue"] == float(np.linalg.eigvalsh(transpose(rho))[0])
 
 
 def test_witness_pipeline(tmp_path, capsys):

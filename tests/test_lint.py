@@ -4,7 +4,8 @@ code walks the N! orderings of a tuple (``itertools.permutations``): every secto
 map takes its signs from the one-particle split, built from sorted tuples, and the
 contraction minors theirs from ``linalg.levi_civita``.  No code takes a general
 spectrum (``np.linalg.eig`` / ``eigvals``): every spectrum the package reports
-comes from ``eigh``, ``eigvalsh`` or ``svd``."""
+comes from ``eigh``, ``eigvalsh`` or ``svd``.  No function calls itself by name:
+every search is a bounded loop."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,13 @@ def _is_general_spectrum(node: ast.AST) -> bool:
             and any(alias.name in _GENERAL_SPECTRA for alias in node.names))
 
 
+def _calls_itself(func: ast.AST) -> bool:
+    """A function whose body (nested functions included) calls its own name."""
+    return isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == func.name for node in ast.walk(func))
+
+
 def _violations(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -68,6 +76,8 @@ def _violations(tree: ast.AST) -> list[str]:
             found.append(f"line {node.lineno}: permutation walk")
         elif _is_general_spectrum(node):
             found.append(f"line {node.lineno}: general (non-Hermitian) spectrum")
+        elif _calls_itself(node):
+            found.append(f"line {node.lineno}: {node.name} calls itself")
     return found
 
 
@@ -103,6 +113,12 @@ def test_the_rules_flag_their_targets():
             "np.linalg.eigh(m), np.linalg.eigvalsh(m), np.linalg.svd(m), obj.eig(m)\n"
             "from numpy.linalg import eigh, svd\n")
     assert len(_violations(ast.parse(code))) == 6
+    code = ("def f(n):\n    return f(n - 1)\n"
+            "async def g():\n    await g()\n"
+            "def h():\n    def inner():\n        return h()\n"
+            "def m():\n    return f(1)\n"
+            "def k(obj):\n    return obj.k(), [k for k in ()]\n")
+    assert len(_violations(ast.parse(code))) == 3
     code = ("import numpy\n"
             "def f():\n    from . import sectors\n"
             "def g():\n    def h():\n        import json\n"

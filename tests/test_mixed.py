@@ -316,6 +316,22 @@ def test_bosonic_separability_entangled_state():
     assert mx.bosonic_ppt_separability(mx.density_from_pure(mc)).verdict == "not_ppt"
 
 
+def test_bosonic_separability_without_a_theorem(monkeypatch):
+    # three bosons in three modes: PPT is inconclusive, after one transpose
+    transpose, calls = mx.partial_transpose, []
+    monkeypatch.setattr(mx, "partial_transpose", lambda *args: calls.append(args) or transpose(*args))
+    space = mx.symmetric_space(3, 3)
+    result = mx.bosonic_ppt_separability(mx.density_matrix(space, np.eye(10) / 10))
+    assert result.verdict == "inconclusive" and result.decomposition is None and len(calls) == 1
+    assert result.diagnostics == [f"no separability theorem for {space}"]
+    ghz = st.boson_state(3, 3, {(0, 0, 0): 0.6, (2, 2, 2): 0.8})
+    assert mx.bosonic_ppt_separability(mx.density_from_pure(ghz)).verdict == "not_ppt"
+    # a space that is not symmetric is refused before any transpose
+    with pytest.raises(UnsupportedSystemError):
+        mx.bosonic_ppt_separability(random_mixture("fermion", 4, 2, np.random.default_rng(2)))
+    assert len(calls) == 2
+
+
 def test_bosonic_separability_two_modes_by_theorem():
     gen = np.random.default_rng(18)
     rho = product_mixture([la.haar_vector(2, gen) for _ in range(3)], gen.dirichlet(np.ones(3)))

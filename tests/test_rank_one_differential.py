@@ -1,10 +1,12 @@
-"""Differential test: the one-body rank-one test against the probe-only recursion.
+"""Differential test: the one-body rank-one test and the bounded descent
+against the probe-only recursion.
 
 ``_probe_vectors`` and ``_probe_only_rank_one`` below are the former
 ``states.multiparticle_rank_one``, which decided ``rank_one`` by running
-every probe chain.  They are kept here only as the reference for the
-spectral test that replaced it: both paths must give the same claim and
-the same certificate probes.
+every probe chain depth first, with backtracking.  They are kept here only
+as the reference for the spectral test that replaced that verdict and for
+the one descent that replaced that search: both paths must give the same
+claim and the same certificate probes.
 """
 
 import itertools
@@ -28,6 +30,9 @@ from slaterkit.states import (
 
 MULTI = (("fermion", 6, 3), ("fermion", 8, 3), ("fermion", 8, 4),
          ("boson", 2, 3), ("boson", 3, 3), ("boson", 2, 4), ("boson", 3, 4))
+#: deeper sectors, for superpositions only: the oracle would enumerate every
+#: chain of an elementary state there
+DEEP = (("fermion", 10, 5), ("boson", 3, 6))
 SEEDS = (101, 202)
 
 
@@ -125,7 +130,7 @@ def test_elementary_states_agree(case, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("case", MULTI, ids=lambda c: "{}-{}-{}".format(*c))
+@pytest.mark.parametrize("case", MULTI + DEEP, ids=lambda c: "{}-{}-{}".format(*c))
 def test_superpositions_agree(case, seed):
     gen = np.random.default_rng([seed, 1, case[1], case[2]])
     for _ in range(3):
@@ -165,6 +170,25 @@ def test_admixture_below_the_chain_resolution(kind, d, amplitudes, probe_seed):
     assert not st.verify_rank_certificate(state, RankVerdict("rank_one", cert))
     main = st.boson_state(d, 3, {(0, 0, 0): 1.0})
     assert not st.verify_rank_certificate(main, verdict)
+
+
+@pytest.mark.parametrize("d, n", [(4, 5), (3, 6), (3, 8)])
+def test_the_descent_is_bounded_near_the_tolerance(d, n, monkeypatch):
+    # one-body ratio eps / sqrt(N) = 1.25e-8, just above CONTRACT_RTOL: the
+    # state is correlated, but no chain certifies it, and a depth-first
+    # search ran about (d + C(d, 2) + 32)^(N - 2) reductions to find that out
+    gen = np.random.default_rng([d, n])
+    eps = 1.25e-8 * math.sqrt(n)
+    base = st.boson_state(d, n, {(0,) * n: 1.0, (0,) * (n - 2) + (1, 2): eps})
+    state = st.apply_single_particle(base, haar_unitary(d, gen))
+    reduce_along, calls = st._reduce_along, []
+    monkeypatch.setattr(st, "_reduce_along", lambda *args: calls.append(1) or reduce_along(*args))
+    verdict = st.multiparticle_rank_one(state)
+    n_probes = d + math.comb(d, 2) + 32
+    assert verdict.claim == "rank_ge_2" and verdict.certificate["kind"] == "one_body"
+    assert verdict.certificate["n_probes"] == n_probes and verdict.certificate["probes"] == ()
+    assert abs(verdict.certificate["ratio"] - 1.25e-8) < 1e-12
+    assert 0 < len(calls) <= (n - 2) * n_probes
 
 
 def test_chain_below_the_one_body_resolution_does_not_certify():

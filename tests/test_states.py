@@ -377,6 +377,19 @@ def test_verify_contraction_certificates(kind, d):
         assert not st.verify_rank_certificate(state, st.RankVerdict(flipped, verdict.certificate))
 
 
+def test_a_certificate_that_does_not_fit_its_state_does_not_verify():
+    pair = st.random_pure_state("fermion", 6, 2, 3)
+    contraction = st.two_fermion_rank_below(pair, 2)
+    assert st.verify_rank_certificate(pair, contraction)
+    bell = st.bipartite_state(np.array([[0, 1], [1, 0]]) / np.sqrt(2))
+    one_body = st.multiparticle_rank_one(three_fermion_example())
+    one_body = st.RankVerdict("rank_ge_2", dict(one_body.certificate, kind="one_body", probes=()))
+    out_of_range = st.RankVerdict(contraction.claim, dict(contraction.certificate, threshold=9))
+    for state, verdict in ((three_fermion_example(), contraction), (bell, contraction),
+                           (pair, out_of_range), (bell, one_body)):
+        assert st.verify_rank_certificate(state, verdict) is False
+
+
 def four_fermion_example(x=0.6, y=0.6, z=np.sqrt(1 - 0.72)):
     return st.fermion_state(8, 4, {(0, 1, 2, 3): x, (0, 1, 4, 5): y, (2, 3, 4, 5): z})
 
