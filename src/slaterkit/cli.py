@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("path", help="input JSON file (or directory with --batch)")
             p.add_argument("--batch", action="store_true",
                            help="treat PATH as a directory of state files")
-        p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
     rank = sub.add_parser("rank", help="Schmidt/Slater rank of a pure state")

@@ -596,13 +596,16 @@ def multiparticle_rank_one(state: PureState, rng=0, rtol: float = CONTRACT_RTOL)
 def verify_rank_certificate(state: PureState, verdict: RankVerdict,
                             rtol: float = CONTRACT_RTOL) -> bool:
     """Re-evaluate a rank certificate against its state (see ``multiparticle_rank_one``);
-    ``False`` for a bipartite state, a chain past two particles or a misfit contraction."""
+    ``False`` for a bipartite state, a chain past two particles, a probe of
+    another dimension or a misfit contraction."""
     cert = verdict.certificate
     if state.kind == BIPARTITE:
         return False
     if cert.get("kind") == "probe_chain" and verdict.claim == "rank_ge_2":
         # a chain reduces to two particles at most
-        if len(cert["probes"]) > state.particles - 2 or _one_body_test(state, rtol)[0]:
+        if (len(cert["probes"]) > state.particles - 2
+                or any(np.shape(a) != (state.dim,) for a in cert["probes"])
+                or _one_body_test(state, rtol)[0]):
             return False
         st = state
         for a in cert["probes"]:  # a zero reduction stays zero, and uncorrelated

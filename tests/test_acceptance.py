@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from rank_samples import sample_rank_bounded
 
 from slaterkit import linalg as la
 from slaterkit import magic as mg
@@ -140,8 +141,7 @@ def test_criterion_06_unitary_invariance():
             rho_rot = mx.density_matrix(rho_f.space, lift_f @ rho_f.matrix @ lift_f.conj().T)
             assert abs(mx.wootters_concurrence(rho_rot) - base["wf"]) <= 1e-9
             w_rot = wi.witness_operator(witness.space,
-                                        lift_f @ witness.matrix @ lift_f.conj().T, 2,
-                                        validate=False)
+                                        lift_f @ witness.matrix @ lift_f.conj().T, 2)
             assert abs(wi.witness_value(w_rot, rho_rot).value - base["wv"]) <= 1e-9
 
             u6 = la.haar_unitary(6, gen)
@@ -206,7 +206,7 @@ def test_criterion_08_witness_battery():
             w_mat = (np.outer(g1, g2) - np.outer(g2, g1)) / 8
             member = st.fermion_state_from_tensor(w_mat)
             assert abs(wi.witness_value(witness, mx.density_from_pure(member)).value) <= 1e-10
-        vecs = wi.sample_rank_bounded(witness.space, 1, 500, 2002)
+        vecs = sample_rank_bounded(witness.space, 1, 500, 2002)
         values = np.einsum("ni,ij,nj->n", vecs.conj(), witness.matrix, vecs).real
         assert values.min() >= -1e-8
 

@@ -1,7 +1,9 @@
 """File formats and the command-line front end."""
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -277,7 +279,7 @@ def test_witness_optimize_writes_improved_bosonic_witness(tmp_path, capsys):
     assert code == 0 and report["written"] == out
     assert report["optimal"] is False and report["subtracted_weight"] > 0
     assert "xe_criterion" not in report["diagnostics"]
-    improved = skio.load_any(out)  # runs the witness battery
+    improved = skio.load_any(out)  # runs the witness validity rule
     assert isinstance(improved, wi.WitnessOperator) and improved.slater_class == 2
     assert np.linalg.eigvalsh(w.matrix - improved.matrix)[0] >= -1e-12
 
@@ -590,14 +592,37 @@ def test_a_split_near_the_bound_runs_under_the_address_space_limit(tmp_path):
     assert json.loads(out)["rank_claim"] == "rank_one"
 
 
-def test_readme_command_lines_parse():
+def _readme_command_line_section():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _long_options(parser):
+    """Every long option of ``parser`` and of its subcommands, but ``--help``."""
+    options = set()
+    for action in parser._actions:
+        options.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+    return options
+
+
+def test_readme_command_lines_parse():
+    block = _readme_command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("slaterkit ")]
     assert len(lines) == 10
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_names_exactly_the_long_options():
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", _readme_command_line_section()))
+    defined = _long_options(cli.build_parser())
+    assert {"--output", "--pretty", "--batch", "--budget"} <= defined
+    assert "--json" not in defined
+    assert named == defined
 
 
 def test_cli_and_a_manifold_search_load_no_scipy():

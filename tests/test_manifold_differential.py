@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from rank_samples import sample_rank_bounded
 
 from slaterkit import linalg as la
 from slaterkit import mixed, sectors
@@ -261,7 +262,7 @@ def test_generator_state_matches_the_loop():
 
 
 def _looped_samples(space, rank, n, rng):
-    """The former column loop of ``witnesses.sample_rank_bounded``."""
+    """The former column loop of ``sample_rank_bounded``."""
     rng = as_rng(rng)
     d = space.dims[0]
     if space.kind == mixed.ANTISYMMETRIC:
@@ -284,6 +285,6 @@ def test_rank_bounded_samples_match_the_column_loop():
     for d in range(2, 9):
         for space in (mixed.antisymmetric_space(d), mixed.symmetric_space(d)):
             for rank in (1, max(1, d // 2)):
-                new = wi.sample_rank_bounded(space, rank, 40, d)
+                new = sample_rank_bounded(space, rank, 40, d)
                 old = _looped_samples(space, rank, 40, d)
                 assert np.max(np.abs(new - old)) <= 1e-15

@@ -11,14 +11,13 @@ of 400 steps, which bounds the infimum from above.
 
 import numpy as np
 import pytest
-from test_manifold_differential import FAMILIES
 from test_witnesses import perturbed_optimal_witness
 
 from slaterkit import linalg as la
 from slaterkit import mixed
 from slaterkit import states as st
 from slaterkit import witnesses as wi
-from slaterkit.errors import NotAnEdgeStateError
+from slaterkit.errors import NotAnEdgeStateError, ValidationError
 
 SPACES = [mixed.antisymmetric_space(d) for d in (4, 6, 8)] + [mixed.symmetric_space(d)
                                                               for d in (3, 4)]
@@ -78,10 +77,16 @@ def test_closed_form_matches_the_formula():
     assert abs(wi.infimum_over_rank(p, 4, space)) <= 1e-14
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=["-".join(map(str, f)) for f in FAMILIES])
+# every family with K <= 4
+ALL_FAMILIES = [(kind, big_k, k) for kind in ("fermion", "boson") for big_k in (2, 3, 4)
+                for k in range(2, big_k + 1)]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES,
+                         ids=["-".join(map(str, f)) for f in ALL_FAMILIES])
 def test_optimal_families_need_no_search(family, lbfgs_calls):
     kind, big_k, k = family
-    w = wi.optimal_witness_example(big_k, k, kind)
+    w = wi.optimal_witness_example(big_k, k, kind)  # and validates it
     value = wi.infimum_over_rank(w.matrix, k, w.space)
     form = wi.canonical_witness_form(w)
     assert not lbfgs_calls
@@ -101,12 +106,40 @@ def _pure_edge_states():
 @pytest.mark.parametrize("index", range(8))
 def test_pure_edge_states_need_no_search(index, lbfgs_calls):
     delta = list(_pure_edge_states())[index]
-    w = wi.witness_from_edge(delta, 2, seed=3)
+    w = wi.witness_from_edge(delta, 2, seed=3)  # and validates it
     assert not lbfgs_calls
     eps = -np.linalg.eigvalsh(w.matrix)[0]
     kernel = w.matrix + eps * np.eye(delta.space.dim)
     _assert_meets_the_search(eps, _searched(delta.space, 2, kernel))
     assert wi.witness_value(w, delta).detected
+
+
+def _share_of_best_truncation(phi, k):
+    """``s_{k-1}(phi)``: the largest ``|<phi|psi>|^2`` over unit states of
+    Slater rank < k, from the singular values of the coefficient matrix
+    (Youla values come in equal pairs, Takagi values alone)."""
+    s2 = np.linalg.svd(phi.tensor(), compute_uv=False) ** 2
+    kept = (2 if phi.kind == "fermion" else 1) * (k - 1)
+    return s2[:kept].sum() / s2.sum()
+
+
+BOUNDARY = [("fermion", 6, 2), ("fermion", 8, 3), ("boson", 3, 2), ("boson", 4, 3)]
+
+
+@pytest.mark.parametrize("kind,d,k", BOUNDARY, ids=[f"{c[0]}{c[1]}-k{c[2]}" for c in BOUNDARY])
+@pytest.mark.parametrize("delta", [1e-6, 1e-4])
+def test_an_operator_just_below_the_bound_is_no_witness(kind, d, k, delta, lbfgs_calls):
+    # s_{k-1}(phi) 1 - |phi><phi| has infimum 0 over Slater rank < k: shifted
+    # down by delta it is negative on the best truncations of phi
+    phi = st.random_pure_state(kind, d, 2, 5)
+    space = mixed.space_of_state(phi)
+    v = phi.flat()
+    edge = _share_of_best_truncation(phi, k) * np.eye(space.dim) - np.outer(v, v.conj())
+    assert abs(wi.infimum_over_rank(edge - delta * np.eye(space.dim), k, space) + delta) <= 1e-12
+    with pytest.raises(ValidationError, match="Slater rank below"):
+        wi.witness_operator(space, edge - delta * np.eye(space.dim), k)
+    assert wi.witness_operator(space, edge, k).slater_class == k
+    assert not lbfgs_calls
 
 
 def test_a_range_of_codimension_one_is_no_edge_without_search(lbfgs_calls):
@@ -122,6 +155,8 @@ def test_a_range_of_codimension_one_is_no_edge_without_search(lbfgs_calls):
 @pytest.mark.parametrize("kind", ["fermion", "boson"])
 def test_other_operators_still_search(kind, lbfgs_calls):
     w = perturbed_optimal_witness(2 if kind == "fermion" else 3, kind, 5)
+    assert lbfgs_calls == [64]  # witness_operator's validity search
+    lbfgs_calls.clear()
     wi.infimum_over_rank(w.matrix, 2, w.space, budget=8)
     assert lbfgs_calls == [8]
     wi.canonical_witness_form(w)

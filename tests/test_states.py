@@ -385,8 +385,14 @@ def test_a_certificate_that_does_not_fit_its_state_does_not_verify():
     one_body = st.multiparticle_rank_one(three_fermion_example())
     one_body = st.RankVerdict("rank_ge_2", dict(one_body.certificate, kind="one_body", probes=()))
     out_of_range = st.RankVerdict(contraction.claim, dict(contraction.certificate, threshold=9))
+    # a probe chain in d = 6 checked against a correlated three-boson state in d = 3
+    rotated = st.apply_single_particle(three_fermion_example(),
+                                       la.haar_unitary(6, np.random.default_rng(1)))
+    chain = st.multiparticle_rank_one(rotated, rng=7)
+    assert chain.certificate["kind"] == "probe_chain"
+    bosons = st.boson_state(3, 3, {(0, 0, 0): 0.6, (1, 1, 1): 0.8})
     for state, verdict in ((three_fermion_example(), contraction), (bell, contraction),
-                           (pair, out_of_range), (bell, one_body)):
+                           (pair, out_of_range), (bell, one_body), (bosons, chain)):
         assert st.verify_rank_certificate(state, verdict) is False
 
 

@@ -61,5 +61,5 @@ def test_closed_form_meets_the_search(index, searched, lbfgs_calls):
     assert new.optimal == old.optimal
     assert new.diagnostics["tangent_span_dim"] == old.diagnostics["tangent_span_dim"]
     assert abs(new.subtracted_weight - old.subtracted_weight) <= 1e-9
-    wi.witness_operator(w.space, new.witness.matrix, w.slater_class)  # the sampling battery
+    wi.witness_operator(w.space, new.witness.matrix, w.slater_class)  # the validity rule
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from rank_samples import sample_rank_bounded
 from test_range_search_differential import _boson_products, _product_vectors
 
 from slaterkit import linalg as la
@@ -63,8 +64,8 @@ def test_optimal_witness_sampled_nonnegativity():
     for big_k, k, kind in ((2, 2, "fermion"), (3, 2, "fermion"), (3, 3, "fermion"),
                            (4, 3, "fermion"), (3, 2, "boson"), (3, 3, "boson"),
                            (4, 4, "boson")):
-        w = wi.optimal_witness_example(big_k, k, kind)  # validation battery runs inside
-        vecs = wi.sample_rank_bounded(w.space, k - 1, 200, 123)
+        w = wi.optimal_witness_example(big_k, k, kind)  # the exact infimum check runs inside
+        vecs = sample_rank_bounded(w.space, k - 1, 200, 123)
         vals = np.einsum("ni,ij,nj->n", vecs.conj(), w.matrix, vecs).real
         assert vals.min() >= -1e-8
 
@@ -91,7 +92,7 @@ def test_witness_value_space_mismatch():
         wi.witness_value(w, rho)
 
 
-def test_invalid_witness_rejected_by_battery():
+def test_invalid_witness_is_rejected():
     # -identity is negative on every rank-1 state
     with pytest.raises(ValidationError):
         wi.witness_operator(SPACE_F4, -np.eye(6), 2)
@@ -162,7 +163,7 @@ def test_witness_detection_conjugation_covariant():
     base = wi.witness_value(w, rho).value
     for _ in range(5):
         u = sectors.lift_unitary(sectors.ANTISYMMETRIC, la.haar_unitary(4, gen), 2)
-        w2 = wi.witness_operator(SPACE_F4, u @ w.matrix @ u.conj().T, 2, validate=False)
+        w2 = wi.witness_operator(SPACE_F4, u @ w.matrix @ u.conj().T, 2)
         rho2 = mx.density_matrix(SPACE_F4, u @ rho.matrix @ u.conj().T)
         assert abs(wi.witness_value(w2, rho2).value - base) < 1e-10
 
@@ -408,7 +409,7 @@ def test_canonical_witness_form():
     assert np.max(np.abs(form.w_tilde - form.epsilon * np.eye(6) - w.matrix)) < 1e-12
     assert form.verified
 
-    psd = wi.witness_operator(SPACE_F4, np.eye(6), 2, validate=False)
+    psd = wi.witness_operator(SPACE_F4, np.eye(6), 2)
     form2 = wi.canonical_witness_form(psd)
     assert form2.epsilon == 0.0 and form2.infimum_check is None
 
@@ -440,6 +441,15 @@ def test_optimize_reports_restart_convergence():
     # one step converges no start: the report must say so, not drop it
     short = wi.witness_optimize(w, budget=24, iters=1, seed=10).diagnostics
     assert short["restarts_converged"] == 0 and short["max_iterations"] == 1
+
+
+def test_optimize_returns_only_witnesses():
+    # one L-BFGS step leaves the infimum at 3.3e-3 above its true value of
+    # about 0, and subtracting that from W gives an operator that is no witness
+    w = perturbed_optimal_witness(3, "boson", 10)
+    outcome = wi.witness_optimize(w, budget=24, iters=1, seed=10)
+    assert wi.infimum_details(outcome.witness.matrix, 2, w.space)[0] >= wi.WITNESS_SAMPLE_TOL
+    assert outcome.witness is w and outcome.subtracted_weight == 0.0 and not outcome.optimal
 
 
 def test_stacked_lbfgs_runs_each_start_as_if_alone():
@@ -517,7 +527,7 @@ def test_optimize_subtracts_off_bosonic_tangent_span(seed):
     assert diag["subtracted_mu"] == outcome.subtracted_weight == diag["ratio_infimum"]
     assert diag["subtraction_check"] >= -1e-9 and "xe_criterion" not in diag
     improved = outcome.witness.matrix
-    wi.witness_operator(w.space, improved, 2)  # the sampling battery
+    # the search witness_operator ran on it, at a tighter bound
     assert wi.infimum_over_rank(improved, 2, w.space) >= -1e-9
     assert np.linalg.eigvalsh(w.matrix - improved)[0] >= -1e-12
 
