@@ -37,6 +37,12 @@ SYMMETRIC = sectors.SYMMETRIC
 #: the partial transpose counts as positive with no eigenvalue below this
 PPT_MIN_EIGENVALUE = -1e-9
 
+#: the convex-roof search smooths every ``|z_k|`` to ``sqrt(|z_k|^2 + mu^2)``
+#: at this ``mu``.  The width only conditions the search: for ``m = 4`` every
+#: ``mu > 0`` has the optimal decompositions as its global minimizers
+#: (``convex_roof_details``), and a wider one takes fewer steps to reach them.
+ROOF_SMOOTHING = 1e-1
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -383,11 +389,20 @@ def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 3
     Caratheodory's ``min(r^2, 16)``, which bounds any decomposition.  The
     starts are the identity and ``n_starts - 1`` seeded random isometries.
     Every ``|z_k|`` is smoothed to ``sqrt(|z_k|^2 + mu^2)`` with ``mu =
-    1e-2``, and all starts descend at once by Riemannian L-BFGS on the
-    stacked Stiefel manifold (at most ``n_iters`` steps; see
+    ROOF_SMOOTHING``, and all starts descend at once by Riemannian L-BFGS
+    on the stacked Stiefel manifold (at most ``n_iters`` steps; see
     ``_roof_stage``).  ``value`` scores the best final isometry without
     smoothing.  A rank-1 state needs no search and reports zero steps and
     starts.
+
+    The width does not move the minimizers when ``m = 4`` (rank <= 4).
+    With ``z_k = (x tau x^T)_kk`` every isometry has ``sum |z_k| >= C``, and
+    ``g(t) = sqrt(t^2 + mu^2)`` is convex and increasing, so ``sum_k
+    g(|z_k|) >= m g(C / m)`` (Jensen).  Wootters' decomposition (Takagi form
+    of ``tau``, phases that close the polygon, then ``H_4 / 2``) has every
+    ``|z_k| = C / m`` and attains that bound for each ``mu``.  A wider
+    ``mu`` only makes the smoothed objective better conditioned; ranks 5-6
+    (``m = r``) fall outside the argument.
     """
     if n_starts < 1 or n_iters < 0:
         raise ValidationError(f"need n_starts >= 1 and n_iters >= 0, got {n_starts}, {n_iters}")
@@ -402,7 +417,7 @@ def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 3
     draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
              for _ in range(n_starts - 1)]
     x, _ = _polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
-    x, converged, iterations = _roof_stage(x, tau, 1e-2, n_iters)
+    x, converged, iterations = _roof_stage(x, tau, ROOF_SMOOTHING, n_iters)
     best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
     return ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
 
@@ -415,8 +430,12 @@ def _roof_stage(x: np.ndarray, tau: np.ndarray, mu: float, n_iters: int):
     Each isometry is one real row of interleaved ``(Re, Im)`` entries.  The
     gradient is the tangent projection ``G - x herm(x^H G)`` of the
     Wirtinger gradient ``G`` with respect to ``conj(x)``, doubled for real
-    coordinates; directions are projected the same way, and every trial is
-    retracted by its polar factor (``_polar_retract``).
+    coordinates; directions are projected the same way.  Every trial is
+    retracted by its QR factor ``Y L^-H`` (``_qr_retract``; Absil, Mahony &
+    Sepulchre, ch. 4), which costs less than a polar factor.  A trial
+    ``Y = x + t d`` from an isometry ``x`` along a tangent ``d`` has Gram
+    ``Y^H Y = I + t^2 d^H d >= I``, so its Cholesky factor ``L`` always
+    exists and no trial is refused.
     """
     m, r = x.shape[1:]
 
@@ -435,8 +454,8 @@ def _roof_stage(x: np.ndarray, tau: np.ndarray, mu: float, n_iters: int):
         return mags.sum(-1), tangent(y, (2.0 * z / mags)[..., None] * yt.conj())
 
     def retract(rows):
-        q, ok = _polar_retract(unpack(rows))
-        return q.reshape(len(q), -1).view(float), ok
+        q = _qr_retract(unpack(rows))
+        return q.reshape(len(q), -1).view(float), True
 
     rows, _, converged, iterations = _lbfgs(
         fun, x.reshape(len(x), -1).view(float), n_iters, retract,
@@ -450,3 +469,9 @@ def _polar_retract(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = w[..., 0] > 1e-12 * w[..., -1]
     scale = 1.0 / np.sqrt(w if ok.all() else np.where(ok[..., None], w, 1.0))
     return y @ ((v * scale[..., None, :]) @ v.conj().swapaxes(-1, -2)), ok
+
+
+def _qr_retract(y: np.ndarray) -> np.ndarray:
+    """Stacked QR factors ``Y L^-H`` of full-rank ``Y``, ``L`` the Cholesky factor of ``Y^H Y``."""
+    yh = y.conj().swapaxes(-1, -2)
+    return np.linalg.solve(np.linalg.cholesky(yh @ y), yh).conj().swapaxes(-1, -2)

@@ -39,6 +39,7 @@ from .linalg import (
     haar_unitary,
     haar_vector,
     read_only,
+    require_unitary,
     singular_values,
     takagi_canonical,
     youla_canonical,
@@ -678,21 +679,29 @@ def magic_state(system: str, index: int) -> PureState:
 
 
 def apply_single_particle(state: PureState, u) -> PureState:
-    """Transform by a single-particle unitary (or a pair for bipartite states)."""
+    """Transform by a single-particle unitary (or a pair for bipartite states).
+
+    Raises ``DimensionMismatchError`` if a factor is not ``d x d`` for its
+    particle, and ``ValidationError`` if it is not unitary to 1e-9.
+    """
     if state.kind == BIPARTITE:
-        if isinstance(u, (tuple, list)):
-            ua, ub = (np.asarray(x, dtype=complex) for x in u)
-        else:
-            ua = ub = np.asarray(u, dtype=complex)
+        ua, ub = u if isinstance(u, (tuple, list)) else (u, u)
+        ua, ub = _checked_unitary(ua, state.dim[0]), _checked_unitary(ub, state.dim[1])
         return PureState(BIPARTITE, 2, state.dim, ua @ state.matrix() @ ub.T)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (state.dim, state.dim):
-        raise DimensionMismatchError(f"unitary shape {u.shape} does not match d={state.dim}")
+    u = _checked_unitary(u, state.dim)
     t = state.tensor()
     for axis in range(state.particles):
         t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
     return PureState(state.kind, state.particles, state.dim,
                      sectors.amps_from_tensor(state.sector_kind, t))
+
+
+def _checked_unitary(u, d: int) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"unitary shape {u.shape} does not match d={d}")
+    require_unitary(u)
+    return u
 
 
 def random_pure_state(kind: str, d, particles: int, rng) -> PureState:

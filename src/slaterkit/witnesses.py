@@ -514,10 +514,13 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
     is reported as the edge part.  An exhausted remainder (weight below
     1e-10) means the state itself is class k-1 at this search budget.
     ``searches`` tallies how each search's restarts ended (``RangeSearch``).
+    A ``budget`` below 1 raises ``ValidationError``.
     """
     space = rho.space
     if not 2 <= k <= _max_rank(space):
         raise OutOfRangeError(f"class {k} outside 2..{_max_rank(space)}")
+    if budget < 1:
+        raise ValidationError(f"budget must be at least 1 restart, got {budget}")
     rng = as_rng(seed)
     sigma = rho.matrix.copy()
     log: list = []
@@ -580,9 +583,21 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     NotAnEdgeStateError
         If the infimum vanishes, i.e. a rank < k vector lies in the
         range of ``delta``.
+    ValidationError
+        If ``C`` is not a positive semidefinite operator on the sector, or
+        ``Tr(delta C)`` is not positive.
     """
     space = delta.space
     dim = space.dim
+    if c_operator is None:
+        c_matrix = np.eye(dim, dtype=complex)
+    else:
+        c_matrix = _sector_operator(space, c_operator, TOL_SYM)
+    c_evals = np.linalg.eigvalsh(c_matrix)
+    if c_evals[0] < -TOL_SYM:
+        raise ValidationError("C must be positive semidefinite")
+    if float(np.trace(c_matrix @ delta.matrix).real) <= 0.0:
+        raise ValidationError("Tr(delta C) must be positive")
     _, range_basis, _ = _range_split(delta.matrix)
     p = np.eye(dim, dtype=complex) - range_basis @ range_basis.conj().T
     eps = infimum_over_rank(p, k, space, budget, 400, seed)
@@ -590,16 +605,6 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
         raise NotAnEdgeStateError(
             f"kernel projector has vanishing infimum ({eps:.3e}); a rank<{k} vector"
             " lies in the range")
-    if c_operator is None:
-        c_matrix = np.eye(dim, dtype=complex)
-    else:
-        c_matrix = np.asarray(c_operator, dtype=complex)
-        require_hermitian(c_matrix)
-    c_evals = np.linalg.eigvalsh(c_matrix)
-    if c_evals[0] < -TOL_SYM:
-        raise ValidationError("C must be positive semidefinite")
-    if float(np.trace(c_matrix @ delta.matrix).real) <= 0.0:
-        raise ValidationError("Tr(delta C) must be positive")
     w = p - (eps / float(c_evals[-1])) * c_matrix
     out = witness_operator(space, w, k)
     if not witness_value(out, delta).detected:

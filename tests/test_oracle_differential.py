@@ -9,6 +9,9 @@ the Riemannian L-BFGS search that replaced it must be no worse than it and
 never below the closed form.  ``_caratheodory_details`` is that search with
 its ``m = min(r^2, 16)`` decompositions, before their width came from the
 Wootters and Sanpera-Tarrach-Vidal bounds as ``max(r, 4)``.
+``_polar_details`` is that search before its smoothing width grew from
+1e-2 to ``mixed.ROOF_SMOOTHING`` and its trials were retracted by the
+Cholesky QR factor instead of the polar one (``_polar_roof_stage``).
 """
 
 import functools
@@ -113,9 +116,61 @@ def _caratheodory_details(rho, n_starts=12, n_iters=300, seed=0):
     draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
              for _ in range(n_starts - 1)]
     x, _ = mx._polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
-    x, converged, iterations = mx._roof_stage(x, tau, 1e-2, n_iters)
+    x, converged, iterations = mx._roof_stage(x, tau, mx.ROOF_SMOOTHING, n_iters)
     best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
     return mx.ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
+
+
+def _polar_details(rho, n_starts=12, n_iters=300, seed=0):
+    tau = mx._dual_overlap(rho, mx.canonical_system_of_space(rho.space))
+    r = len(tau)
+    if r == 1:
+        return mx.ConvexRoofResult(float(abs(tau[0, 0])), 0, 0)
+    m = max(r, 4)
+    rng = as_rng(seed)
+    draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+             for _ in range(n_starts - 1)]
+    x, _ = mx._polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
+    x, converged, iterations = _polar_roof_stage(x, tau, 1e-2, n_iters)
+    best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
+    return mx.ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
+
+
+def _polar_roof_stage(x: np.ndarray, tau: np.ndarray, mu: float, n_iters: int):
+    """Minimize ``sum_k sqrt(|x_k^T tau x_k|^2 + mu^2)`` over a stack of
+    isometries by ``linalg._lbfgs``; returns the isometries, the converged
+    flags and the step counts.
+
+    Each isometry is one real row of interleaved ``(Re, Im)`` entries.  The
+    gradient is the tangent projection ``G - x herm(x^H G)`` of the
+    Wirtinger gradient ``G`` with respect to ``conj(x)``, doubled for real
+    coordinates; directions are projected the same way, and every trial is
+    retracted by its polar factor (``_polar_retract``).
+    """
+    m, r = x.shape[1:]
+
+    def unpack(rows):
+        return rows.view(complex).reshape(len(rows), m, r)
+
+    def tangent(y, v):
+        yv = y.conj().swapaxes(-1, -2) @ v
+        return (v - y @ (0.5 * (yv + yv.conj().swapaxes(-1, -2)))).reshape(len(y), -1).view(float)
+
+    def fun(rows):
+        y = unpack(rows)
+        yt = y @ tau
+        z = (yt * y).sum(-1)
+        mags = np.sqrt(np.abs(z) ** 2 + mu * mu)
+        return mags.sum(-1), tangent(y, (2.0 * z / mags)[..., None] * yt.conj())
+
+    def retract(rows):
+        q, ok = mx._polar_retract(unpack(rows))
+        return q.reshape(len(q), -1).view(float), ok
+
+    rows, _, converged, iterations = la._lbfgs(
+        fun, x.reshape(len(x), -1).view(float), n_iters, retract,
+        lambda rows, v: tangent(unpack(rows), unpack(v)))
+    return unpack(rows), converged, iterations
 
 
 def _descend(x, objective, n_iters):
@@ -323,3 +378,120 @@ def test_polar_retraction_is_the_svd_polar_factor():
 def test_oracle_zero_iterations_scores_the_starts():
     rho = _mixture("boson", 2, 2, np.random.default_rng(1), True)
     assert abs(mx.convex_roof_oracle(rho, 3, 0, 5) - _sequential_oracle(rho, 3, 0, 5)) <= 1e-12
+
+
+ALL_RANKS = ([("fermion", 4, rank) for rank in range(1, 7)]
+             + [("bipartite", (2, 2), rank) for rank in range(1, 5)]
+             + [("boson", 2, rank) for rank in range(1, 4)])
+
+
+@pytest.mark.parametrize("kind,d,rank", ALL_RANKS, ids=[f"{k}-rank{r}" for k, _, r in ALL_RANKS])
+@ENTANGLED
+def test_wide_smoothing_with_qr_trials_matches_the_polar_search(kind, d, rank, entangled):
+    for seed in range(3):
+        rho = _mixture(kind, d, rank, np.random.default_rng([seed, rank, 8]), entangled)
+        value = mx.convex_roof_oracle(rho, 8, 400, seed)
+        reference = _polar_details(rho, 8, 400, seed).value
+        assert value >= mx.wootters_concurrence(rho) - 1e-10
+        if entangled:
+            assert abs(value - reference) <= 1e-8
+        else:
+            assert max(value, reference) < 1e-6
+
+
+def _wootters_isometry(tau):
+    """Wootters' equal-preconcurrence decomposition ``(H_4 / 2) D U^H`` of the
+    Takagi form ``tau = U diag(l) U^T``, for rank <= 4.
+
+    ``D`` holds the square roots of the phases ``(1, -1, -1, -1)`` when
+    ``l_1 >= l_2 + l_3 + l_4``, else of phases that close the polygon of the
+    ``l_i``, so every row has preconcurrence ``sum_i phase_i l_i / 4``.
+    """
+    takagi = la.takagi_canonical(tau)  # U^H tau conj(U) = diag(l)
+    r = len(tau)
+    l = np.zeros(4)
+    l[:len(takagi.values)] = takagi.values
+    if l[0] >= l[1:].sum():
+        phases = np.array([1.0, -1.0, -1.0, -1.0], dtype=complex)
+    else:
+        # the triangle with sides l_1, l_2 and l_3 + l_4 <= 2 l_2 closes
+        rest = l[2:].sum()
+        cos_b = np.clip((rest ** 2 - l[0] ** 2 - l[1] ** 2) / (2 * l[0] * l[1]), -1.0, 1.0)
+        b = np.exp(1j * np.arccos(cos_b))
+        c = -(l[0] + l[1] * b)
+        c = c / abs(c) if abs(c) > 0 else 1.0
+        phases = np.array([1.0, b, c, c])
+    sylvester = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    d_phases = np.eye(4, r, dtype=complex) * np.sqrt(phases)[:, None]
+    return sylvester @ d_phases @ takagi.transform, (phases * l).sum() / 4
+
+
+def _stage_gradient(monkeypatch, x, tau, mu):
+    """The Riemannian gradient ``_roof_stage`` descends along, at a stack ``x``."""
+    seen = []
+
+    def first_gradient(fun, rows, iters, retract, project):
+        seen.append(fun(rows)[1])
+        return rows, None, np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=int)
+
+    monkeypatch.setattr(mx, "_lbfgs", first_gradient)
+    mx._roof_stage(x, tau, mu, 0)
+    return seen[0]
+
+
+@pytest.mark.parametrize("mu", (1e-2, 1e-1, 1.0))
+def test_wootters_decomposition_is_stationary_at_every_width(monkeypatch, mu):
+    # for m = 4 every smoothing width keeps the optimal decompositions as
+    # its global minimizers (Jensen), so the gradient vanishes there
+    for kind, d, rank in CASES:
+        for entangled in (True, False):
+            for seed in range(3):
+                rho = _mixture(kind, d, rank, np.random.default_rng([seed, rank, 8]), entangled)
+                tau = mx._dual_overlap(rho, mx.canonical_system_of_space(rho.space))
+                x, z = _wootters_isometry(tau)
+                assert np.abs(x.conj().T @ x - np.eye(rank)).max() <= 1e-13
+                assert np.abs((x @ tau * x).sum(-1) - z).max() <= 1e-13
+                assert abs(4 * abs(z) - mx.wootters_concurrence(rho)) <= 1e-12
+                assert np.abs(_stage_gradient(monkeypatch, x[None], tau, mu)).max() <= 1e-12
+
+
+def test_qr_retraction_of_a_tangent_trial():
+    gen = np.random.default_rng(0)
+    x, _ = mx._polar_retract(gen.standard_normal((5, 6, 3)) + 1j * gen.standard_normal((5, 6, 3)))
+    v = gen.standard_normal(x.shape) + 1j * gen.standard_normal(x.shape)
+    xv = x.conj().swapaxes(1, 2) @ v
+    d = v - x @ (0.5 * (xv + xv.conj().swapaxes(1, 2)))
+    for t in (1e-3, 0.1, 1.0):
+        y = x + t * d
+        # the Gram of a tangent trial is I + t^2 d^H d >= I
+        assert np.linalg.eigvalsh(y.conj().swapaxes(1, 2) @ y).min() >= 1.0 - 1e-13
+        q = mx._qr_retract(y)
+        ell = np.linalg.cholesky(y.conj().swapaxes(1, 2) @ y)
+        assert np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(3)).max() <= 1e-13
+        assert np.abs(q @ ell.conj().swapaxes(1, 2) - y).max() <= 1e-13 * (1 + t)
+        polar, ok = mx._polar_retract(y)
+        assert ok.all()
+        span = q @ q.conj().swapaxes(1, 2)
+        assert np.abs(span - polar @ polar.conj().swapaxes(1, 2)).max() <= 1e-13
+
+
+def test_oracle_objective_call_budget(monkeypatch):
+    # 2084 objective calls with smoothing 1e-2 and polar trials, 1453 with
+    # ROOF_SMOOTHING and QR trials: a slower search fails here
+    calls = []
+    lbfgs = mx._lbfgs
+
+    def counting(fun, *args):
+        def counted(rows):
+            calls.append(len(rows))
+            return fun(rows)
+
+        return lbfgs(counted, *args)
+
+    monkeypatch.setattr(mx, "_lbfgs", counting)
+    for kind, d, rank in CASES:
+        for entangled in (True, False):
+            for seed in (0, 1):
+                rho = _mixture(kind, d, rank, np.random.default_rng([seed, rank, 8]), entangled)
+                mx.convex_roof_oracle(rho, 8, 400, seed)
+    assert len(calls) <= 1600

@@ -121,6 +121,21 @@ def test_a_tensor_at_numpys_axis_limit_is_built():
     assert abs(rotated.amps[0] - 1j ** n) <= 1e-12
 
 
+def test_single_particle_maps_must_be_d_by_d_unitaries():
+    # non-unitary maps used to return states of norm 0 and 4
+    det = st.fermion_state(4, 2, {(0, 1): 1.0})
+    with pytest.raises(ValidationError, match=r"u u\^dag - 1"):
+        st.apply_single_particle(det, np.ones((4, 4)))
+    bell = st.bipartite_state(BELL_PLUS)
+    for u in (2 * np.eye(2), (np.eye(2), 2 * np.eye(2)), (2 * np.eye(2), np.eye(2))):
+        with pytest.raises(ValidationError, match=r"u u\^dag - 1"):
+            st.apply_single_particle(bell, u)
+    # a factor of the wrong size used to fail inside numpy's matmul
+    for u in (np.eye(3), (np.eye(2), np.eye(3))):
+        with pytest.raises(DimensionMismatchError, match=r"unitary shape \(3, 3\) does not match d=2"):
+            st.apply_single_particle(bell, u)
+
+
 def test_boson_pair_normalization_matches_component_form():
     a, b, c = 0.3 + 0.1j, 0.2 - 0.4j, 0.1 + 0.2j
     norm2 = 2 * abs(a) ** 2 + 4 * abs(b) ** 2 + 2 * abs(c) ** 2

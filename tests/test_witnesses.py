@@ -285,6 +285,13 @@ def test_edge_decompose_reports_range_searches():
     assert result.searches[-1] == wi.RangeSearch(0, 0, 0)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_edge_decompose_refuses_an_empty_budget(budget):
+    # a budget below 1 used to report the whole state as its edge part, unsearched
+    with pytest.raises(ValidationError, match=f"budget must be at least 1 restart, got {budget}"):
+        wi.edge_state_decompose(edge_mixture(), 2, budget=budget)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind, d", [("boson", 3), ("fermion", 6)])
 def test_edge_decompose_exhausts_its_range_search_budget(kind, d, seed):
@@ -372,6 +379,12 @@ def test_witness_from_edge_detects():
     # with C = delta the detection value is at least as negative
     w2 = wi.witness_from_edge(delta, 2, c_operator=delta.matrix, budget=24, seed=6)
     assert wi.witness_value(w2, delta).value <= wi.witness_value(w, delta).value + 1e-9
+
+
+def test_witness_from_edge_checks_the_shape_of_c():
+    # a 3 x 3 C on the six-dimensional sector used to fail inside numpy's matmul
+    with pytest.raises(ValidationError, match="does not match sector dimension 6"):
+        wi.witness_from_edge(maxcorr_projector(), 2, c_operator=np.eye(3), budget=8, seed=6)
 
 
 def test_witness_from_edge_rejects_non_edge():
