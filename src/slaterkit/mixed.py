@@ -4,8 +4,8 @@ Covers the closed-form concurrence of the three canonical systems, the
 class-1 (Slater number one) spectral test, partial transposition on the
 one-particle split, separability decisions for bosonic PPT states (by
 theorem, or by subtracting the product vectors ``|e, e>`` that the range
-search of ``witnesses.edge_state_decompose`` finds), and a convex-roof
-minimization used as a numerical oracle for the closed forms.
+search of ``witnesses.edge_state_decompose`` finds), and Wootters' optimal
+decomposition, which attains the closed-form concurrence.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .errors import (
 from .linalg import (
     RANK_RTOL,
     TOL_SYM,
-    _lbfgs,
     _range_split,
-    as_rng,
     max_abs,
+    read_only,
     takagi_canonical,
 )
 
@@ -36,13 +35,6 @@ SYMMETRIC = sectors.SYMMETRIC
 
 #: the partial transpose counts as positive with no eigenvalue below this
 PPT_MIN_EIGENVALUE = -1e-9
-
-#: the convex-roof search smooths every ``|z_k|`` to ``sqrt(|z_k|^2 + mu^2)``
-#: at this ``mu``.  The width only conditions the search: for ``m = 4`` every
-#: ``mu > 0`` has the optimal decompositions as its global minimizers
-#: (``convex_roof_details``), and a wider one takes fewer steps to reach them.
-ROOF_SMOOTHING = 1e-1
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -166,9 +158,8 @@ def subnormalized_spectrum(rho: DensityMatrix, rtol: float = RANK_RTOL) -> Subno
     return SubnormalizedSpectrum(basis[:, order] * np.sqrt(lam), lam)
 
 
-def _dual_overlap(rho: DensityMatrix, system: str) -> np.ndarray:
+def _dual_overlap(v: np.ndarray, system: str) -> np.ndarray:
     """Symmetrized bilinear overlaps ``V^T U_D^dag V`` of the subnormalized spectrum ``V``."""
-    v = subnormalized_spectrum(rho).vectors
     c = v.T @ states.dual_unitary(system).conj().T @ v
     return 0.5 * (c + c.T)
 
@@ -204,7 +195,8 @@ def concurrence_lambdas(rho: DensityMatrix) -> np.ndarray:
     carry no sqrt-of-noise on the zero modes.
     """
     system = canonical_system_of_space(rho.space)
-    sv = np.linalg.svd(_dual_overlap(rho, system), compute_uv=False)
+    sv = np.linalg.svd(_dual_overlap(subnormalized_spectrum(rho).vectors, system),
+                       compute_uv=False)
     return np.pad(sv, (0, rho.space.dim - len(sv)))
 
 
@@ -226,7 +218,7 @@ def slater_number_one_test(rho: DensityMatrix) -> SlaterNumberOneResult:
     system = canonical_system_of_space(rho.space)
     if system == "qubits":
         raise UnsupportedSystemError("class-1 spectral test covers the two exchange sectors")
-    c = _dual_overlap(rho, system)
+    c = _dual_overlap(subnormalized_spectrum(rho).vectors, system)
     if len(c) == 0:
         return SlaterNumberOneResult(True, np.array([]))
     values = np.linalg.svd(c, compute_uv=False)
@@ -353,125 +345,91 @@ def bosonic_ppt_separability(rho: DensityMatrix) -> SeparabilityResult:
 
 
 # ---------------------------------------------------------------------------
-# convex-roof oracle
+# Wootters' optimal decomposition
 # ---------------------------------------------------------------------------
+
+#: the Sylvester Hadamard matrix ``H_8``, ``(-1)^popcount(i & j)``; its
+#: leading ``4 x 4`` block is ``H_4``
+_SYLVESTER = read_only(np.array([[(-1.0) ** bin(i & j).count("1") for j in range(8)]
+                                 for i in range(8)]))
+
 
 @dataclass(frozen=True)
 class ConvexRoofResult:
-    """The oracle's value, the most steps any start took, the starts converged."""
+    """The convex roof of the concurrence and a decomposition attaining it.
+
+    ``vectors`` holds the subnormalized decomposition states as columns:
+    ``rho = vectors @ vectors^dag``, column ``k`` has squared norm ``p_k``,
+    and the ``p_k``-weighted concurrences of the normalized columns sum to
+    ``value``.
+    """
 
     value: float
-    max_iterations: int
-    starts_converged: int
+    vectors: np.ndarray
 
 
 def convex_roof_oracle(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 300,
                        seed=0) -> float:
-    """Best convex-roof value found by local search over decompositions.
+    """The convex roof of the concurrence, ``convex_roof_details(rho).value``.
 
-    An upper bound on the true infimum; ``convex_roof_details`` describes
-    the search and reports how it ended.
+    ``n_starts``, ``n_iters`` and ``seed`` are unused: they budgeted the
+    search this closed construction replaced, and are kept so that calls
+    passing them keep working.
     """
-    return convex_roof_details(rho, n_starts, n_iters, seed).value
+    return convex_roof_details(rho).value
 
 
-def convex_roof_details(rho: DensityMatrix, n_starts: int = 12, n_iters: int = 300,
-                        seed=0) -> ConvexRoofResult:
-    """Convex-roof search returning its value and convergence.
+def convex_roof_details(rho: DensityMatrix) -> ConvexRoofResult:
+    """Wootters' optimal decomposition of ``rho`` and its average concurrence.
 
-    Minimizes ``sum_k p_k C(phi_k)`` over decompositions of ``rho``
-    obtained by mixing the subnormalized eigenvectors with an ``m x r``
-    isometry, ``m = max(r, 4)``.  An entangled state has an optimal
-    decomposition with ``r`` elements (Wootters, PRL 80, 2245 (1998)), and a
-    separable one is a mixture of at most 4 product states (Sanpera,
-    Tarrach & Vidal, PRA 58, 826 (1998)); both carry over to two fermions
-    with ``d = 4`` and two bosons with ``d = 2``, so ``m`` need not reach
-    Caratheodory's ``min(r^2, 16)``, which bounds any decomposition.  The
-    starts are the identity and ``n_starts - 1`` seeded random isometries.
-    Every ``|z_k|`` is smoothed to ``sqrt(|z_k|^2 + mu^2)`` with ``mu =
-    ROOF_SMOOTHING``, and all starts descend at once by Riemannian L-BFGS
-    on the stacked Stiefel manifold (at most ``n_iters`` steps; see
-    ``_roof_stage``).  ``value`` scores the best final isometry without
-    smoothing.  A rank-1 state needs no search and reports zero steps and
-    starts.
-
-    The width does not move the minimizers when ``m = 4`` (rank <= 4).
-    With ``z_k = (x tau x^T)_kk`` every isometry has ``sum |z_k| >= C``, and
-    ``g(t) = sqrt(t^2 + mu^2)`` is convex and increasing, so ``sum_k
-    g(|z_k|) >= m g(C / m)`` (Jensen).  Wootters' decomposition (Takagi form
-    of ``tau``, phases that close the polygon, then ``H_4 / 2``) has every
-    ``|z_k| = C / m`` and attains that bound for each ``mu``.  A wider
-    ``mu`` only makes the smoothed objective better conditioned; ranks 5-6
-    (``m = r``) fall outside the argument.
+    The states ``psi_k = (V x^T)_k`` mixed from the subnormalized spectrum
+    ``V`` by an ``m x r`` isometry ``x`` decompose ``rho``, with
+    preconcurrences ``z_k = (x tau x^T)_kk`` for ``tau = _dual_overlap`` and
+    average concurrence ``sum_k |z_k|`` (Wootters, PRL 80, 2245 (1998); for
+    two fermions Schliemann, Cirac, Kus, Lewenstein & Loss, PRA 64, 022303
+    (2001)).  Here ``x = (H_m / sqrt(m)) P U``: ``U tau U^T = diag(l)`` is
+    the Takagi form, the ``m x r`` diagonal ``P`` scales row ``j`` of ``U``
+    by the square root of a phase ``e^{i th_j}``, and ``H_m`` is the
+    Sylvester Hadamard matrix, with ``m = 4`` for rank <= 4 and 8 for ranks
+    5-6.  Every ``z_k`` is then ``sum_j
+    e^{i th_j} l_j / m``.  The phases ``(1, -1, -1, ...)`` make that ``C /
+    m`` when ``l_1 >= sum_{j>1} l_j``, and ``_closing_phases`` make it zero
+    otherwise, so ``value`` is the closed form ``wootters_concurrence``.  A
+    rank-1 state is its own decomposition.
     """
-    if n_starts < 1 or n_iters < 0:
-        raise ValidationError(f"need n_starts >= 1 and n_iters >= 0, got {n_starts}, {n_iters}")
-    tau = _dual_overlap(rho, canonical_system_of_space(rho.space))
+    v = subnormalized_spectrum(rho).vectors
+    tau = _dual_overlap(v, canonical_system_of_space(rho.space))
     r = len(tau)
-    if r > 6:
-        raise ValidationError(f"oracle restricted to rank <= 6, got {r}")
     if r == 1:
-        return ConvexRoofResult(float(abs(tau[0, 0])), 0, 0)
-    m = max(r, 4)
-    rng = as_rng(seed)
-    draws = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-             for _ in range(n_starts - 1)]
-    x, _ = _polar_retract(np.stack([np.eye(m, r, dtype=complex)] + draws))
-    x, converged, iterations = _roof_stage(x, tau, ROOF_SMOOTHING, n_iters)
-    best = float(np.abs((x @ tau * x).sum(-1)).sum(-1).min())
-    return ConvexRoofResult(best, int(iterations.max()), int(converged.sum()))
+        return ConvexRoofResult(float(abs(tau[0, 0])), v)
+    takagi = takagi_canonical(tau)
+    l = np.pad(takagi.values, (0, r - len(takagi.values)))
+    if l[0] >= l[1:].sum():
+        phases = np.concatenate(([1.0], -np.ones(r - 1)))
+    else:
+        phases = _closing_phases(l)
+    m = 4 if r <= 4 else 8
+    x = (_SYLVESTER[:m, :r] * np.sqrt(phases.astype(complex))) @ takagi.transform / np.sqrt(m)
+    value = float(np.abs((x @ tau * x).sum(-1)).sum())
+    return ConvexRoofResult(value, v @ x.T)
 
 
-def _roof_stage(x: np.ndarray, tau: np.ndarray, mu: float, n_iters: int):
-    """Minimize ``sum_k sqrt(|x_k^T tau x_k|^2 + mu^2)`` over a stack of
-    isometries by ``linalg._lbfgs``; returns the isometries, the converged
-    flags and the step counts.
+def _closing_phases(l: np.ndarray) -> np.ndarray:
+    """Unit phases ``e^{i th_j}`` with ``sum_j e^{i th_j} l_j = 0``, for
+    descending ``l >= 0`` with ``l_1 < sum_{j>1} l_j``.
 
-    Each isometry is one real row of interleaved ``(Re, Im)`` entries.  The
-    gradient is the tangent projection ``G - x herm(x^H G)`` of the
-    Wirtinger gradient ``G`` with respect to ``conj(x)``, doubled for real
-    coordinates; directions are projected the same way.  Every trial is
-    retracted by its QR factor ``Y L^-H`` (``_qr_retract``; Absil, Mahony &
-    Sepulchre, ch. 4), which costs less than a polar factor.  A trial
-    ``Y = x + t d`` from an isometry ``x`` along a tangent ``d`` has Gram
-    ``Y^H Y = I + t^2 d^H d >= I``, so its Cholesky factor ``L`` always
-    exists and no trial is refused.
+    Each ``l_j``, largest first, joins the shortest of three sides and
+    takes that side's direction in the triangle they close.  No side ``b``
+    exceeds half the perimeter ``S``.  Its last term ``t`` joined it as the
+    shortest side, so the other two are at least ``b - t`` and ``b <= (S +
+    2 t) / 3``.  So ``b > S / 2`` needs ``t > S / 4`` and, as ``l_1 < S /
+    2``, an earlier term on that side: four terms of at least ``t``, two
+    there and one on each other side, would sum to more than ``S``.
     """
-    m, r = x.shape[1:]
-
-    def unpack(rows):
-        return rows.view(complex).reshape(len(rows), m, r)
-
-    def tangent(y, v):
-        yv = y.conj().swapaxes(-1, -2) @ v
-        return (v - y @ (0.5 * (yv + yv.conj().swapaxes(-1, -2)))).reshape(len(y), -1).view(float)
-
-    def fun(rows):
-        y = unpack(rows)
-        yt = y @ tau
-        z = (yt * y).sum(-1)
-        mags = np.sqrt(np.abs(z) ** 2 + mu * mu)
-        return mags.sum(-1), tangent(y, (2.0 * z / mags)[..., None] * yt.conj())
-
-    def retract(rows):
-        q = _qr_retract(unpack(rows))
-        return q.reshape(len(q), -1).view(float), True
-
-    rows, _, converged, iterations = _lbfgs(
-        fun, x.reshape(len(x), -1).view(float), n_iters, retract,
-        lambda rows, v: tangent(unpack(rows), unpack(v)))
-    return unpack(rows), converged, iterations
-
-
-def _polar_retract(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked polar factors ``Y (Y^H Y)^(-1/2)``; ``ok`` marks Gram eigenvalue ratios >= 1e-12."""
-    w, v = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ y)
-    ok = w[..., 0] > 1e-12 * w[..., -1]
-    scale = 1.0 / np.sqrt(w if ok.all() else np.where(ok[..., None], w, 1.0))
-    return y @ ((v * scale[..., None, :]) @ v.conj().swapaxes(-1, -2)), ok
-
-
-def _qr_retract(y: np.ndarray) -> np.ndarray:
-    """Stacked QR factors ``Y L^-H`` of full-rank ``Y``, ``L`` the Cholesky factor of ``Y^H Y``."""
-    yh = y.conj().swapaxes(-1, -2)
-    return np.linalg.solve(np.linalg.cholesky(yh @ y), yh).conj().swapaxes(-1, -2)
+    sides, side_of = np.zeros(3), np.empty(len(l), dtype=int)
+    for j, lj in enumerate(l):
+        side_of[j] = k = int(np.argmin(sides))
+        sides[k] += lj
+    a, b, c = sides
+    turn = np.exp(1j * np.arccos(np.clip((c * c - a * a - b * b) / (2 * a * b), -1.0, 1.0)))
+    return np.array([1.0, turn, np.exp(1j * np.angle(-(a + b * turn)))])[side_of]

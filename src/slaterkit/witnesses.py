@@ -709,13 +709,10 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
                   "infimum_restarts": budget}
     diagnostics = {"infimum": best, **search, "tangent_samples": len(tangent)}
     if len(tangent):
-        _, svals, vh = np.linalg.svd(tangent)
-        span_dim = int(np.count_nonzero(svals > 1e-6 * svals[0]))
+        span_dim, p_c = _complement_projector(tangent)
         diagnostics["tangent_span_dim"] = span_dim
         if span_dim == dim:
             return OptimizedWitness(w, True, 0.0, diagnostics)
-        comp = vh[span_dim:].conj().T  # orthonormal basis of the complement
-        p_c = comp @ comp.conj().T
         chart = _SectorChart(space, k)
         x0 = rng.standard_normal((budget, chart.n_params))
         mu = float(_lbfgs(_quadratic_objective(chart, w.matrix, p_c), x0, iters)[1].min())
@@ -738,6 +735,21 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
         return OptimizedWitness(w, False, 0.0, diagnostics)
     diagnostics["subtracted_mu"] = mu
     return OptimizedWitness(improved, False, float(mu), diagnostics)
+
+
+def _complement_projector(tangent: np.ndarray) -> tuple[int, np.ndarray]:
+    """Dimension of the span of the rows of ``tangent`` (singular values above
+    1e-6 of the largest) and the projector onto its orthogonal complement.
+
+    ``tangent @ vh^dag = u s``, so every row ``t`` has ``<vh_j|t> = 0`` for
+    ``j`` beyond the span: the complement is spanned by the rows ``vh_j``
+    themselves, the columns of ``vh[span:].T`` (not of ``vh[span:]^dag``,
+    which spans the null space of ``tangent`` as a matrix).
+    """
+    _, svals, vh = np.linalg.svd(tangent)
+    span_dim = int(np.count_nonzero(svals > 1e-6 * svals[0]))
+    comp = vh[span_dim:].T
+    return span_dim, comp @ comp.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -635,7 +635,7 @@ def test_cli_and_a_manifold_search_load_no_scipy():
             "assert abs(value - 1.0) < 1e-9, value\n"
             "rho = mixed.density_from_mixture([(0.5, states.random_pure_state('fermion', 4, 2, s))"
             " for s in (0, 1)])\n"
-            "assert mixed.convex_roof_oracle(rho, 2, 20) >= mixed.wootters_concurrence(rho) - 1e-10\n"
+            "assert abs(mixed.convex_roof_oracle(rho) - mixed.wootters_concurrence(rho)) <= 1e-12\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -10,7 +10,9 @@ sees the same rows in the same order, not only equal final outputs.  (A
 start run alone matches the same start in a stack only for objectives
 whose rows round alike at any batch size, such as the double well of
 ``test_witnesses.test_stacked_lbfgs_runs_each_start_as_if_alone``, which
-makes no BLAS call.)
+makes no BLAS call.)  The convex-roof search replayed is
+``test_oracle_differential._roof_search``, kept there as the oracle that
+Wootters' closed decomposition in ``mixed`` is held against.
 """
 
 import hashlib
@@ -18,7 +20,8 @@ import hashlib
 import numpy as np
 import pytest
 from test_manifold_differential import FAMILIES, _edge_state
-from test_oracle_differential import CASES, _mixture
+import test_oracle_differential as roof
+from test_oracle_differential import CASES, _mixture, _roof_search
 from test_witnesses import perturbed_optimal_witness
 
 from slaterkit import linalg as la
@@ -286,10 +289,10 @@ def _replay(monkeypatch, call, reference):
         return out
 
     with monkeypatch.context() as patch:
-        for module in (mixed, wi):
+        for module in (roof, wi):
             patch.setattr(module, "_lbfgs", recorded)
         if reference:
-            patch.setattr(mixed, "_polar_retract", _polar_retract)
+            patch.setattr(roof, "_polar_retract", _polar_retract)
             patch.setattr(wi, "_quadratic_objective", _quadratic_objective)
         call()
     return calls, outputs
@@ -313,7 +316,7 @@ def _assert_replayed(monkeypatch, call):
 def test_oracle_stage_replays(monkeypatch, kind, d, rank, entangled):
     for seed in (0, 1):
         rho = _mixture(kind, d, rank, np.random.default_rng([seed, rank, 8]), entangled)
-        _assert_replayed(monkeypatch, lambda: mixed.convex_roof_details(rho, 8, 400, seed))
+        _assert_replayed(monkeypatch, lambda: _roof_search(rho, 8, 400, seed))
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=["-".join(map(str, f)) for f in FAMILIES])

@@ -5,7 +5,9 @@ map takes its signs from the one-particle split, built from sorted tuples, and t
 contraction minors theirs from ``linalg.levi_civita``.  No code takes a general
 spectrum (``np.linalg.eig`` / ``eigvals``): every spectrum the package reports
 comes from ``eigh``, ``eigvalsh`` or ``svd``.  No function calls itself by name:
-every search is a bounded loop."""
+every search is a bounded loop.  ``mixed`` neither imports nor calls the
+stacked L-BFGS ``_lbfgs``: its measures are closed forms, and the searches
+live in ``witnesses``."""
 
 import ast
 from pathlib import Path
@@ -81,6 +83,19 @@ def _violations(tree: ast.AST) -> list[str]:
     return found
 
 
+def _search_uses(tree: ast.AST) -> list[str]:
+    """Imports of ``_lbfgs`` and calls to it, by name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_lbfgs" for a in node.names):
+            found.append(f"line {node.lineno}: imports _lbfgs")
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "_lbfgs"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "_lbfgs"):
+            found.append(f"line {node.lineno}: calls _lbfgs")
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_or_catch_all_except(path):
     assert _violations(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -89,6 +104,11 @@ def test_no_assert_or_catch_all_except(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
     assert _local_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_mixed_runs_no_search():
+    path = Path(slaterkit.__file__).parent / "mixed.py"
+    assert _search_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_the_rules_flag_their_targets():
@@ -125,4 +145,10 @@ def test_the_rules_flag_their_targets():
             "def bosonic_ppt_separability():\n    from . import witnesses\n"
             "def bosonic_ppt_separability():\n    from . import sectors, witnesses\n")
     assert len(_local_imports(ast.parse(code))) == 3
+    code = ("from .linalg import _lbfgs as search, as_rng\n"
+            "from .linalg import as_rng\n"
+            "_lbfgs(f, x, 3)\n"
+            "linalg._lbfgs(f, x, 3)\n"
+            "lbfgs(f, x, 3), obj._lbfgs_memory(), _lbfgs\n")
+    assert len(_search_uses(ast.parse(code))) == 3
     assert len(SOURCES) > 5

@@ -10,7 +10,6 @@ from slaterkit import states as st
 from slaterkit.errors import (
     NotAStateError,
     UnsupportedSystemError,
-    ValidationError,
 )
 
 PSI_MINUS = np.array([0, 1, -1, 0]) / np.sqrt(2)
@@ -123,8 +122,8 @@ def test_wootters_orthogonal_mixture_matches_oracle():
     for p in (0.2, 0.5, 0.8):
         rho = mx.density_from_mixture([(p, mc), (1 - p, det)])
         closed = mx.wootters_concurrence(rho)
-        oracle = mx.convex_roof_oracle(rho, n_starts=6, n_iters=200, seed=1)
-        assert abs(closed - oracle) < 2e-3
+        oracle = mx.convex_roof_oracle(rho)
+        assert abs(closed - oracle) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -410,37 +409,37 @@ def test_bosonic_separability_multiqubit():
 
 
 # ---------------------------------------------------------------------------
-# convex-roof oracle
+# Wootters' optimal decomposition
 # ---------------------------------------------------------------------------
 
 def test_oracle_pure_state_exact():
     gen = np.random.default_rng(16)
     psi = st.random_pure_state("boson", 2, 2, gen)
     rho = mx.density_from_pure(psi)
-    oracle = mx.convex_roof_oracle(rho, n_starts=2, n_iters=50, seed=0)
-    assert abs(oracle - st.concurrence_pure(psi)) < 1e-9
+    oracle = mx.convex_roof_oracle(rho)
+    assert abs(oracle - st.concurrence_pure(psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_starts,n_iters", ((0, 10), (-1, 10), (2, -1)))
-def test_oracle_rejects_bad_budgets(n_starts, n_iters):
+def test_oracle_ignores_the_search_budget(n_starts, n_iters):
+    # the budget of the search the closed construction replaced no longer acts
     rho = random_mixture("fermion", 4, 2, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        mx.convex_roof_oracle(rho, n_starts=n_starts, n_iters=n_iters)
+    value = mx.convex_roof_oracle(rho, n_starts=n_starts, n_iters=n_iters, seed=n_starts)
+    assert value == mx.convex_roof_oracle(rho) == mx.convex_roof_details(rho).value
 
 
 def test_oracle_werner_family():
     for p in (0.2, 0.5, 0.8):
         rho = werner(p)
-        oracle = mx.convex_roof_oracle(rho, n_starts=6, n_iters=200, seed=2)
+        oracle = mx.convex_roof_oracle(rho)
         closed = mx.wootters_concurrence(rho)
-        assert closed <= oracle + 2e-3
-        assert oracle <= closed + 2e-3
+        assert abs(oracle - closed) <= 1e-12
 
 
 def test_oracle_boson_mixtures():
     gen = np.random.default_rng(17)
     for _ in range(3):
         rho = random_mixture("boson", 2, 3, gen)
-        oracle = mx.convex_roof_oracle(rho, n_starts=8, n_iters=250, seed=3)
+        oracle = mx.convex_roof_oracle(rho)
         closed = mx.wootters_concurrence(rho)
-        assert abs(oracle - closed) < 2e-3
+        assert abs(oracle - closed) <= 1e-12

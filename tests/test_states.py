@@ -634,7 +634,7 @@ def test_cached_bases_are_read_only():
               *sectors._split_table(sectors.SYMMETRIC, 3, 3),
               sectors.split_isometry(sectors.ANTISYMMETRIC, 4, 3),
               *sectors._tables(sectors.ANTISYMMETRIC, 4, 2)[1],
-              *sectors._gather_table(sectors.SYMMETRIC, 3, 2)]
+              *sectors._gather_table(sectors.SYMMETRIC, 3, 2), mx._SYLVESTER]
     for array in cached:
         with pytest.raises(ValueError):
             array *= 0

@@ -546,13 +546,34 @@ def test_optimize_subtracts_off_bosonic_tangent_span(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_optimize_keeps_fermionic_witness_with_tangent_complement(seed):
-    # the tangent states leave a complement, but the ratio's infimum is zero
+def test_optimize_subtracts_off_fermionic_tangent_span(seed):
+    # the complex tangent states leave a complement, off which a positive
+    # weight comes (a complement taken conjugated held the ratio at zero)
     w = perturbed_optimal_witness(2, "fermion", seed)
     outcome = wi.witness_optimize(w, seed=seed)
-    assert 0 < outcome.diagnostics["tangent_span_dim"] < w.space.dim
-    assert not outcome.optimal and outcome.subtracted_weight == 0.0
-    assert outcome.witness is w
+    diag = outcome.diagnostics
+    assert 0 < diag["tangent_span_dim"] < w.space.dim
+    assert not outcome.optimal and outcome.subtracted_weight > 0
+    assert diag["subtracted_mu"] == outcome.subtracted_weight == diag["ratio_infimum"]
+    assert diag["subtraction_check"] >= -1e-9
+    improved = outcome.witness.matrix
+    assert wi.infimum_over_rank(improved, 2, w.space) >= -1e-8
+    assert np.linalg.eigvalsh(w.matrix - improved)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("rows,dim", ((1, 6), (3, 6), (5, 10)))
+def test_complement_projector_annihilates_complex_tangent_states(rows, dim):
+    gen = np.random.default_rng([rows, dim])
+    tangent = gen.standard_normal((rows, dim)) + 1j * gen.standard_normal((rows, dim))
+    span_dim, p_c = wi._complement_projector(tangent)
+    assert span_dim == rows
+    assert np.abs(p_c @ tangent.T).max() <= 1e-12  # P_c t = 0 for every tangent state t
+    assert np.abs(p_c @ p_c - p_c).max() <= 1e-12 and np.abs(p_c - p_c.conj().T).max() <= 1e-15
+    assert abs(np.trace(p_c).real - (dim - rows)) <= 1e-12
+    # a vector outside the span keeps its component orthogonal to it
+    q, _ = np.linalg.qr(tangent.T)
+    e = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    assert np.abs(p_c @ e - (e - q @ (q.conj().T @ e))).max() <= 1e-12
 
 
 def _quadratic_objective_identity(chart, m_matrix):
