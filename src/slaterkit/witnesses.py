@@ -9,11 +9,11 @@ verdicts are exact.
 
 Infima of identity-plus-rank-one operators have a closed form, so their
 validity is exact, and for ``a 1 - b |v><v|`` so do its minimizers, the
-best Slater rank < k truncations of ``v``: ``witness_optimize`` draws its
-tangent states from them and runs no infimum search.  All other searches
-are non-convex with fixed restart budgets ("is a witness" is then
-high-confidence), and their restart dispersion is reported rather than
-any claim of exactness.
+best Slater rank < k truncations of ``v``, whose span ``witness_optimize``
+reads off ``v``'s canonical values with no draw and no search.  All other
+searches are non-convex with fixed restart budgets ("is a witness" is then
+high-confidence), and their restart dispersion is reported rather than any
+claim of exactness.
 """
 
 from __future__ import annotations
@@ -311,43 +311,44 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
     return None
 
 
-def _best_truncations(kind: str, slater: states.SchmidtSlaterResult, k: int, n: int,
-                      rng) -> np.ndarray:
-    """``n`` unit sector vectors drawn from the best Slater rank < k
-    approximations of the state whose decomposition ``U M U^T = C`` is
-    ``slater`` (Eckart-Young on the canonical form).
+def _tangent_span(kind: str, slater: states.SchmidtSlaterResult, k: int) -> tuple[int, np.ndarray]:
+    """Dimension of the span of the best Slater rank < k approximations of
+    the state whose decomposition ``U M U^T = C`` is ``slater``, and the
+    projector onto its complement in the sector.
 
-    The canonical values above ``z_{k-1}`` are kept whole.  Inside the
-    cluster of values within ``_TANGENT_CLUSTER z_1`` of ``z_{k-1}``, the
-    ``r`` values still needed are kept under a random element of the
-    cluster's stabilizer under unitary congruence: a real orthogonal ``Q``
-    (stacked QR) for Takagi values, giving the block ``z Q_r Q_r^T``, and a
-    compact-symplectic ``S`` for Youla pairs, giving ``z S (J_r + 0) S^T``.
-    ``S`` is the unitary polar factor of a complex Gaussian projected onto
-    ``G = -J conj(G) J``, the matrices that commute with the quaternionic
-    structure.  Each candidate ``T`` maps back as ``U^dag T conj(U)``.
+    Eckart-Young keeps the ``lo`` values above ``z = z_{k-1}`` whole (``F``),
+    and ``r`` of the ``c`` values within ``_TANGENT_CLUSTER z_1`` of ``z``
+    under the cluster's stabilizer: Sp(c) on ``Lambda^2(C^2c) = C J_c +
+    Lambda^2_0`` (Youla pairs) or O(c) on ``Sym^2(C^c) = C I_c + Sym^2_0``
+    (Takagi values), both parts irreducible.  So for ``r < c`` the orbit
+    spans ``C f + Lambda^2_0``, ``f = F + (r/c) z J_c`` being its average,
+    and for ``r = c`` it is ``f``.  The basis is ``f`` and the cluster's
+    elementary pair matrices less their ``J_c`` part, which sums to zero over
+    the diagonal ones, so the last is left out; each maps as ``U^dag T conj(U)``.
     """
     u, z = slater.transforms[0], slater.values
+    d = len(u)
     keep = min(k - 1, len(z))
     edge, tol = z[keep - 1], _TANGENT_CLUSTER * z[0]
     lo = int(np.count_nonzero(z > edge + tol))
     c, r = int(np.count_nonzero(z >= edge - tol)) - lo, keep - lo
-    if kind == mixed.ANTISYMMETRIC:
-        block, size = np.array([[0.0, 1.0], [-1.0, 0.0]]), 2
-        j = np.kron(np.eye(c), block)
-        g = rng.standard_normal((n, 2 * c, 2 * c)) + 1j * rng.standard_normal((n, 2 * c, 2 * c))
-        left, _, right = np.linalg.svd((g - j @ g.conj() @ j) / 2)
-        s = (left @ right)[:, :, :2 * r]
-        cluster = s @ j[:2 * r, :2 * r] @ s.swapaxes(1, 2)
-    else:
-        block, size = np.ones((1, 1)), 1
-        q = np.linalg.qr(rng.standard_normal((n, c, c)))[0][:, :, :r]
-        cluster = q @ q.swapaxes(1, 2)
-    t = np.zeros((n, len(u), len(u)), dtype=complex)
-    t[:, :size * lo, :size * lo] = np.kron(np.diag(z[:lo]), block)
-    t[:, size * lo:size * (lo + c), size * lo:size * (lo + c)] = edge * cluster
-    psi = _pair_amps(kind, u.conj().T @ t @ u.conj())
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    sign = -1 if kind == mixed.ANTISYMMETRIC else 1
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]]) if sign < 0 else np.ones((1, 1))
+    start, n = len(block) * lo, len(block) * c
+    span_dim = 1 if r == c else n * (n + sign) // 2
+    if span_dim == d * (d + sign) // 2:
+        return span_dim, np.zeros((span_dim, span_dim), dtype=complex)
+    pairs = np.zeros((span_dim, d, d))
+    pairs[0, :start + n, :start + n] = np.kron(np.diag(np.append(z[:lo], [r / c * edge] * c)), block)
+    if r < c:
+        cluster = np.kron(np.eye(c), block)
+        rows, cols = np.triu_indices(n, 1 if sign < 0 else 0)
+        e = np.eye(n * n)[rows * n + cols].reshape(-1, n, n)
+        e = e + sign * e.swapaxes(1, 2)
+        e -= np.einsum("nab,ab->n", e, cluster)[:, None, None] * cluster / n
+        pairs[1:, start:start + n, start:start + n] = e[:-1]
+    basis = np.linalg.qr(_pair_amps(kind, u.conj().T @ pairs @ u.conj()).T)[0]
+    return span_dim, np.eye(len(basis)) - basis @ basis.conj().T
 
 
 def infimum_over_rank(operator, k: int, space: mixed.StateSpace, budget: int = 64,
@@ -662,13 +663,13 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     entanglement witnesses", PRA 62, 052310 (2000).  The tangent set holds
     the rank < k states with vanishing expectation.  For ``W = a 1 - b
     |v><v|`` the infimum is the closed form of ``infimum_over_rank``, and
-    where it vanishes ``budget`` tangent candidates are drawn from the best
-    rank < k truncations of ``v`` (``_best_truncations``); an
-    identity-plus-rank-one ``W`` with a positive infimum has no tangent
-    states.  Any other ``W`` gets the infimum search of ``infimum_details``,
-    whose restart minima sample the tangent set.  Either way a candidate
-    counts as tangent only if its evaluated expectation is at most
-    ``_TANGENT_TOL``.
+    where it is at most ``_TANGENT_TOL`` the tangent states are the best
+    rank < k truncations of ``v``: ``_tangent_span`` reads their span off
+    the cluster of ``v``'s canonical values at ``z_{k-1}``, exactly and with
+    nothing sampled (``tangent_samples`` 0).  An identity-plus-rank-one
+    ``W`` with a positive infimum has no tangent states.  Any other ``W``
+    gets the search of ``infimum_details``, whose restart minima at or below
+    ``_TANGENT_TOL`` (``tangent_samples``) sample the tangent set.
 
     If the tangent states span the whole sector the witness is optimal and
     returned unchanged.  Otherwise ``P_c`` projects onto the complement of
@@ -680,10 +681,11 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     ``max(8, budget // 4)`` restarts stays at or above -1e-9
     (``subtraction_check`` in the diagnostics) and ``witness_operator``
     accepts ``W - mu P_c``; otherwise ``W`` is returned unchanged, with
-    weight 0.  The diagnostics also report
-    ``infimum_restarts`` (``budget`` when the infimum search ran, 0 for the
-    closed form), how many of its restarts converged and the most
-    iterations any of them took (both 0 for the closed form).
+    weight 0 (on the closed form ``budget`` sets only the restarts of these
+    two searches).  The diagnostics also report ``infimum_restarts``
+    (``budget`` when the infimum search ran, 0 for the closed form), how
+    many of its restarts converged and the most iterations any of them
+    took (both 0 for the closed form).
     """
     space = w.space
     dim = space.dim
@@ -691,39 +693,37 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     rng = as_rng(seed)
     p = _search_operator(w.matrix, k, space, budget, iters)
     closed = _identity_plus_rank_one_infimum(p, k, space)
+    span_dim, p_c = 0, np.eye(dim, dtype=complex)
     if closed is not None and (closed.value > _TANGENT_TOL or closed.slater is not None):
-        best = closed.value
-        candidates = np.zeros((0, dim))
+        best, samples = closed.value, 0
         if best <= _TANGENT_TOL:
-            candidates = _best_truncations(space.kind, closed.slater, k, budget, rng)
-        values = np.einsum("ni,ni->n", candidates.conj(), candidates @ p.T).real
-        tangent = candidates[values <= _TANGENT_TOL]
+            span_dim, p_c = _tangent_span(space.kind, closed.slater, k)
         search = {"restart_dispersion": 0.0, "restarts_converged": 0, "max_iterations": 0,
                   "infimum_restarts": 0}
     else:
         best, dispersion, minima = infimum_details(p, k, space, budget, iters, rng)
         tangent = np.array([m.state for m in minima if m.value <= _TANGENT_TOL])
+        if samples := len(tangent):
+            span_dim, p_c = _complement_projector(tangent)
         search = {"restart_dispersion": dispersion,
                   "restarts_converged": sum(m.converged for m in minima),
                   "max_iterations": max(m.iterations for m in minima),
                   "infimum_restarts": budget}
-    diagnostics = {"infimum": best, **search, "tangent_samples": len(tangent)}
-    if len(tangent):
-        span_dim, p_c = _complement_projector(tangent)
-        diagnostics["tangent_span_dim"] = span_dim
-        if span_dim == dim:
-            return OptimizedWitness(w, True, 0.0, diagnostics)
+    diagnostics = {"infimum": best, **search, "tangent_samples": samples,
+                   "tangent_span_dim": span_dim}
+    if span_dim == dim:
+        return OptimizedWitness(w, True, 0.0, diagnostics)
+    if span_dim:
         chart = _SectorChart(space, k)
         x0 = rng.standard_normal((budget, chart.n_params))
         mu = float(_lbfgs(_quadratic_objective(chart, w.matrix, p_c), x0, iters)[1].min())
         diagnostics["ratio_infimum"] = mu
     else:
-        diagnostics["tangent_span_dim"] = 0
         # expectation is bounded away from zero; remove the slack directly
-        mu, p_c = best, np.eye(dim, dtype=complex)
+        mu = best
     if mu <= 1e-12:
         return OptimizedWitness(w, False, 0.0, diagnostics)
-    if len(tangent):
+    if span_dim:
         check = infimum_over_rank(w.matrix - mu * p_c, k, space, budget=max(8, budget // 4),
                                   iters=iters, seed=rng)
         diagnostics["subtraction_check"] = check

@@ -324,6 +324,13 @@ def test_witness_optimize_diagnostics_are_plain_numbers(tmp_path, capsys, make_w
     code, report = run(capsys, "witness", "optimize",
                        write(tmp_path, "w.json", skio.witness_to_dict(w)), "--budget", "16")
     assert code == 0 and report["diagnostics"] == outcome.diagnostics
+    if not restarts:
+        # the closed form samples nothing; the optimal family's span is the sector
+        assert report["diagnostics"]["tangent_samples"] == 0
+    if tangent and not restarts:
+        assert report["optimal"] is True
+        assert report["diagnostics"]["tangent_span_dim"] == w.space.dim
+    assert all(type(v) in (int, float) for v in report["diagnostics"].values())
 
 
 def test_search_flags_attach_only_where_read(capsys):
