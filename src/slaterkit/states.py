@@ -412,8 +412,9 @@ def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> Ran
     # no contraction value exceeds weight * k! * s_max**k in modulus
     scale = weight * math.factorial(threshold) * s_max ** threshold
     tol = rtol * max(scale, np.finfo(float).tiny)
-    argmax = max(values, key=lambda t: abs(values[t]))
-    peak = abs(values[argmax])
+    moduli = list(map(abs, values.values()))
+    peak = max(moduli)
+    argmax = list(values)[moduli.index(peak)]
     claim = f"rank_lt_{threshold}" if peak <= tol else f"rank_ge_{threshold}"
     return RankVerdict(claim, {
         "kind": "contraction",

@@ -10,7 +10,9 @@ verdicts are exact.
 Infima of identity-plus-rank-one operators have a closed form, so their
 validity is exact, and for ``a 1 - b |v><v|`` so do its minimizers, the
 best Slater rank < k truncations of ``v``, whose span ``witness_optimize``
-reads off ``v``'s canonical values with no draw and no search.  All other
+reads off ``v``'s canonical values with no draw and no search.  In the
+canonical systems the edge split finds its rank-1 range vectors in closed
+form too, as the isotropic vectors of the range's bilinear overlap.  All other
 searches are non-convex with fixed restart budgets ("is a witness" is then
 high-confidence), and their restart dispersion is reported rather than any
 claim of exactness.
@@ -33,7 +35,7 @@ from .errors import (
     UnsupportedSystemError,
     ValidationError,
 )
-from .linalg import TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian
+from .linalg import TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian, takagi_canonical
 
 #: the lowest infimum over Slater rank < k states that a witness may have
 WITNESS_SAMPLE_TOL = -1e-8
@@ -426,7 +428,8 @@ class RangeSearch(NamedTuple):
     search stops there); ``solved`` of them reached ``<psi|P|psi> <= 1e-10``
     on the kernel projector ``P``, and ``range_rejected`` of the solved ones
     were still outside the range after the polish.  A one-dimensional range
-    is decided without restarts and reports ``RangeSearch(0, 0, 0)``.
+    and any range of a canonical system are decided without restarts and
+    report ``RangeSearch(0, 0, 0)``.
     """
 
     tried: int
@@ -449,44 +452,85 @@ class EdgeDecomposition:
 
 
 def _polish(chart: _SectorChart, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The chart state of the row ``x`` after 8 Gauss-Newton steps on the
-    residual ``kernel @ psi(z)``, as a unit sector vector.
+    """The chart state of the row ``x`` after up to 8 Gauss-Newton steps on
+    the residual ``kernel @ psi(z)``, as a unit sector vector.
 
     ``psi`` is quadratic and holomorphic in the chart vectors ``z``, so unit
     central differences give its Jacobian exactly.  Each step is the
     minimum-norm solution orthogonal to ``z``, so no step shrinks ``psi``
-    toward the trivial zero of the residual.
+    toward the trivial zero of the residual.  The steps end once the
+    residual is at most ``1e-14 |psi|``: on a range that fills the sector the
+    kernel is rounding noise, and steps on it would drive ``psi`` to zero.
     """
     z = chart.vectors(x[None])[0]
     units = np.eye(z.size).reshape(z.size, *z.shape)
     shifts = np.concatenate([np.zeros_like(units[:1]), units, -units])
     for _ in range(8):
         psi = _pair_amps(chart.kind, chart.pair_matrices(z + shifts))
+        residual = kernel @ psi[0]
+        if np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(psi[0]):
+            break
         jac = kernel @ (psi[1:z.size + 1] - psi[z.size + 1:]).T / 2
         flat = z.ravel()
         across = np.eye(z.size) - np.outer(flat, flat.conj()) / np.vdot(flat, flat).real
-        step = np.linalg.lstsq(jac @ across, -(kernel @ psi[0]), rcond=None)[0]
+        step = np.linalg.lstsq(jac @ across, -residual, rcond=None)[0]
         z = z + step.reshape(z.shape)
     psi = _pair_amps(chart.kind, chart.pair_matrices(z[None]))[0]
     return psi / np.linalg.norm(psi)
 
 
-def _find_in_range(space, k, range_basis, budget, iters, rng):
-    """Search for a Slater rank < k vector inside a given range.
+def _isotropic_vector(range_basis: np.ndarray, system: str) -> np.ndarray:
+    """A unit vector of vanishing concurrence in the range of a canonical system.
 
-    A one-dimensional range holds a single candidate, decided by its Slater
-    decomposition.  Otherwise restarts minimize ``<psi|P|psi>`` over the rank
-    < k manifold (``_SectorChart``) with ``P`` the kernel projector, stacked
-    in chunks of 1, 1, 2, 4, ... restarts of ``iters`` L-BFGS steps.  A
-    restart with ``f <= 1e-10`` is polished onto the range (``_polish``) and
-    kept when its range residual is at most 1e-8; the first kept in order
-    ends the search.  Returns the vector (or None) and the tally.
+    ``psi = B c`` has preconcurrence ``c^T M c`` with ``M`` the bilinear
+    overlap ``B^T U_D^dag B`` (``mixed._dual_overlap``), and there Slater rank
+    1 is concurrence 0 (Schliemann, Cirac, Kus, Lewenstein & Loss, PRA 64,
+    022303 (2001)).  With ``U M U^T = diag(z)`` and ``c = U^T y`` it is ``sum
+    z_i y_i^2``, which ``y = e_r`` zeroes when ``M`` is rank-deficient and ``y
+    = (sqrt z_2, i sqrt z_1, 0, ...)`` zeroes otherwise.
     """
-    rng = as_rng(rng)
-    if range_basis.shape[1] == 1:
-        psi = range_basis[:, 0]
+    takagi = takagi_canonical(mixed._dual_overlap(range_basis, system))
+    r, z = range_basis.shape[1], takagi.values
+    y = np.zeros(r, dtype=complex)
+    if len(z) < r:
+        y[-1] = 1.0
+    else:
+        y[:2] = np.sqrt(z[1]), 1j * np.sqrt(z[0])
+    psi = range_basis @ (takagi.transform.T @ y)
+    return psi / np.linalg.norm(psi)
+
+
+def _canonical_sector(space: mixed.StateSpace) -> str | None:
+    """The canonical system of a two-particle exchange sector, or None."""
+    if space.kind == mixed.BIPARTITE:
+        return None
+    try:
+        return mixed.canonical_system_of_space(space)
+    except UnsupportedSystemError:
+        return None
+
+
+def _find_in_range(space, k, range_basis, budget, iters, rng):
+    """A Slater rank < k vector inside a given range, or None, and the tally.
+
+    A one-dimensional range holds a single candidate, and a range of a
+    canonical system (two fermions with d = 4 or two bosons with d = 2,
+    where k is 2) the closed-form ``_isotropic_vector``; either is decided
+    by its Slater decomposition, reports ``RangeSearch(0, 0, 0)`` and draws
+    nothing from ``rng``.  Otherwise restarts minimize ``<psi|P|psi>`` over
+    the rank < k manifold (``_SectorChart``) with ``P`` the kernel
+    projector, stacked in chunks of 1, 1, 2, 4, ... restarts of ``iters``
+    L-BFGS steps.  A restart with ``f <= 1e-10`` is polished onto the range
+    (``_polish``) and kept when its range residual is at most 1e-8; the
+    first kept in order ends the search.
+    """
+    system = _canonical_sector(space)
+    if range_basis.shape[1] == 1 or system is not None:
+        psi = (range_basis[:, 0] if range_basis.shape[1] == 1
+               else _isotropic_vector(range_basis, system))
         rank = states.slater_decompose_two_particle(mixed.state_from_sector_vector(space, psi)).rank
         return (psi if rank < k else None), RangeSearch(0, 0, 0)
+    rng = as_rng(rng)
     chart = _SectorChart(space, k)
     kernel = np.eye(len(range_basis)) - range_basis @ range_basis.conj().T
     objective = _quadratic_objective(chart, kernel)
@@ -508,12 +552,13 @@ def edge_state_decompose(rho: mixed.DensityMatrix, k: int, budget: int = 64,
                          seed=0) -> EdgeDecomposition:
     """Greedy convex split of a state into a class-(k-1) part and a k-edge part.
 
-    Repeatedly finds Slater rank < k vectors in the range, by a seeded
-    search over the rank < k manifold with ``budget`` restarts of 400 steps
-    (``_find_in_range``), and removes them with the maximal positive weight;
-    when no candidate is found within the restart budget, the remainder
-    is reported as the edge part.  An exhausted remainder (weight below
-    1e-10) means the state itself is class k-1 at this search budget.
+    Repeatedly finds Slater rank < k vectors in the range (``_find_in_range``:
+    in closed form for the canonical systems, otherwise by a seeded search
+    over the rank < k manifold with ``budget`` restarts of 400 steps), and
+    removes them with the maximal positive weight; when no candidate is
+    found, the remainder is reported as the edge part.  An exhausted
+    remainder (weight below 1e-10) means the state itself is class k-1 at
+    this search budget.
     ``searches`` tallies how each search's restarts ended (``RangeSearch``).
     A ``budget`` below 1 raises ``ValidationError``.
     """

@@ -208,3 +208,42 @@ def test_minor_index_tables_are_read_only():
     for table in (positions, signs):
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+def _dict_max_rank_below(state, threshold, rtol=la.CONTRACT_RTOL):
+    """The former ``states._rank_below``, which took the peak contraction
+    value by a ``max`` over the dict keyed by each value's modulus."""
+    d = state.dim
+    if state.kind == st.FERMION:
+        pattern, free, weight = "single", d - 2 * threshold, 2.0 ** threshold
+    else:
+        pattern, free, weight = "paired", d - threshold, 1.0
+    m = state.matrix()
+    values = la.epsilon_contract(la.EpsilonContractionSpec((m,) * threshold, pattern, free))
+    scale = weight * math.factorial(threshold) * float(la.singular_values(m)[0]) ** threshold
+    tol = rtol * max(scale, np.finfo(float).tiny)
+    argmax = max(values, key=lambda t: abs(values[t]))
+    peak = abs(values[argmax])
+    claim = f"rank_lt_{threshold}" if peak <= tol else f"rank_ge_{threshold}"
+    return st.RankVerdict(claim, {
+        "kind": "contraction",
+        "threshold": threshold,
+        "max_abs_contraction": peak,
+        "argmax_free_indices": argmax,
+        "tolerance": tol,
+    })
+
+
+@pytest.mark.parametrize("kind, d", [("fermion", d) for d in (4, 6, 8, 10)]
+                         + [("boson", d) for d in (3, 4, 5, 6)])
+def test_rank_below_matches_the_dict_max(kind, d):
+    # perfbench's rank part: every rank and threshold of its dimensions,
+    # on rotated canonical states, five draws each
+    top = d // 2 if kind == "fermion" else d
+    test = st.two_fermion_rank_below if kind == "fermion" else st.two_boson_rank_below
+    gen = np.random.default_rng([d, len(kind)])
+    for _ in range(5):
+        for rank in range(1, top + 1):
+            state = st.random_slater_rank_state(kind, d, rank, gen)
+            for threshold in range(1, top + 1):
+                assert test(state, threshold) == _dict_max_rank_below(state, threshold)

@@ -1,4 +1,5 @@
-"""Differential test: the manifold range search against the Gauss-Newton loop.
+"""Differential test: the manifold range search against the Gauss-Newton loop,
+and the closed-form isotropic vector of the canonical systems against both.
 
 ``_looped_find_in_range`` below is a former ``witnesses._find_in_range``:
 damped Gauss-Newton on the Levi-Civita contraction values in range
@@ -151,15 +152,36 @@ def looped(monkeypatch):
     return run
 
 
-def _edge_mixture(seed):
+def _edge_mixture_and_weight(rng):
     """perfbench's ``edge_mixture``: a rotated mixture of a cross-pair
-    determinant and the maximally correlated state of two fermions, d = 4."""
-    rng = np.random.default_rng(seed)
+    determinant and the maximally correlated state of two fermions, d = 4,
+    and the maximally correlated state's weight ``p``, the split's edge weight."""
     p = float(rng.uniform(0.3, 0.7))
     det = st.fermion_state(4, 2, {(0, 2): 1.0})
     mc = st.maximally_correlated_state("fermion", 2)
     rho = mixed.density_from_mixture([(1 - p, det), (p, mc)])
     lift = sectors.lift_unitary(sectors.ANTISYMMETRIC, la.haar_unitary(4, rng), 2)
+    return mixed.density_matrix(rho.space, lift @ rho.matrix @ lift.conj().T), p
+
+
+def _edge_mixture(seed):
+    return _edge_mixture_and_weight(np.random.default_rng(seed))[0]
+
+
+def _boson_edge_mixture(seed):
+    """A rotated mixture of ``|0, 1>`` and the maximally correlated state of
+    modes 0 and 1 for two bosons with d = 3, which is no canonical system.
+
+    Its range holds two product lines, exchanged by the sign flip of mode 1,
+    which leaves the mixture unchanged.  Unlike the d = 5 and d = 6 fermion
+    analogues of ``_edge_mixture``, the loop solves it.
+    """
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.3, 0.7))
+    pair = st.boson_state(3, 2, {(0, 1): 1.0})
+    mc = st.boson_state(3, 2, {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)})
+    rho = mixed.density_from_mixture([(1 - p, pair), (p, mc)])
+    lift = sectors.lift_unitary(sectors.SYMMETRIC, la.haar_unitary(3, rng), 2)
     return mixed.density_matrix(rho.space, lift @ rho.matrix @ lift.conj().T)
 
 
@@ -272,7 +294,7 @@ def test_winner_inside_a_chunk_matches_the_loop(rejected, monkeypatch, looped):
         psi = polish(chart, kernel, x)
         return np.roll(psi, 1) if len(calls) <= rejected else psi
 
-    rho = _edge_mixture(11)
+    rho = _boson_edge_mixture(11)
     monkeypatch.setattr(wi, "_polish", reject_first)
     new = wi.edge_state_decompose(rho, 2, seed=11)
     _assert_valid(rho, new, 2)
@@ -299,3 +321,92 @@ def test_each_subtraction_takes_the_largest_weight(case):
         assert np.sum(rest > cutoff) == np.sum(evals > cutoff) - 1
     # what no subtraction took is the edge part's weight
     assert abs(np.trace(sigma).real - out.weight) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# canonical systems: the closed-form isotropic vector
+# ---------------------------------------------------------------------------
+
+def _random_mixture(kind, d, rank, seed):
+    rng = np.random.default_rng(seed)
+    return mixed.density_from_mixture([(p, st.random_pure_state(kind, d, 2, rng))
+                                       for p in rng.dirichlet(np.ones(rank))])
+
+
+# (kind, d, rank): every rank from 2 to the full sector of both canonical systems
+CANONICAL_MIXTURES = [("fermion", 4, rank) for rank in range(2, 7)]
+CANONICAL_MIXTURES += [("boson", 2, rank) for rank in (2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, d, rank", CANONICAL_MIXTURES)
+def test_closed_form_splits_canonical_mixtures(kind, d, rank, seed):
+    rho = _random_mixture(kind, d, rank, seed)
+    out = wi.edge_state_decompose(rho, 2, seed=seed)
+    # every logged vector is in the range left before it, has rank 1, and the
+    # split rebuilds rho
+    _assert_valid(rho, out, 2)
+    assert out.subtraction_log
+    for state, _ in out.subtraction_log:
+        assert st.concurrence_pure(state) <= 1e-12
+    assert all(search == wi.RangeSearch(0, 0, 0) for search in out.searches)
+
+
+@pytest.mark.parametrize("case", ["known-split", "criterion-9", "class-one",
+                                  *(f"edge-mixture-{seed}" for seed in (1, 2, 3, 7))])
+def test_closed_form_weights_meet_the_search(case, monkeypatch):
+    # in these ranges the rank-1 vectors the split subtracts are unique, or
+    # (class-one) are the two determinants, whose order does not change the weight
+    make, k, budget, seed = CASES[case]
+    rho = make()
+    closed = wi.edge_state_decompose(rho, k, budget=budget, seed=seed)
+    # the L-BFGS search runs wherever the space reads as no canonical system
+    monkeypatch.setattr(wi, "_canonical_sector", lambda space: None)
+    searched = wi.edge_state_decompose(rho, k, budget=budget, seed=seed)
+    _assert_valid(rho, searched, k)
+    assert abs(closed.weight - searched.weight) <= 1e-10
+    assert any(search.tried for search in searched.searches)
+
+
+# every canonical-system state above, keyed by name, with its seed (k is 2)
+CANONICAL = {case: (make, seed) for case, (make, _, _, seed) in CASES.items()
+             if wi._canonical_sector(make().space) is not None}
+CANONICAL.update({f"{kind}-rank-{rank}": (lambda kind=kind, d=d, rank=rank:
+                                          _random_mixture(kind, d, rank, 0), 0)
+                  for kind, d, rank in CANONICAL_MIXTURES})
+
+
+@pytest.mark.parametrize("case", list(CANONICAL))
+def test_canonical_systems_draw_nothing(case, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the L-BFGS search ran on a canonical system")
+
+    monkeypatch.setattr(wi, "_lbfgs", no_search)
+    make, seed = CANONICAL[case]
+    gen = np.random.default_rng(seed)
+    before = gen.bit_generator.state
+    out = wi.edge_state_decompose(make(), 2, seed=gen)
+    assert gen.bit_generator.state == before
+    assert all(search == wi.RangeSearch(0, 0, 0) for search in out.searches)
+
+
+def test_edge_mixture_weights_are_exact():
+    # the determinant is the double root of the range's preconcurrence, which
+    # the polished search only reaches to 1e-11
+    rng = np.random.default_rng(7)
+    for _ in range(64):
+        rho, p = _edge_mixture_and_weight(rng)
+        out = wi.edge_state_decompose(rho, 2, seed=int(rng.integers(2**31)))
+        assert abs(out.weight - p) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [5, 6])
+def test_full_rank_fermion_ranges_subtract_rank_one_vectors(d, seed):
+    # the range fills the sector, so its kernel projector is rounding noise;
+    # Gauss-Newton steps on that noise drove the first vector to a Slater
+    # rank 2 or 3 state
+    rho = _random_mixture("fermion", d, d * (d - 1) // 2, seed)
+    out = wi.edge_state_decompose(rho, 2, seed=seed)
+    _assert_valid(rho, out, 2)
+    assert 0.0 < out.weight < 1.0

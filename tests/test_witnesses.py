@@ -273,8 +273,17 @@ def edge_mixture():
     return mx.density_from_mixture([(0.5, det), (0.5, mc)])
 
 
+def five_mode_edge_mixture():
+    """``edge_mixture`` in d = 5, no canonical system, so its split runs the
+    range search.  The determinant holds mode 4, so its line is a simple root
+    (the d = 4 determinant's double root defeats the search in d = 5)."""
+    mc = st.fermion_state(5, 2, {(0, 1): np.sqrt(0.5), (2, 3): np.sqrt(0.5)})
+    det = st.fermion_state(5, 2, {(0, 4): 1.0})
+    return mx.density_from_mixture([(0.5, det), (0.5, mc)])
+
+
 def test_edge_decompose_reports_range_searches():
-    result = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    result = wi.edge_state_decompose(five_mode_edge_mixture(), 2, budget=24, seed=4)
     # one search per subtraction, then the one that finds nothing
     assert len(result.searches) == len(result.subtraction_log) + 1
     for search in result.searches[:-1]:
@@ -306,7 +315,7 @@ def test_edge_decompose_exhausts_its_range_search_budget(kind, d, seed):
 
 
 def test_edge_decompose_counts_rejected_restarts(monkeypatch):
-    plain = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    plain = wi.edge_state_decompose(five_mode_edge_mixture(), 2, budget=24, seed=4)
     polish = wi._polish
     calls = []
 
@@ -316,7 +325,7 @@ def test_edge_decompose_counts_rejected_restarts(monkeypatch):
         return np.roll(psi, 1) if len(calls) == 1 else psi  # a vector outside the range
 
     monkeypatch.setattr(wi, "_polish", reject_first)
-    result = wi.edge_state_decompose(edge_mixture(), 2, budget=24, seed=4)
+    result = wi.edge_state_decompose(five_mode_edge_mixture(), 2, budget=24, seed=4)
     first = result.searches[0]
     assert first.range_rejected == 1
     assert first.solved == 2 and first.tried >= 2
