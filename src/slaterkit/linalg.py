@@ -17,6 +17,7 @@ refused above 20 million.
 Both congruence forms run one skeleton: the SVD, the ``RANK_RTOL`` cut, the
 gap clusters, the kernel columns and the ``TOL_RECON`` residual check.  They
 differ in how a cluster is split, and in their ordering and phase rules.
+The clusters of one size are split as one stack, in one call.
 
 Conventions
 -----------
@@ -212,22 +213,37 @@ def _cluster_by_gap(z: np.ndarray, atol: float) -> list[list[int]]:
     return groups
 
 
-def _congruence_columns(m: np.ndarray, rank_rtol: float, cluster_columns):
-    """Columns ``sub @ cluster_columns(sub.T @ m @ sub, z)`` for each gap cluster
-    of right-singular vectors ``sub`` of ``m`` (singular values ``z > rank_rtol *
-    z_max``), then the kernel columns; the number of such ``z``; ``z_max``."""
+def _congruence_columns(m: np.ndarray, rank_rtol: float, cluster_step):
+    """Columns ``sub @ step`` for each gap cluster of right-singular vectors
+    ``sub`` of ``m`` (singular values ``z > rank_rtol * z_max``), in place of
+    ``sub``, then the kernel columns; the number of such ``z``; ``z_max``.
+
+    The clusters of one size run as one stack: ``cluster_step`` maps the
+    stack ``(c, s, s)`` of forms ``sub.T @ m @ sub`` and the values ``(c, s)``
+    to the stack of ``step`` matrices, once per distinct cluster size, in
+    the order the sizes first occur."""
     # right-singular vectors span the eigenspaces of m^dag m with singular
     # values accurate to machine epsilon (sqrt of Gram eigenvalues is not)
     _, z, vh = np.linalg.svd(m)
     vecs = vh.conj().T
     nonzero = int(np.count_nonzero(z > rank_rtol * z[0]))
     cluster_atol = max(TOL_RECON, 1e3 * np.finfo(float).eps) * max(z[0], 1.0)
-    blocks = []
+    by_size: dict[int, list[list[int]]] = {}
     for group in _cluster_by_gap(z[:nonzero], cluster_atol):
-        sub = vecs[:, group]
-        blocks.append(sub @ cluster_columns(sub.T @ m @ sub, z[group]))
-    kernel = vecs[:, nonzero:]
-    return (np.column_stack(blocks + [kernel]) if blocks else kernel), nonzero, z[0]
+        by_size.setdefault(len(group), []).append(group)
+    phi = vecs.copy()
+    for groups in by_size.values():
+        idx = np.array(groups)
+        # (c, d, s), each slice laid out as the column selection vecs[:, group]
+        sub = vecs[:, idx].transpose(1, 0, 2)
+        step = cluster_step(sub.transpose(0, 2, 1) @ m @ sub, z[idx])
+        phi[:, idx] = (sub @ step).transpose(1, 0, 2)
+    return phi, nonzero, z[0]
+
+
+def _leading_entries(cols: np.ndarray) -> np.ndarray:
+    """Each column's entry of largest modulus (the first of equal ones)."""
+    return cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
 
 
 def _checked_form(m, phi, values, target, smax: float, name: str) -> CongruenceCanonicalForm:
@@ -241,24 +257,31 @@ def _checked_form(m, phi, values, target, smax: float, name: str) -> CongruenceC
 
 
 def _youla_pairs(bil: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairs ``(u, -conj(bil @ u))``, orthonormalized, with the first ``u`` the
-    first basis vector and each later one drawn from the complement of the
-    columns already used."""
-    m2 = len(z)
+    """For each form ``bil`` of a stack ``(c, s, s)`` (values ``z``, ``(c, s)``):
+    pairs ``(u, -conj(bil @ u))``, orthonormalized, with the first ``u`` the
+    first basis vector and each later one the first eigenvector of the
+    projector on the complement of the columns already used."""
+    c, m2 = z.shape
     if m2 % 2:
-        raise NumericalFailureError(f"odd-sized singular cluster of size {m2} at z ~ {z[0]:.3e}")
-    pairs: list[np.ndarray] = []
-    u = np.eye(m2, dtype=complex)[:, 0]
-    while True:
-        partner = -np.conj(bil @ u)
-        # numerically re-orthogonalize against everything already used
-        for c in itertools.chain(pairs, [u]):
-            partner = partner - c * (c.conj() @ partner)
-        pairs.extend([u, partner / np.linalg.norm(partner)])
-        used = np.column_stack(pairs)
-        if len(pairs) == m2:
-            return used
-        u = _range_split(np.eye(m2, dtype=complex) - used @ used.conj().T)[1][:, 0]
+        raise NumericalFailureError(f"odd-sized singular cluster of size {m2} at z ~ {z[0, 0]:.3e}")
+    used = np.zeros((c, m2, m2), dtype=complex)
+    used[:, 0, 0] = 1.0
+    for k in range(0, m2, 2):
+        partner = -np.conj(bil @ used[:, :, k : k + 1])
+        # numerically re-orthogonalize against everything already used;
+        # (c, 1, s) @ (c, s, 1) runs the BLAS dot of a one-dimensional @
+        for j in range(k + 1):
+            col = used[:, :, j : j + 1]
+            partner = partner - col * (col.conj().mT @ partner)
+        # the norm as np.linalg.norm computes it
+        norm = np.sqrt(partner.real.mT @ partner.real + partner.imag.mT @ partner.imag)
+        used[:, :, k + 1 : k + 2] = partner / norm
+        if k + 2 < m2:
+            done = used[:, :, : k + 2]
+            evals, evecs = np.linalg.eigh(np.eye(m2, dtype=complex) - done @ done.conj().mT)
+            keep = evals > RANK_RTOL * np.maximum(evals[:, -1:], 0.0)
+            used[:, :, k + 2] = evecs[np.arange(c), :, keep.argmax(axis=1)]
+    return used
 
 
 def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
@@ -295,63 +318,73 @@ def youla_canonical(w, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
         phi, values = phi[:, cols], values[perm]
     # deterministic phases: opposite rotations inside a pair leave the
     # canonical block invariant, kernel columns carry a free phase
-    for i in range(r):
-        a = phi[:, 2 * i]
-        ph = a[int(np.argmax(np.abs(a)))]
-        rot = ph / abs(ph)
-        phi[:, 2 * i] = a / rot
-        phi[:, 2 * i + 1] = phi[:, 2 * i + 1] * rot
-    for j in range(2 * r, n):
-        c = phi[:, j]
-        ph = c[int(np.argmax(np.abs(c)))]
-        if abs(ph) > 0:
-            phi[:, j] = c / (ph / abs(ph))
+    heads = np.concatenate([np.arange(0, 2 * r, 2), np.arange(2 * r, n)])
+    lead = _leading_entries(phi[:, heads])
+    rot = lead / np.hypot(lead.real, lead.imag)
+    phi[:, heads] = phi[:, heads] / rot
+    phi[:, 1 : 2 * r : 2] = phi[:, 1 : 2 * r : 2] * rot[:r]
 
     target = np.zeros((n, n), dtype=complex)
-    for i, zi in enumerate(values):
-        target[2 * i, 2 * i + 1], target[2 * i + 1, 2 * i] = zi, -zi
+    pairs = np.arange(0, 2 * r, 2)
+    target[pairs, pairs + 1], target[pairs + 1, pairs] = values, -values
     return _checked_form(w, phi, values, target, smax, "Youla")
 
 
-def _symmetric_unitary_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a complex symmetric unitary as ``m = O diag(e^{i theta}) O.T``.
+def _symmetric_unitary_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor each complex symmetric unitary of a stack ``(c, s, s)`` as
+    ``m = O diag(e^{i theta}) O.T``; returns the stacks of ``O`` and ``theta``.
 
     ``m`` unitary symmetric implies real and imaginary parts are commuting
     real symmetric matrices; they are jointly diagonalized by a real
-    orthogonal ``O``, to an off-diagonal residual of at most 1e-8.
+    orthogonal ``O``, to an off-diagonal residual of at most 1e-8.  A
+    ``1 x 1`` unitary is its own phase and needs no eigensolver.
     """
+    c, s = m.shape[:2]
+    if s == 1:
+        return np.ones((c, 1, 1)), np.angle(m[:, 0])
     x = np.ascontiguousarray(m.real)
     y = np.ascontiguousarray(m.imag)
-    last_err = None
+    ex, basis = np.linalg.eigh(x)
+    o = np.empty_like(basis)
+    redo = range(c)
     for atol in (1e-9, 1e-7, 1e-5):
-        ex, basis = np.linalg.eigh(x)
-        o = basis.copy()
-        # cluster consecutive eigenvalues as returned (ascending)
-        start = 0
-        while start < len(ex):
-            stop = start + 1
-            while stop < len(ex) and abs(ex[stop] - ex[stop - 1]) <= atol:
-                stop += 1
-            if stop - start > 1:
-                sub = o[:, start:stop]
-                _, q = np.linalg.eigh(sub.T @ y @ sub)
-                o[:, start:stop] = sub @ q
-            start = stop
-        diag = o.T @ m @ o
-        off = max_abs(diag - np.diag(np.diagonal(diag)))
-        if off <= 1e-8:
-            theta = np.angle(np.diagonal(diag))
-            return o, theta
-        last_err = off
+        # a retry starts afresh each factor that missed the residual
+        for k in redo:
+            o[k] = basis[k]
+            # cluster consecutive eigenvalues as returned (ascending)
+            start = 0
+            while start < s:
+                stop = start + 1
+                while stop < s and abs(ex[k, stop] - ex[k, stop - 1]) <= atol:
+                    stop += 1
+                if stop - start > 1:
+                    sub = o[k, :, start:stop]
+                    _, q = np.linalg.eigh(sub.T @ y[k] @ sub)
+                    o[k, :, start:stop] = sub @ q
+                start = stop
+        diag = o.transpose(0, 2, 1) @ m @ o
+        phases = np.diagonal(diag, axis1=1, axis2=2)
+        off = np.abs(diag - phases[:, :, None] * np.eye(s)).reshape(c, -1).max(axis=1)
+        if off.max() <= 1e-8:
+            return o, np.angle(phases)
+        redo = np.flatnonzero(off > 1e-8)
     raise NumericalFailureError(
-        f"joint diagonalization of a symmetric unitary failed (off-diagonal {last_err:.3e})"
+        f"joint diagonalization of a symmetric unitary failed (off-diagonal {off.max():.3e})"
     )
 
 
+def _symmetric_unitary_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_symmetric_unitary_factors` of one matrix."""
+    o, theta = _symmetric_unitary_factors(m[None])
+    return o[0], theta[0]
+
+
 def _takagi_columns(bil: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``O diag(e^{-i theta / 2})`` for ``bil / mean(z) = O diag(e^{i theta}) O.T``."""
-    o, theta = _symmetric_unitary_factor(bil / float(np.mean(z)))
-    return o * np.exp(-0.5j * theta)
+    """``O diag(e^{-i theta / 2})`` for ``bil / mean(z) = O diag(e^{i theta}) O.T``,
+    for each form ``bil`` of a stack ``(c, s, s)`` and its values ``z`` ``(c, s)``."""
+    # the cluster means as np.mean computes them
+    o, theta = _symmetric_unitary_factors(bil / (z.sum(axis=1) / z.shape[1])[:, None, None])
+    return o * np.exp(-0.5j * theta)[:, None, :]
 
 
 def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm:
@@ -379,11 +412,9 @@ def takagi_canonical(v, rank_rtol: float = RANK_RTOL) -> CongruenceCanonicalForm
         cols[:nonzero] = perm
         phi, values = phi[:, cols], values[perm]
     # sign normalization: flipping a column leaves the diagonal invariant
-    for j in range(n):
-        c = phi[:, j]
-        ph = c[int(np.argmax(np.abs(c)))]
-        if ph.real < 0 or (ph.real == 0 and ph.imag < 0):
-            phi[:, j] = -c
+    lead = _leading_entries(phi)
+    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
+    phi[:, flip] = -phi[:, flip]
 
     target = np.zeros((n, n), dtype=complex)
     target[:nonzero, :nonzero] = np.diag(values)

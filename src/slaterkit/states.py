@@ -388,18 +388,25 @@ class RankVerdict:
 
 
 @lru_cache(maxsize=16)
-def _contraction_operand(kind: str, dim: int, amps: bytes) -> tuple[np.ndarray, float]:
-    """The read-only coefficient matrix of a two-particle state and its largest
-    singular value.  Keyed by the amplitudes' bytes, so the tests of one rank
-    scan build both once, and a state changed in place builds them anew."""
+def _contraction_operand(kind: str, dim: int, amps: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only coefficient matrix of a two-particle state and its
+    read-only singular values, descending.  Keyed by the amplitudes' bytes, so
+    the tests of one rank scan build both once, and a state changed in place
+    builds them anew."""
     m = read_only(PureState(kind, 2, dim, np.frombuffer(amps, dtype=complex)).matrix())
-    return m, float(singular_values(m)[0])
+    return m, read_only(singular_values(m))
+
+
+def _operand_of(state: PureState, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_contraction_operand` of a two-``kind`` state."""
+    if state.kind != kind or state.particles != 2:
+        raise WrongKindError(f"expected a two-{kind} state")
+    return _contraction_operand(kind, state.dim, np.asarray(state.amps, dtype=complex).tobytes())
 
 
 def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> RankVerdict:
     """Contraction rank test shared by the fermionic and bosonic criteria."""
-    if state.kind != kind or state.particles != 2:
-        raise WrongKindError(f"expected a two-{kind} state")
+    m, spectrum = _operand_of(state, kind)
     d = state.dim
     if kind == FERMION:
         big_k, pattern, free, weight = d // 2, "single", d - 2 * threshold, 2.0 ** threshold
@@ -407,7 +414,7 @@ def _rank_below(state: PureState, kind: str, threshold: int, rtol: float) -> Ran
         big_k, pattern, free, weight = d, "paired", d - threshold, 1.0
     if not 1 <= threshold <= big_k:
         raise ThresholdOutOfRangeError(f"threshold {threshold} outside 1..{big_k}")
-    m, s_max = _contraction_operand(kind, d, np.asarray(state.amps, dtype=complex).tobytes())
+    s_max = float(spectrum[0])
     values = epsilon_contract(EpsilonContractionSpec((m,) * threshold, pattern, free))
     # no contraction value exceeds weight * k! * s_max**k in modulus
     scale = weight * math.factorial(threshold) * s_max ** threshold
@@ -449,7 +456,12 @@ def two_boson_rank_below(state: PureState, threshold: int,
 def slater_rank_by_contractions(state: PureState, rtol: float = CONTRACT_RTOL) -> int:
     """Exact Slater rank of a two-particle state from the rank criteria alone.
 
-    The tests of the scan share one coefficient matrix and one SVD.
+    The tests of the scan share one coefficient matrix and one SVD.  The
+    number of singular values above ``rtol`` times the largest (halved,
+    rounding up, for fermions, whose values come in pairs) is the first
+    guess ``n``; the scan walks from it until the tests bracket the rank,
+    ``rank_below(n + 1)`` true and ``rank_below(n)`` false.  A guess that
+    brackets the rank costs two tests, and each step it is off one more.
     """
     if state.kind == FERMION:
         upper = state.dim // 2
@@ -459,10 +471,16 @@ def slater_rank_by_contractions(state: PureState, rtol: float = CONTRACT_RTOL) -
         test = two_boson_rank_below
     else:
         raise WrongKindError("expected a fermionic or bosonic state")
-    for n in range(1, upper + 1):
-        if test(state, n, rtol=rtol).claim.startswith("rank_lt"):
-            return n - 1
-    return upper
+    spectrum = _operand_of(state, state.kind)[1]
+    guess = int(np.count_nonzero(spectrum > rtol * spectrum[0]))
+    n = min((guess + 1) // 2 if state.kind == FERMION else guess, upper)
+
+    def below(threshold: int) -> bool:
+        return test(state, threshold, rtol=rtol).claim.startswith("rank_lt")
+
+    if n < upper and not below(n + 1):
+        return next((k for k in range(n + 1, upper) if below(k + 1)), upper)
+    return next((k for k in range(n, 0, -1) if not below(k)), 0)
 
 
 def project_reduce(state: PureState, a) -> PureState:

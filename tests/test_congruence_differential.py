@@ -5,7 +5,9 @@ clustering and the residual check in two shared helpers, and the Youla
 pairing takes the complement of the used columns from ``_range_split``.
 The oracle below is the former pair of functions, each with its own copy of
 that skeleton and with the Youla complement from ``_orthonormal_complement``.
-Every result must be bit-identical: transform, values and residual.
+The skeleton runs the clusters of one size as one stack; the oracle runs
+them one at a time.  Every result must be bit-identical: transform, values
+and residual.
 """
 
 import itertools
@@ -146,10 +148,17 @@ def _canonical(symmetric: bool, values: np.ndarray) -> np.ndarray:
     return core
 
 
+def _mixed_values(d: int) -> np.ndarray:
+    """``(1, 1, 0.6, 0.3, 0.15, ...)``: one repeated value, then distinct ones,
+    so one call runs cluster stacks of two sizes."""
+    return np.concatenate([[1.0, 1.0], 0.6 * 0.5 ** np.arange(d)])[:d]
+
+
 def _matrices(symmetric: bool, d: int, seed: int) -> dict[str, np.ndarray]:
     """Generic, rank-deficient, rotated maximally correlated and zero inputs,
     plus rotated values spread below the cluster gap, which come out of one
-    merged cluster unordered and so take the reordering branch."""
+    merged cluster unordered and so take the reordering branch, and rotated
+    values with clusters of two sizes."""
     rng = np.random.default_rng(1000 * d + seed + (500 if symmetric else 0))
     u = la.haar_unitary(d, rng)
     generic = _ginibre(rng, d, d)
@@ -163,8 +172,10 @@ def _matrices(symmetric: bool, d: int, seed: int) -> dict[str, np.ndarray]:
         deficient = a @ b.T - b @ a.T
     degenerate = u @ _canonical(symmetric, np.ones(d)) @ u.T
     near = u @ _canonical(symmetric, 1.0 - 8e-10 * rng.random(d)) @ u.T
+    mixed = u @ _canonical(symmetric, _mixed_values(d)) @ u.T
     return {"generic": generic, "deficient": deficient, "degenerate": degenerate,
-            "near-degenerate": near, "zero": np.zeros((d, d), dtype=complex)}
+            "near-degenerate": near, "zero": np.zeros((d, d), dtype=complex),
+            "mixed-clusters": mixed}
 
 
 def _assert_identical(form, oracle):
@@ -197,3 +208,29 @@ def test_the_inputs_reach_every_cluster_shape():
         assert len(values) == full and np.ptp(values) < 1e-12
         assert 0 < canonical(mats["deficient"]).rank < full
         assert canonical(mats["zero"]).rank == 0
+
+
+@pytest.mark.parametrize("symmetric", (False, True))
+def test_one_cluster_step_per_cluster_size(symmetric, monkeypatch):
+    """The clusters of one size run as one stack: a per-cluster loop fails here."""
+    name = "_takagi_columns" if symmetric else "_youla_pairs"
+    step, shapes = getattr(la, name), []
+    monkeypatch.setattr(la, name, lambda bil, z: shapes.append(z.shape) or step(bil, z))
+    canonical = la.takagi_canonical if symmetric else la.youla_canonical
+    mats = _matrices(symmetric, 10, 0)
+    canonical(mats["generic"])
+    assert shapes == ([(10, 1)] if symmetric else [(5, 2)])
+    del shapes[:]
+    canonical(mats["mixed-clusters"])
+    assert shapes == ([(1, 2), (8, 1)] if symmetric else [(1, 4), (3, 2)])
+
+
+def test_odd_youla_cluster_in_a_stack_raises_with_its_value():
+    """Singular values ``(1, 1, 0.6, 0.3, 0.3, 0.1)`` cluster as sizes 2, 1, 2, 1:
+    the size-1 stack holds the clusters at 0.6 and 0.1, and the first of them
+    is reported."""
+    rng = np.random.default_rng(7)
+    values = np.array([1.0, 1.0, 0.6, 0.3, 0.3, 0.1])
+    m = la.haar_unitary(6, rng) @ np.diag(values) @ la.haar_unitary(6, rng)
+    with pytest.raises(NumericalFailureError, match=r"size 1 at z ~ 6\.000e-01"):
+        la._congruence_columns(m, la.RANK_RTOL, la._youla_pairs)
