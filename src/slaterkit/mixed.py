@@ -194,10 +194,14 @@ def concurrence_lambdas(rho: DensityMatrix) -> np.ndarray:
     ``rho @ dualised_density(rho)``; unlike that product's spectrum they
     carry no sqrt-of-noise on the zero modes.
     """
-    system = canonical_system_of_space(rho.space)
-    sv = np.linalg.svd(_dual_overlap(subnormalized_spectrum(rho).vectors, system),
-                       compute_uv=False)
+    sv = _overlap_values(rho)
     return np.pad(sv, (0, rho.space.dim - len(sv)))
+
+
+def _overlap_values(rho: DensityMatrix) -> np.ndarray:
+    """``concurrence_lambdas`` unpadded: the singular values of ``_dual_overlap``."""
+    c = _dual_overlap(subnormalized_spectrum(rho).vectors, canonical_system_of_space(rho.space))
+    return np.linalg.svd(c, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -215,15 +219,10 @@ def slater_number_one_test(rho: DensityMatrix) -> SlaterNumberOneResult:
     symmetric matrix are its singular values), and declares Slater number
     one iff the largest ``|c_i|`` does not exceed the sum of the others.
     """
-    system = canonical_system_of_space(rho.space)
-    if system == "qubits":
+    if canonical_system_of_space(rho.space) == "qubits":
         raise UnsupportedSystemError("class-1 spectral test covers the two exchange sectors")
-    c = _dual_overlap(subnormalized_spectrum(rho).vectors, system)
-    if len(c) == 0:
-        return SlaterNumberOneResult(True, np.array([]))
-    values = np.linalg.svd(c, compute_uv=False)
-    is_one = bool(values[0] <= values[1:].sum() + 1e-10)
-    return SlaterNumberOneResult(is_one, values)
+    values = _overlap_values(rho)
+    return SlaterNumberOneResult(bool(values[0] <= values[1:].sum() + 1e-10), values)
 
 
 # ---------------------------------------------------------------------------

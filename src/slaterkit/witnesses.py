@@ -10,7 +10,7 @@ verdicts are exact.
 Infima of identity-plus-rank-one operators have a closed form, so their
 validity is exact, and for ``a 1 - b |v><v|`` so do its minimizers, the
 best Slater rank < k truncations of ``v``, whose span ``witness_optimize``
-reads off ``v``'s canonical values with no draw and no search.  In the
+reads off ``v``'s singular values with no draw and no search.  In the
 canonical systems the edge split finds its rank-1 range vectors in closed
 form too, as the isotropic vectors of the range's bilinear overlap.  All other
 searches are non-convex with fixed restart budgets ("is a witness" is then
@@ -35,7 +35,8 @@ from .errors import (
     UnsupportedSystemError,
     ValidationError,
 )
-from .linalg import TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian, takagi_canonical
+from .linalg import (RANK_RTOL, TOL_SYM, _lbfgs, _range_split, as_rng, require_hermitian,
+                     singular_values, takagi_canonical)
 
 #: the lowest infimum over Slater rank < k states that a witness may have
 WITNESS_SAMPLE_TOL = -1e-8
@@ -268,11 +269,12 @@ def _search_operator(operator, k: int, space: mixed.StateSpace, budget: int,
 
 
 class _ClosedInfimum(NamedTuple):
-    """A closed-form infimum, with the Slater decomposition of ``v`` when the
+    """A closed-form infimum, with ``v`` and its canonical values when the
     operator is ``a 1 - b |v><v|`` with ``b`` above the spread cut."""
 
     value: float
-    slater: states.SchmidtSlaterResult | None
+    vector: np.ndarray | None = None
+    values: np.ndarray | None = None
 
 
 def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpace):
@@ -285,8 +287,8 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
       ``a - b s_{k-1}(v)``.  ``s_{k-1}(v)``, the largest ``|<v|psi>|^2`` over
       unit rank < k states, is the sum of the k-1 largest squared Youla
       (fermions) or Takagi (bosons) values of ``v`` over the sum of all of
-      them: Eckart-Young applied to the Slater decomposition.  The result
-      carries that decomposition when ``b`` exceeds the spread cut.
+      them: Eckart-Young, on values read off singular values.  The result
+      carries ``v`` and those values when ``b`` exceeds the spread cut.
     - if ``l_1 .. l_{D-1}`` agree, ``P = a 1 + b |v><v|`` and the infimum is
       ``l_1``: the hyperplane ``v^perp`` meets the rank-one states (the
       Pluecker quadric for fermions, the Veronese variety for bosons).
@@ -303,14 +305,26 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
     cut = _RANK_ONE_SPREAD * max(-evals[0], evals[-1])
     if evals[-1] - evals[1] <= cut:
         b = evals[1] - evals[0]
-        slater = states.slater_decompose_two_particle(
-            mixed.state_from_sector_vector(space, evecs[:, 0]))
-        z2 = slater.values ** 2
-        return _ClosedInfimum(float(evals[1] - b * z2[:k - 1].sum() / z2.sum()),
-                              slater if b > cut else None)
+        # v's Takagi or Youla values (each twice) are its pair matrix's singular values
+        s = singular_values(sectors.tensor_from_amps(space.kind, space.dims[0], 2, evecs[:, 0]))
+        nonzero = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+        z = s[1:nonzero:2] if space.kind == mixed.ANTISYMMETRIC else s[:nonzero]
+        value = float(evals[1] - b * (z[:k - 1] ** 2).sum() / (z ** 2).sum())
+        return _ClosedInfimum(value, evecs[:, 0], z) if b > cut else _ClosedInfimum(value)
     if evals[-2] - evals[0] <= cut:
-        return _ClosedInfimum(float(evals[0]), None)
+        return _ClosedInfimum(float(evals[0]))
     return None
+
+
+def _tangent_clusters(kind: str, z: np.ndarray, k: int) -> tuple[int, int, int, int]:
+    """``(lo, c, r, span_dim)`` of descending canonical values ``z`` for
+    ``_tangent_span``: the span fills the sector iff ``r < c`` covers every mode."""
+    keep = min(k - 1, len(z))
+    edge, tol = z[keep - 1], _TANGENT_CLUSTER * z[0]
+    lo = int(np.count_nonzero(z > edge + tol))
+    c, r = int(np.count_nonzero(z >= edge - tol)) - lo, keep - lo
+    n, sign = (2 * c, -1) if kind == mixed.ANTISYMMETRIC else (c, 1)
+    return lo, c, r, 1 if r == c else n * (n + sign) // 2
 
 
 def _tangent_span(kind: str, slater: states.SchmidtSlaterResult, k: int) -> tuple[int, np.ndarray]:
@@ -329,18 +343,12 @@ def _tangent_span(kind: str, slater: states.SchmidtSlaterResult, k: int) -> tupl
     the diagonal ones, so the last is left out; each maps as ``U^dag T conj(U)``.
     """
     u, z = slater.transforms[0], slater.values
-    d = len(u)
-    keep = min(k - 1, len(z))
-    edge, tol = z[keep - 1], _TANGENT_CLUSTER * z[0]
-    lo = int(np.count_nonzero(z > edge + tol))
-    c, r = int(np.count_nonzero(z >= edge - tol)) - lo, keep - lo
+    lo, c, r, span_dim = _tangent_clusters(kind, z, k)
+    edge = z[lo + r - 1]
     sign = -1 if kind == mixed.ANTISYMMETRIC else 1
     block = np.array([[0.0, 1.0], [-1.0, 0.0]]) if sign < 0 else np.ones((1, 1))
     start, n = len(block) * lo, len(block) * c
-    span_dim = 1 if r == c else n * (n + sign) // 2
-    if span_dim == d * (d + sign) // 2:
-        return span_dim, np.zeros((span_dim, span_dim), dtype=complex)
-    pairs = np.zeros((span_dim, d, d))
+    pairs = np.zeros((span_dim, len(u), len(u)))
     pairs[0, :start + n, :start + n] = np.kron(np.diag(np.append(z[:lo], [r / c * edge] * c)), block)
     if r < c:
         cluster = np.kron(np.eye(c), block)
@@ -709,9 +717,9 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     the rank < k states with vanishing expectation.  For ``W = a 1 - b
     |v><v|`` the infimum is the closed form of ``infimum_over_rank``, and
     where it is at most ``_TANGENT_TOL`` the tangent states are the best
-    rank < k truncations of ``v``: ``_tangent_span`` reads their span off
-    the cluster of ``v``'s canonical values at ``z_{k-1}``, exactly and with
-    nothing sampled (``tangent_samples`` 0).  An identity-plus-rank-one
+    rank < k truncations of ``v``, whose span the cluster of ``v``'s values at
+    ``z_{k-1}`` gives exactly, with nothing sampled (``tangent_samples`` 0);
+    only a span short of the sector decomposes ``v``.  An identity-plus-rank-one
     ``W`` with a positive infimum has no tangent states.  Any other ``W``
     gets the search of ``infimum_details``, whose restart minima at or below
     ``_TANGENT_TOL`` (``tangent_samples``) sample the tangent set.
@@ -739,10 +747,13 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     p = _search_operator(w.matrix, k, space, budget, iters)
     closed = _identity_plus_rank_one_infimum(p, k, space)
     span_dim, p_c = 0, np.eye(dim, dtype=complex)
-    if closed is not None and (closed.value > _TANGENT_TOL or closed.slater is not None):
+    if closed is not None and (closed.value > _TANGENT_TOL or closed.vector is not None):
         best, samples = closed.value, 0
         if best <= _TANGENT_TOL:
-            span_dim, p_c = _tangent_span(space.kind, closed.slater, k)
+            span_dim = _tangent_clusters(space.kind, closed.values, k)[3]
+        if 0 < span_dim < dim:
+            state = mixed.state_from_sector_vector(space, closed.vector)
+            span_dim, p_c = _tangent_span(space.kind, states.slater_decompose_two_particle(state), k)
         search = {"restart_dispersion": 0.0, "restarts_converged": 0, "max_iterations": 0,
                   "infimum_restarts": 0}
     else:

@@ -209,9 +209,10 @@ def test_tangent_span_meets_the_sampled_truncations(case):
         optimal = lo == 0 and c * (2 if case[1] == "fermion" else 1) == case[2] and r < c
         seed = case[-1]
     closed = wi._identity_plus_rank_one_infimum(w.matrix, w.slater_class, w.space)
-    assert abs(closed.value) <= 1e-12 and closed.slater is not None
-    span_dim, p_c = wi._tangent_span(w.space.kind, closed.slater, w.slater_class)
-    old_dim, old_p_c, samples = _sampled_span(w.space.kind, closed.slater, w.slater_class, seed)
+    assert abs(closed.value) <= 1e-12 and closed.vector is not None
+    slater = st.slater_decompose_two_particle(mixed.state_from_sector_vector(w.space, closed.vector))
+    span_dim, p_c = wi._tangent_span(w.space.kind, slater, w.slater_class)
+    old_dim, old_p_c, samples = _sampled_span(w.space.kind, slater, w.slater_class, seed)
     assert span_dim == old_dim
     assert (span_dim == w.space.dim) is optimal
     assert np.max(np.abs(p_c - old_p_c)) <= 1e-8
