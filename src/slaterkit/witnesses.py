@@ -4,8 +4,8 @@ A class-k witness is a Hermitian operator on the two-particle
 (anti)symmetric sector with non-negative expectation on every state of
 Slater rank below k and a negative expectation on at least one class-k
 state.  ``witness_operator`` accepts an operator iff its
-``infimum_over_rank`` is at least ``WITNESS_SAMPLE_TOL``; "detected"
-verdicts are exact.
+``infimum_over_rank`` is at least ``WITNESS_SAMPLE_TOL`` and keeps that
+value, so no caller searches it again; "detected" verdicts are exact.
 
 Infima of identity-plus-rank-one operators have a closed form, so their
 validity is exact, and for ``a 1 - b |v><v|`` so do its minimizers, the
@@ -56,12 +56,13 @@ _TANGENT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """Hermitian class-k witness candidate on a two-particle sector."""
+    """Hermitian class-k witness on a two-particle sector."""
 
     space: mixed.StateSpace
     matrix: np.ndarray
     slater_class: int
-    epsilon: float = 0.0  # canonical-form shift, see canonical_witness_form
+    epsilon: float  # canonical-form shift, see canonical_witness_form
+    infimum: float  # inf <psi|W|psi> over Slater rank < k, as validated
 
 
 def _sector_operator(space: mixed.StateSpace, matrix, tol: float) -> np.ndarray:
@@ -89,26 +90,35 @@ def _pair_amps(kind: str, w: np.ndarray) -> np.ndarray:
     return w.reshape(-1, d * d)[:, flats] * factors
 
 
-def witness_operator(space: mixed.StateSpace, matrix, slater_class: int) -> WitnessOperator:
-    """Validated witness operator.
-
-    Validation checks hermiticity and requires ``infimum_over_rank(W,
-    slater_class)`` at or above ``WITNESS_SAMPLE_TOL`` (-1e-8).  That
-    infimum is exact, with no search, for an identity-plus-rank-one ``W``
-    (the optimal witness family and witnesses from pure edge states); any
-    other ``W`` gets the 64 x 400 restart search, whose value bounds the
-    infimum from above.
-    """
+def _build_witness(space: mixed.StateSpace, matrix, slater_class: int,
+                   infimum: float | None = None) -> WitnessOperator:
+    """The checked Hermitian part of ``matrix``, unvalidated, with its shift
+    and ``infimum`` (``infimum_over_rank`` unless a caller has proved it)."""
     m = _sector_operator(space, matrix, TOL_SYM)
     if not 2 <= slater_class <= _max_rank(space):
         raise OutOfRangeError(f"class {slater_class} outside 2..{_max_rank(space)}")
     m = 0.5 * (m + m.conj().T)
-    worst = infimum_over_rank(m, slater_class, space)
-    if worst < WITNESS_SAMPLE_TOL:
-        raise ValidationError(
-            f"expectation {worst:.3e} on a state of Slater rank below {slater_class}")
+    if infimum is None:
+        infimum = infimum_over_rank(m, slater_class, space)
     eps = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
-    return WitnessOperator(space, m, slater_class, eps)
+    return WitnessOperator(space, m, slater_class, eps, infimum)
+
+
+def witness_operator(space: mixed.StateSpace, matrix, slater_class: int) -> WitnessOperator:
+    """Validated witness operator.
+
+    Validation checks hermiticity and requires ``infimum_over_rank(W,
+    slater_class)`` at or above ``WITNESS_SAMPLE_TOL`` (-1e-8); the operator
+    carries that value as ``infimum``.  It is exact, with no search, for an
+    identity-plus-rank-one ``W`` (the optimal witness family and witnesses
+    from pure edge states); any other ``W`` gets the 64 x 400 restart search,
+    whose value bounds the infimum from above.
+    """
+    w = _build_witness(space, matrix, slater_class)
+    if w.infimum < WITNESS_SAMPLE_TOL:
+        raise ValidationError(
+            f"expectation {w.infimum:.3e} on a state of Slater rank below {slater_class}")
+    return w
 
 
 def optimal_witness_example(big_k: int, k: int, kind: str) -> WitnessOperator:
@@ -277,6 +287,14 @@ class _ClosedInfimum(NamedTuple):
     values: np.ndarray | None = None
 
 
+def _canonical_values(space: mixed.StateSpace, v: np.ndarray) -> np.ndarray:
+    """``v``'s Youla (fermions) or Takagi (bosons) values, as many as its Slater
+    rank: its pair matrix's singular values (Youla ones twice) cut at ``RANK_RTOL``."""
+    s = singular_values(sectors.tensor_from_amps(space.kind, space.dims[0], 2, v))
+    nonzero = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return s[1:nonzero:2] if space.kind == mixed.ANTISYMMETRIC else s[:nonzero]
+
+
 def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpace):
     """``inf <psi|P|psi>`` over Slater rank < k states in closed form, or None.
 
@@ -305,10 +323,7 @@ def _identity_plus_rank_one_infimum(p: np.ndarray, k: int, space: mixed.StateSpa
     cut = _RANK_ONE_SPREAD * max(-evals[0], evals[-1])
     if evals[-1] - evals[1] <= cut:
         b = evals[1] - evals[0]
-        # v's Takagi or Youla values (each twice) are its pair matrix's singular values
-        s = singular_values(sectors.tensor_from_amps(space.kind, space.dims[0], 2, evecs[:, 0]))
-        nonzero = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-        z = s[1:nonzero:2] if space.kind == mixed.ANTISYMMETRIC else s[:nonzero]
+        z = _canonical_values(space, evecs[:, 0])
         value = float(evals[1] - b * (z[:k - 1] ** 2).sum() / (z ** 2).sum())
         return _ClosedInfimum(value, evecs[:, 0], z) if b > cut else _ClosedInfimum(value)
     if evals[-2] - evals[0] <= cut:
@@ -524,11 +539,11 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
     A one-dimensional range holds a single candidate, and a range of a
     canonical system (two fermions with d = 4 or two bosons with d = 2,
     where k is 2) the closed-form ``_isotropic_vector``; either is decided
-    by its Slater decomposition, reports ``RangeSearch(0, 0, 0)`` and draws
-    nothing from ``rng``.  Otherwise restarts minimize ``<psi|P|psi>`` over
-    the rank < k manifold (``_SectorChart``) with ``P`` the kernel
-    projector, stacked in chunks of 1, 1, 2, 4, ... restarts of ``iters``
-    L-BFGS steps.  A restart with ``f <= 1e-10`` is polished onto the range
+    by its Slater rank (``_canonical_values``), reports ``RangeSearch(0, 0,
+    0)`` and draws nothing from ``rng``.  Otherwise restarts minimize
+    ``<psi|P|psi>`` over the rank < k manifold (``_SectorChart``) with ``P``
+    the kernel projector, stacked in chunks of 1, 1, 2, 4, ... restarts of
+    ``iters`` L-BFGS steps.  A restart with ``f <= 1e-10`` is polished onto the range
     (``_polish``) and kept when its range residual is at most 1e-8; the
     first kept in order ends the search.
     """
@@ -536,8 +551,7 @@ def _find_in_range(space, k, range_basis, budget, iters, rng):
     if range_basis.shape[1] == 1 or system is not None:
         psi = (range_basis[:, 0] if range_basis.shape[1] == 1
                else _isotropic_vector(range_basis, system))
-        rank = states.slater_decompose_two_particle(mixed.state_from_sector_vector(space, psi)).rank
-        return (psi if rank < k else None), RangeSearch(0, 0, 0)
+        return (psi if len(_canonical_values(space, psi)) < k else None), RangeSearch(0, 0, 0)
     rng = as_rng(rng)
     chart = _SectorChart(space, k)
     kernel = np.eye(len(range_basis)) - range_basis @ range_basis.conj().T
@@ -630,7 +644,7 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     ``delta = |phi><phi|``, ``P = 1 - |phi><phi|`` and ``eps = 1 - s_{k-1}(phi)``
     is exact, and a range of dimension ``D - 1`` gives exactly 0.  Any other
     range gets the search (``budget`` restarts of 400 steps), whose ``eps``
-    is an upper bound.
+    is an upper bound.  ``W`` carries infimum 0, as ``C <= c 1`` gives ``W >= P - eps 1``.
 
     Raises
     ------
@@ -643,10 +657,8 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
     """
     space = delta.space
     dim = space.dim
-    if c_operator is None:
-        c_matrix = np.eye(dim, dtype=complex)
-    else:
-        c_matrix = _sector_operator(space, c_operator, TOL_SYM)
+    c_matrix = (np.eye(dim, dtype=complex) if c_operator is None
+                else _sector_operator(space, c_operator, TOL_SYM))
     c_evals = np.linalg.eigvalsh(c_matrix)
     if c_evals[0] < -TOL_SYM:
         raise ValidationError("C must be positive semidefinite")
@@ -659,8 +671,7 @@ def witness_from_edge(delta: mixed.DensityMatrix, k: int, c_operator=None,
         raise NotAnEdgeStateError(
             f"kernel projector has vanishing infimum ({eps:.3e}); a rank<{k} vector"
             " lies in the range")
-    w = p - (eps / float(c_evals[-1])) * c_matrix
-    out = witness_operator(space, w, k)
+    out = _build_witness(space, p - (eps / float(c_evals[-1])) * c_matrix, k, infimum=0.0)
     if not witness_value(out, delta).detected:
         raise NumericalFailureError("constructed witness does not detect its edge state")
     return out
@@ -674,26 +685,18 @@ class CanonicalWitnessForm:
     verified: bool
 
 
-def canonical_witness_form(w: WitnessOperator, check_budget: int = 16,
-                           seed=0) -> CanonicalWitnessForm:
+def canonical_witness_form(w: WitnessOperator, seed=0) -> CanonicalWitnessForm:
     """Shift ``W = W~ - eps 1`` with ``W~ >= 0``.
 
-    ``eps`` is minus the smallest eigenvalue of ``W`` (zero for an
-    already positive operator).  Verification confirms
-    ``eps <= inf <psi|W~|psi>`` within tolerance, with the infimum from
-    ``infimum_over_rank``: exact for an identity-plus-rank-one ``W`` (the
-    optimal witness family and witnesses from pure edge states), otherwise
-    searched with ``check_budget`` restarts of 300 steps.
+    ``eps = w.epsilon`` is minus the smallest eigenvalue of ``W`` (zero for
+    a positive ``W``).  Verification confirms ``eps <= inf <psi|W~|psi>``
+    within 1e-6; an infimum over unit states shifts exactly with the
+    identity, so it is ``w.infimum + eps``, unsearched.  ``seed`` is unused.
     """
-    eps = max(0.0, -float(np.linalg.eigvalsh(w.matrix)[0]))
-    w_tilde = w.matrix + eps * np.eye(w.space.dim)
-    inf_check = None
-    verified = True
-    if eps > 0.0:
-        inf_check = infimum_over_rank(w_tilde, w.slater_class, w.space,
-                                      budget=check_budget, iters=300, seed=seed)
-        verified = bool(eps <= inf_check + 1e-6)
-    return CanonicalWitnessForm(w_tilde, eps, inf_check, verified)
+    eps = w.epsilon
+    inf_check = w.infimum + eps if eps > 0.0 else None
+    verified = inf_check is None or bool(eps <= inf_check + 1e-6)
+    return CanonicalWitnessForm(w.matrix + eps * np.eye(w.space.dim), eps, inf_check, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +732,16 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
     their span, and the largest ``mu`` that keeps ``W - mu P_c`` a witness
     is ``inf <psi|W|psi> / <psi|P_c|psi>`` over rank < k states.  Without
     tangent states ``P_c = 1`` and that ratio is the infimum already found;
-    otherwise one stacked search of ``budget`` restarts minimizes it, and
-    ``mu`` is kept only if an infimum search of ``W - mu P_c`` with
-    ``max(8, budget // 4)`` restarts stays at or above -1e-9
-    (``subtraction_check`` in the diagnostics) and ``witness_operator``
-    accepts ``W - mu P_c``; otherwise ``W`` is returned unchanged, with
-    weight 0 (on the closed form ``budget`` sets only the restarts of these
-    two searches).  The diagnostics also report ``infimum_restarts``
-    (``budget`` when the infimum search ran, 0 for the closed form), how
-    many of its restarts converged and the most iterations any of them
-    took (both 0 for the closed form).
+    otherwise one stacked search of ``budget`` restarts minimizes it.  ``W -
+    mu P_c`` is built once, with the infimum ``witness_operator`` proves,
+    and kept only if that infimum is at or above -1e-9 where ``P_c`` is a
+    complement (``subtraction_check`` in the diagnostics), or at or above
+    ``WITNESS_SAMPLE_TOL`` where ``P_c = 1``; otherwise ``W`` is returned
+    unchanged, with weight 0 (on the closed form ``budget`` sets only the
+    restarts of the ratio search).  The diagnostics also report
+    ``infimum_restarts`` (``budget`` when the infimum search ran, 0 for the
+    closed form), how many of its restarts converged and the most
+    iterations any of them took (both 0 for the closed form).
     """
     space = w.space
     dim = space.dim
@@ -779,15 +782,10 @@ def witness_optimize(w: WitnessOperator, budget: int = 64, iters: int = 400,
         mu = best
     if mu <= 1e-12:
         return OptimizedWitness(w, False, 0.0, diagnostics)
+    improved = _build_witness(space, w.matrix - mu * p_c, k)
     if span_dim:
-        check = infimum_over_rank(w.matrix - mu * p_c, k, space, budget=max(8, budget // 4),
-                                  iters=iters, seed=rng)
-        diagnostics["subtraction_check"] = check
-        if check < -1e-9:
-            return OptimizedWitness(w, False, 0.0, diagnostics)
-    try:
-        improved = witness_operator(space, w.matrix - mu * p_c, k)
-    except ValidationError:
+        diagnostics["subtraction_check"] = improved.infimum
+    if improved.infimum < (-1e-9 if span_dim else WITNESS_SAMPLE_TOL):
         return OptimizedWitness(w, False, 0.0, diagnostics)
     diagnostics["subtracted_mu"] = mu
     return OptimizedWitness(improved, False, float(mu), diagnostics)

@@ -331,8 +331,8 @@ def test_manifold_search_replays(monkeypatch, family):
 def test_ratio_search_replays(monkeypatch):
     w = perturbed_optimal_witness(3, "boson", 1)
     outputs = _assert_replayed(monkeypatch, lambda: wi.witness_optimize(w, seed=1))
-    # the infimum, the ratio with D, the check and witness_operator's validity search
-    assert len(outputs) == 4
+    # the infimum, the ratio with D and the validity search of W - mu P_c
+    assert len(outputs) == 3
 
 
 def test_edge_kernel_search_replays(monkeypatch):

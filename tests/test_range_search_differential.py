@@ -410,3 +410,62 @@ def test_full_rank_fermion_ranges_subtract_rank_one_vectors(d, seed):
     out = wi.edge_state_decompose(rho, 2, seed=seed)
     _assert_valid(rho, out, 2)
     assert 0.0 < out.weight < 1.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form candidates: the Slater rank from singular values
+# ---------------------------------------------------------------------------
+
+SEARCHED_FIND_IN_RANGE = wi._find_in_range
+
+
+def _decomposed_find_in_range(space, k, range_basis, budget, iters, rng):
+    """The former closed-form branch of ``witnesses._find_in_range``: the
+    candidate's Slater rank from its full Slater decomposition."""
+    system = wi._canonical_sector(space)
+    if range_basis.shape[1] == 1 or system is not None:
+        psi = (range_basis[:, 0] if range_basis.shape[1] == 1
+               else wi._isotropic_vector(range_basis, system))
+        rank = st.slater_decompose_two_particle(mixed.state_from_sector_vector(space, psi)).rank
+        return (psi if rank < k else None), wi.RangeSearch(0, 0, 0)
+    return SEARCHED_FIND_IN_RANGE(space, k, range_basis, budget, iters, rng)
+
+
+# one-dimensional ranges outside the canonical systems: a determinant, a
+# product state and pure states of Slater rank below and at k
+PURE = {f"pure-{kind}-{d}-{seed}": (lambda kind=kind, d=d, seed=seed:
+                                    _random_mixture(kind, d, 1, seed), 2, seed)
+        for kind, d in (("fermion", 5), ("fermion", 6), ("boson", 3)) for seed in range(2)}
+PURE["pure-determinant"] = (lambda: mixed.density_from_pure(
+    st.fermion_state(6, 2, {(1, 4): 1.0})), 2, 0)
+PURE["pure-product"] = (lambda: mixed.density_from_pure(st.boson_state(3, 2, {(2, 2): 1.0})), 2, 0)
+PURE["pure-rank-2-k3"] = (lambda: mixed.density_from_pure(st.fermion_state(
+    6, 2, {(0, 1): 0.6, (2, 3): 0.8})), 3, 0)
+CLOSED_FORM = {**{case: (make, 2, seed) for case, (make, seed) in CANONICAL.items()}, **PURE}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM))
+def test_closed_form_ranks_meet_the_decomposition(case, monkeypatch):
+    make, k, seed = CLOSED_FORM[case]
+    rho = make()
+    new = wi.edge_state_decompose(rho, k, seed=seed)
+    monkeypatch.setattr(wi, "_find_in_range", _decomposed_find_in_range)
+    old = wi.edge_state_decompose(rho, k, seed=seed)
+    assert new.weight == old.weight and new.searches == old.searches
+    assert len(new.subtraction_log) == len(old.subtraction_log)
+    for (s_new, lam_new), (s_old, lam_old) in zip(new.subtraction_log, old.subtraction_log):
+        assert np.array_equal(s_new.flat(), s_old.flat()) and lam_new == lam_old
+
+
+def test_closed_form_ranks_decompose_nothing(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    decompose = st.slater_decompose_two_particle
+    monkeypatch.setattr(st, "slater_decompose_two_particle", counted)
+    for make, seed in CANONICAL.values():
+        wi.edge_state_decompose(make(), 2, seed=seed)
+    assert len(calls) == 0

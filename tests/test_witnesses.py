@@ -407,8 +407,8 @@ def test_witness_from_edge_rejects_non_edge():
 def test_witness_from_edge_raises_when_the_witness_does_not_detect(monkeypatch):
     # a positive operator in place of the constructed witness detects nothing;
     # the gate must hold under ``python -O`` as well, so it is no assert
-    monkeypatch.setattr(wi, "witness_operator",
-                        lambda space, matrix, k: wi.WitnessOperator(space, np.eye(space.dim), k))
+    monkeypatch.setattr(wi, "_build_witness", lambda space, matrix, k, infimum: wi.WitnessOperator(
+        space, np.eye(space.dim), k, 0.0, 1.0))
     with pytest.raises(NumericalFailureError):
         wi.witness_from_edge(maxcorr_projector(), 2, budget=8, seed=6)
 
@@ -425,7 +425,7 @@ def test_infimum_examples():
 
 def test_canonical_witness_form():
     w = wi.optimal_witness_example(2, 2, "fermion")
-    form = wi.canonical_witness_form(w, check_budget=12, seed=1)
+    form = wi.canonical_witness_form(w, seed=1)
     assert abs(form.epsilon - 1.0) < 1e-10
     assert np.linalg.eigvalsh(form.w_tilde)[0] >= -1e-12
     assert np.max(np.abs(form.w_tilde - form.epsilon * np.eye(6) - w.matrix)) < 1e-12
@@ -437,7 +437,7 @@ def test_canonical_witness_form():
 
     delta = maxcorr_projector()
     w3 = wi.witness_from_edge(delta, 2, budget=16, seed=2)
-    form3 = wi.canonical_witness_form(w3, check_budget=12, seed=3)
+    form3 = wi.canonical_witness_form(w3, seed=3)
     assert np.max(np.abs(form3.w_tilde - form3.epsilon * np.eye(6) - w3.matrix)) < 1e-12
 
 
